@@ -67,6 +67,11 @@ def _fraction_arg(text: str, what: str) -> Fraction:
         raise CliError(2, f"bad {what}: {e}") from e
 
 
+def _positive_arg(value: int, flag: str):
+    if value < 1:
+        raise CliError(2, f"{flag} must be >= 1, got {value}")
+
+
 def _cuts_arg(text: str) -> Partition:
     try:
         return Partition(tuple(parse_rational(c) for c in text.split(",")))
@@ -105,6 +110,8 @@ def _beta_name(beta) -> str:
 
 
 def cmd_dist(args) -> int:
+    _positive_arg(args.terms, "--terms")
+    _positive_arg(args.depth, "--depth")
     a = _load(args.action_a, ser.load_action, "action")
     b = _load(args.action_b, ser.load_action, "action")
     if a.d != b.d:
@@ -219,6 +226,8 @@ def cmd_wrp_demo(args) -> int:
     epsilon = _fraction_arg(args.epsilon, "tolerance")
     if epsilon <= 0:
         raise CliError(4, "tolerance must be > 0")
+    _positive_arg(args.terms, "--terms")
+    _positive_arg(args.depth, "--depth")
     header = [
         "trial",
         "requested",
@@ -232,8 +241,11 @@ def cmd_wrp_demo(args) -> int:
     rows = [header]
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
-        t = aperiodic_permutation(rng, args.n, args.min_cycle)
-        r = aperiodic_permutation(rng, args.n, args.min_cycle)
+        try:
+            t = aperiodic_permutation(rng, args.n, args.min_cycle)
+            r = aperiodic_permutation(rng, args.n, args.min_cycle)
+        except ValueError as e:
+            raise CliError(4, str(e)) from e
         a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
         started = time.perf_counter()
         try:

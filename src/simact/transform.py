@@ -51,6 +51,8 @@ class IntervalPermutation:
         """Re-express at a finer resolution; n2 must be a multiple of n."""
         if n2 % self.n != 0:
             raise ValueError(f"{n2} is not a multiple of {self.n}")
+        if n2 == self.n:
+            return self  # frozen, with a tuple perm: safe to share
         f = n2 // self.n
         out = [0] * n2
         for i, pi in enumerate(self.perm):
@@ -238,15 +240,6 @@ def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
 # -- distances ---------------------------------------------------------------
 
 
-def _preimage_mask(t: IntervalPermutation, cell_lo: int, cell_hi: int) -> int:
-    """Bits i with perm[i] in [cell_lo, cell_hi), at t's own resolution."""
-    bits = 0
-    for i, pi in enumerate(t.perm):
-        if cell_lo <= pi < cell_hi:
-            bits |= 1 << i
-    return bits
-
-
 def coarse_term_count(depth: int) -> int:
     return 2 ** (depth + 1) - 2
 
@@ -258,24 +251,37 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     level, levels up to `depth`) carries weight 2^-k; the summand is the
     measure of T^-1(E) xor R^-1(E).  The truncation tail is bounded by
     coarse_dist_tail(depth).
+
+    Cost O(n * depth) at the common resolution n = lcm(t.n, r.n, 2^depth),
+    in exact integers.  Cell i lies in exactly one of T^-1(E), R^-1(E) iff
+    T and R send it to different level-l intervals, and then it adds one
+    to the disagreement of both; so one pass per level gives every summand.
+    With K = coarse_term_count(depth) the sum is (sum_k diff_k 2^(K-k)) /
+    (n 2^K), built as one integer numerator.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = lcm(t.n, r.n, 2**depth)
     tt, rr = t.refine(n), r.refine(n)
-    total = Fraction(0)
-    k = 0
-    for level in range(1, depth + 1):
-        cells = 2**level
-        span = n // cells
-        for c in range(cells):
-            k += 1
-            mt = _preimage_mask(tt, c * span, (c + 1) * span)
-            mr = _preimage_mask(rr, c * span, (c + 1) * span)
-            diff = (mt ^ mr).bit_count()
-            if diff:
-                total += Fraction(diff, n) / 2**k
-    return total
+    top = coarse_term_count(depth)
+    span = n >> depth
+    # level-`depth` intervals of the cells the two maps send apart; halving
+    # both indices gives the next level up, where some pairs merge
+    moved = [(a // span, b // span) for a, b in zip(tt.perm, rr.perm) if a // span != b // span]
+    num = 0
+    for level in range(depth, 0, -1):
+        cells = 1 << level
+        diff = [0] * cells
+        for a, b in moved:
+            diff[a] += 1
+            diff[b] += 1
+        # cell c of this level is test set k = cells - 1 + c
+        shift = top - cells + 1
+        for c, dc in enumerate(diff):
+            if dc:
+                num += dc << (shift - c)
+        moved = [(a >> 1, b >> 1) for a, b in moved if a >> 1 != b >> 1]
+    return Fraction(num, n << top)
 
 
 def coarse_dist_tail(depth: int) -> Fraction:

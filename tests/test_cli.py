@@ -156,3 +156,19 @@ def test_module_entry_point_and_usage_errors():
     )
     assert proc.returncode == 0
     assert proc.stdout == read(gold("expected_dist.csv")).decode()
+
+
+def test_exit_2_nonpositive_terms_and_depth(capsys):
+    ids, swap = gold("id4_action.json"), gold("swap_action.json")
+    for flag in ("--terms", "--depth"):
+        assert main(["dist", ids, swap, flag, "0"]) == 2
+        assert main(["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", flag, "0"]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
+def test_exit_4_unsatisfiable_sampler_request(capsys):
+    # n = 100 has no composition into parts that are multiples of 7
+    assert main(["wrp-demo", "--seed", "1", "--n", "100", "--min-cycle", "7"]) == 4
+    assert "n must be divisible by the part granularity" in capsys.readouterr().err
+    assert main(["wrp-demo", "--seed", "1", "--n", "0"]) == 4
+    assert "n = 0 cannot hold a part" in capsys.readouterr().err

@@ -1,0 +1,177 @@
+"""The exact integer kernels against the direct definitions they replace.
+
+`coarse_dist_oracle` and `sim_dist_oracle` are the original bodies of
+`transform.coarse_dist` and `sim.sim_dist`: one preimage bitmask per dyadic
+set, and every key against every wildcard mask.  They are slow and plainly
+right, so the fast kernels must agree with them exactly.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from simact.equivalence import action_to_sim
+from simact.sampling import iid_table, markov_table, random_action, random_partition
+from simact.sim import (
+    CylinderTable,
+    Window,
+    convolve_sim,
+    marginalize_window,
+    refine_partition,
+    sim_dist,
+)
+from simact.transform import IntervalPermutation, coarse_dist
+
+# -- oracles -------------------------------------------------------------------
+
+
+def _preimage_mask(t: IntervalPermutation, cell_lo: int, cell_hi: int) -> int:
+    """Bits i with perm[i] in [cell_lo, cell_hi), at t's own resolution."""
+    bits = 0
+    for i, pi in enumerate(t.perm):
+        if cell_lo <= pi < cell_hi:
+            bits |= 1 << i
+    return bits
+
+
+def coarse_dist_oracle(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> Fraction:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    n = lcm(t.n, r.n, 2**depth)
+    tt, rr = t.refine(n), r.refine(n)
+    total = Fraction(0)
+    k = 0
+    for level in range(1, depth + 1):
+        cells = 2**level
+        span = n // cells
+        for c in range(cells):
+            k += 1
+            mt = _preimage_mask(tt, c * span, (c + 1) * span)
+            mr = _preimage_mask(rr, c * span, (c + 1) * span)
+            diff = (mt ^ mr).bit_count()
+            if diff:
+                total += Fraction(diff, n) / 2**k
+    return total
+
+
+def sim_dist_oracle(t1: CylinderTable, t2: CylinderTable) -> Fraction:
+    if t1.window.d != t2.window.d:
+        raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
+    w = min(t1.window.w, t2.window.w)
+    t1, t2 = marginalize_window(t1, w), marginalize_window(t2, w)
+    if t1.partition != t2.partition:
+        t1 = refine_partition(t1, t2.partition.cuts)
+        t2 = refine_partition(t2, t1.partition.cuts)
+    k = t1.window.size()
+    diffs: dict[tuple, Fraction] = {}
+    for table, sign in ((t1, 1), (t2, -1)):
+        for key, mass in table.masses.items():
+            for mask in range(1 << k):
+                pattern = tuple(key[i] if mask >> i & 1 else None for i in range(k))
+                diffs[pattern] = diffs.get(pattern, Fraction(0)) + sign * mass
+    return max((abs(v) for v in diffs.values()), default=Fraction(0))
+
+
+def refine_oracle(t: IntervalPermutation, n2: int) -> IntervalPermutation:
+    f = n2 // t.n
+    return IntervalPermutation(n2, tuple(t.perm[i // f] * f + i % f for i in range(n2)))
+
+
+# -- permutations ------------------------------------------------------------------
+
+# mixed resolutions, most of them not powers of two
+RESOLUTIONS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16]
+
+
+@st.composite
+def perms(draw):
+    n = draw(st.sampled_from(RESOLUTIONS))
+    return IntervalPermutation(n, tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(), perms(), st.integers(1, 8))
+def test_coarse_dist_matches_oracle(t, r, depth):
+    n = lcm(t.n, r.n, 2**depth)
+    # the oracle scans n cells for each of 2^(depth+1) - 2 sets
+    assume(n << depth <= 1 << 18)
+    assert coarse_dist(t, r, depth) == coarse_dist_oracle(t, r, depth)
+
+
+@settings(max_examples=50, deadline=None)
+@given(perms(), st.integers(1, 8))
+def test_coarse_dist_matches_oracle_on_a_refined_copy(t, depth):
+    # equal maps at different resolutions are at distance 0
+    fine = t.refine(3 * t.n)
+    assert coarse_dist(t, fine, depth) == coarse_dist_oracle(t, fine, depth) == 0
+
+
+@given(perms(), st.integers(1, 5))
+def test_refine_to_own_resolution_is_the_same_object(t, k):
+    assert t.refine(t.n) is t
+    assert t.refine(k * t.n) == refine_oracle(t, k * t.n)
+
+
+# -- tables ---------------------------------------------------------------------------
+
+
+def _iid(rng, p, w, d):
+    weights = [rng.randint(0, 4) for _ in range(p)]
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    return iid_table(random_partition(rng, p), [Fraction(x, total) for x in weights], w, d)
+
+
+@st.composite
+def rank1_tables(draw):
+    kind = draw(st.sampled_from(["markov", "iid", "smoothed"]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    p, w = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    if kind == "iid":
+        return _iid(rng, p, w, 1)
+    t = markov_table(rng, p, w)
+    if kind == "smoothed":
+        t = convolve_sim(t, draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)])))
+    return t
+
+
+@st.composite
+def rank2_tables(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    w = draw(st.sampled_from([1, 2, 2, 2]))
+    if draw(st.booleans()):
+        t = _iid(rng, 2, w, 2)
+    else:
+        # correlated labels: the largest gaps can sit on patterns that no
+        # shift of the window moves off its last time
+        action = random_action(rng, 2, draw(st.integers(3, 8)))
+        t = action_to_sim(action, Window(2, w), random_partition(rng, draw(st.integers(2, 3))))
+    if draw(st.booleans()):
+        t = convolve_sim(t, draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4)])))
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank1_tables(), rank1_tables())
+def test_sim_dist_matches_oracle_rank1(a, b):
+    # independent draws differ in partition and window width most of the time
+    assert sim_dist(a, b) == sim_dist_oracle(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank2_tables(), rank2_tables())
+def test_sim_dist_matches_oracle_rank2(a, b):
+    assert sim_dist(a, b) == sim_dist_oracle(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank1_tables(), st.sampled_from([Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]))
+def test_sim_dist_matches_oracle_against_own_blur(t, delta):
+    # same partition and window: the path `smooth` takes
+    blurred = convolve_sim(t, delta)
+    assert sim_dist(blurred, t) == sim_dist_oracle(blurred, t)
+    assert sim_dist(t, t) == sim_dist_oracle(t, t) == 0
