@@ -62,6 +62,7 @@ from .sim import (
     marginalize_window,
     pair_matrix,
     refine_partition,
+    relabel,
     sim_dist,
 )
 from .transform import (

@@ -18,6 +18,7 @@ from .transform import (
     coarse_dist,
     common_resolution,
     identity,
+    tower_base_indices,
 )
 
 __all__ = [
@@ -164,11 +165,9 @@ def _matched_tower_map(
     R-tower coherently.  The leftover sets have equal mass and are matched
     smallest-to-smallest as well.
     """
-    from .transform import _tower_base_indices
-
     n = t.n
-    base_t = _tower_base_indices(t, height)
-    base_r = _tower_base_indices(r, height)
+    base_t = tower_base_indices(t, height)
+    base_r = tower_base_indices(r, height)
     keep = min(len(base_t), len(base_r))
     if keep == 0:
         raise ValueError(f"no full column of height {height} fits either map")

@@ -97,6 +97,14 @@ def _csv(rows) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+def _emit_rows(args, rows):
+    """A header row and data rows, as CSV or as a JSON list of row objects."""
+    if args.format == "json":
+        _emit_json(args, {"rows": [dict(zip(rows[0], r)) for r in rows[1:]]})
+    else:
+        _emit_text(args, _csv(rows))
+
+
 def _pair(value: Fraction) -> list[str]:
     """Decimal rendering plus the exact rational sidecar."""
     return [exact_decimal(value), format_rational(value)]
@@ -213,16 +221,11 @@ def cmd_smooth(args) -> int:
             bound, _exact = fixed_mass_report(smoothed, beta)
             row += _pair(bound)
         rows.append(row)
-    if args.format == "json":
-        _emit_json(args, {"rows": [dict(zip(rows[0], r)) for r in rows[1:]]})
-    else:
-        _emit_text(args, _csv(rows))
+    _emit_rows(args, rows)
     return 0
 
 
 def cmd_wrp_demo(args) -> int:
-    if args.seed is None:
-        raise CliError(2, "wrp-demo needs --seed")
     epsilon = _fraction_arg(args.epsilon, "tolerance")
     if epsilon <= 0:
         raise CliError(4, "tolerance must be > 0")
@@ -266,10 +269,7 @@ def cmd_wrp_demo(args) -> int:
             + _pair(res.achieved)
             + [str(res.height), "ok", f"{elapsed:.3f}" if args.times else ""]
         )
-    if args.format == "json":
-        _emit_json(args, {"rows": [dict(zip(rows[0], r)) for r in rows[1:]]})
-    else:
-        _emit_text(args, _csv(rows))
+    _emit_rows(args, rows)
     return 0
 
 
@@ -343,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic experiments on interval permutations and cylinder tables",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="PRNG seed (required when randomness is used)")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", parents=[common], help="distance between two actions")
@@ -378,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("wrp-demo", parents=[common], help="tower-matching conjugacy search on random pairs")
+    p.add_argument("--seed", type=int, required=True, help="PRNG seed for the sampled permutation pairs")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--n", type=int, default=1024, help="resolution")
     p.add_argument("--min-cycle", type=int, default=64)
@@ -399,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, default=2, help="window width")
     p.set_defaults(func=cmd_factor_defect)
 
+    # only the subcommands that write rows can write either format
+    for name in ("dist", "smooth", "wrp-demo", "graph-test", "factor-defect"):
+        sub.choices[name].add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

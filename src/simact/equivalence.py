@@ -9,6 +9,7 @@ reparametrization before reading off masses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,6 +24,7 @@ from .sim import (
     cylinder_mass,
     marginal,
     pair_matrix,
+    relabel,
 )
 from .transform import DyadicSet, IntervalPermutation, identity, preimage
 
@@ -42,26 +44,29 @@ __all__ = [
 ]
 
 
-def _denominator_lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, Fraction(v).denominator)
-    return out
-
-
 def _piece_of_cell(partition: Partition, n: int) -> list[int]:
-    """Piece index of each grid cell [i/n, (i+1)/n); cuts must sit on the grid."""
-    for c in partition.cuts:
-        if (c * n).denominator != 1:
-            raise ValueError(f"cut {c} not aligned with resolution {n}")
-    out = []
-    j = 0
-    for i in range(n):
-        x = Fraction(i, n)
-        while j + 1 < partition.p and partition.cuts[j + 1] <= x:
-            j += 1
-        out.append(j)
-    return out
+    """Piece index of each grid cell [i/n, (i+1)/n); the cuts sit on the grid."""
+    edges = [int(c * n) for c in partition.cuts] + [n]
+    return [j for j in range(partition.p) for _cell in range(edges[j], edges[j + 1])]
+
+
+def _itineraries(
+    a: LatticeAction, window: Window, label: list[int]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Each grid cell's labels at the window times.
+
+    label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  The
+    action is refined to n = lcm(a.n, m); returns n and, for every n-cell,
+    the labels of its time-gamma images in window order.
+    """
+    if window.d != a.d:
+        raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
+    n = lcm(a.n, len(label))
+    aa = a.refine(n)
+    span = n // len(label)
+    fine = [label[i // span] for i in range(n)]
+    columns = [[fine[j] for j in aa.evaluate(gamma).perm] for gamma in window.elements()]
+    return n, list(zip(*columns))
 
 
 def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> CylinderTable:
@@ -70,18 +75,9 @@ def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> Cyl
     The mass of an assignment is the measure of the set of points whose
     time-gamma image lies in the assigned piece for every window time.
     """
-    if window.d != a.d:
-        raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
-    n = lcm(a.n, _denominator_lcm(partition.cuts))
-    aa = a.refine(n)
-    piece_of = _piece_of_cell(partition, n)
-    perms = [aa.evaluate(gamma).perm for gamma in window.elements()]
-    masses: dict[tuple[int, ...], Fraction] = {}
-    unit = Fraction(1, n)
-    for cell in range(n):
-        key = tuple(piece_of[perm[cell]] for perm in perms)
-        masses[key] = masses.get(key, Fraction(0)) + unit
-    return CylinderTable(window, partition, masses)
+    m = lcm(*(c.denominator for c in partition.cuts))
+    n, keys = _itineraries(a, window, _piece_of_cell(partition, m))
+    return CylinderTable(window, partition, {k: Fraction(c, n) for k, c in Counter(keys).items()})
 
 
 def embed_action(
@@ -95,19 +91,17 @@ def embed_action(
 
 
 def _box_weights(h: Adaptation, partition_in: Partition, partition_out: Partition):
-    """weights[j][c]: fraction of cell c (of partition_in) covered by
-    h^-1 of piece j (of partition_out)."""
-    out = []
-    for j in range(partition_out.p):
-        lo, hi = partition_out.piece(j)
-        plo, phi = h.inverse_value(lo), h.inverse_value(hi)
-        row = []
-        for c in range(partition_in.p):
-            clo, chi = partition_in.piece(c)
-            overlap = min(phi, chi) - max(plo, clo)
-            row.append(overlap / (chi - clo) if overlap > 0 else Fraction(0))
-        out.append(row)
-    return out
+    """rows[c]: (j, share of cell c of partition_in covered by h^-1 of piece
+    j of partition_out), for each j that covers some of it."""
+    pulled = [(h.inverse_value(lo), h.inverse_value(hi)) for lo, hi in partition_out.pieces()]
+    return [
+        [
+            (j, overlap / (chi - clo))
+            for j, (plo, phi) in enumerate(pulled)
+            if (overlap := min(phi, chi) - max(plo, clo)) > 0
+        ]
+        for clo, chi in partition_in.pieces()
+    ]
 
 
 def adapt_table(
@@ -122,21 +116,7 @@ def adapt_table(
     partition_out refined by the pullback of the outer adaptation's cuts.
     """
     p_out = partition_out if partition_out is not None else t.partition
-    weights = _box_weights(h, t.partition, p_out)
-    k = t.window.size()
-    current = dict(t.masses)
-    for pos in range(k):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for key, mass in current.items():
-            c = key[pos]
-            for j in range(p_out.p):
-                wgt = weights[j][c]
-                if wgt == 0:
-                    continue
-                new_key = key[:pos] + (j,) + key[pos + 1 :]
-                nxt[new_key] = nxt.get(new_key, Fraction(0)) + mass * wgt
-        current = nxt
-    return CylinderTable(t.window, p_out, current)
+    return relabel(t, _box_weights(h, t.partition, p_out), p_out)
 
 
 def _eval_boxes(t: CylinderTable, boxes: list) -> Fraction:
@@ -285,7 +265,7 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
     levels = [Fraction(0)]
     for m in masses:
         levels.append(levels[-1] + m)
-    n = _denominator_lcm(levels)
+    n = lcm(*(x.denominator for x in levels))
     block_sizes = [int((levels[j + 1] - levels[j]) * n) for j in range(t.partition.p)]
     generators = []
     witnesses = []
@@ -323,7 +303,7 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
         levels.append(levels[-1] + m)
     partition_out = Partition(tuple(levels[:-1]))
     if w == 1:
-        n = _denominator_lcm(levels)
+        n = lcm(*(x.denominator for x in levels))
         return LatticeAction(1, (identity(n),)), partition_out
     block_mass: dict[tuple[int, ...], Fraction] = {}
     trans: dict[tuple[tuple[int, ...], int], Fraction] = {}
@@ -332,7 +312,7 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
         block_mass[u] = block_mass.get(u, Fraction(0)) + mass
         trans[(u, key[-1])] = trans.get((u, key[-1]), Fraction(0)) + mass
     blocks = sorted(block_mass)
-    n = _denominator_lcm(list(t.masses.values()) + levels)
+    n = lcm(*(x.denominator for x in [*t.masses.values(), *levels]))
     start: dict[tuple[int, ...], int] = {}
     offset = 0
     for u in blocks:
@@ -369,21 +349,9 @@ def cylinder_atoms(
     """Partition the grid by the window itinerary relative to {piece,
     complement}.  Returns (resolution, atom label per cell); equal labels
     mean same atom."""
-    if window.d != a.d:
-        raise ValueError("rank mismatch")
-    n = lcm(a.n, piece.cells)
-    aa = a.refine(n)
-    span = n // piece.cells
-    in_piece = [piece.bits >> (i // span) & 1 for i in range(n)]
-    perms = [aa.evaluate(gamma).perm for gamma in window.elements()]
-    signatures: dict[tuple[int, ...], int] = {}
-    labels = []
-    for cell in range(n):
-        sig = tuple(in_piece[perm[cell]] for perm in perms)
-        if sig not in signatures:
-            signatures[sig] = len(signatures)
-        labels.append(signatures[sig])
-    return n, labels
+    n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
+    atoms: dict[tuple[int, ...], int] = {}
+    return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
 
 
 def factor_defect(

@@ -65,22 +65,31 @@ def contains_point(s: Pairs, x) -> bool:
     return any(a <= x < b for a, b in s)
 
 
-def _cells(*sets: Pairs) -> list[tuple[Fraction, Fraction]]:
-    cuts = {Fraction(0), Fraction(1)}
-    for s in sets:
-        for a, b in s:
-            cuts.add(a)
-            cuts.add(b)
-    xs = sorted(cuts)
-    return list(zip(xs, xs[1:]))
-
-
 def _combine(a: Pairs, b: Pairs, keep) -> Pairs:
-    out = []
-    for lo, hi in _cells(a, b):
-        if keep(contains_point(a, lo), contains_point(b, lo)):
-            out.append((lo, hi))
-    return normalize(out)
+    """The stretches of [0, 1) where keep(in a, in b) holds, in one sweep.
+
+    Both inputs are canonical, so their flattened endpoint lists are
+    strictly increasing, and a point lies in a set exactly when an odd
+    number of that set's endpoints sit at or below it.  Each step passes
+    the endpoints at lo, so hi is the next endpoint of either set; a
+    trailing 1 on each list is never passed and ends the sweep."""
+    one = Fraction(1)
+    ends_a = [x for piece in a for x in piece] + [one]
+    ends_b = [x for piece in b for x in piece] + [one]
+    i = j = 0
+    lo = Fraction(0)
+    out: list[tuple[Fraction, Fraction]] = []
+    while lo < 1:
+        i += ends_a[i] == lo
+        j += ends_b[j] == lo
+        hi = min(ends_a[i], ends_b[j])
+        if keep(i % 2 == 1, j % 2 == 1):
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        lo = hi
+    return tuple(out)
 
 
 def intersect(a: Pairs, b: Pairs) -> Pairs:

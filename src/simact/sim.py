@@ -37,6 +37,7 @@ __all__ = [
     "fixed_mass_report",
     "refine_partition",
     "marginalize_window",
+    "relabel",
 ]
 
 
@@ -128,23 +129,13 @@ class CylinderTable:
         self._check_shift_consistency()
 
     def _check_shift_consistency(self):
-        elems = self.window.elements()
-        pos = {e: i for i, e in enumerate(elems)}
         w = self.window.w
         if w == 1:
             return
         for axis in range(self.window.d):
-            low = [e for e in elems if e[axis] < w - 1]
-            idx_low = [pos[e] for e in low]
-            idx_high = [pos[tuple(c + (1 if i == axis else 0) for i, c in enumerate(e))] for e in low]
-            lhs: dict[tuple[int, ...], Fraction] = {}
-            rhs: dict[tuple[int, ...], Fraction] = {}
-            for key, mass in self.masses.items():
-                kl = tuple(key[i] for i in idx_low)
-                kh = tuple(key[i] for i in idx_high)
-                lhs[kl] = lhs.get(kl, Fraction(0)) + mass
-                rhs[kh] = rhs.get(kh, Fraction(0)) + mass
-            if lhs != rhs:
+            low = [e for e in self.window.elements() if e[axis] < w - 1]
+            high = [e[:axis] + (e[axis] + 1,) + e[axis + 1 :] for e in low]
+            if marginalize_to(self, low) != marginalize_to(self, high):
                 raise ValueError(f"shift consistency fails along axis {axis}")
 
     def items_sorted(self):
@@ -217,29 +208,38 @@ def pair_matrix(t: CylinderTable, alpha, beta) -> list[list[Fraction]]:
 # -- table metric ------------------------------------------------------------
 
 
+def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
+    """Push t's masses through a per-label weight map, one window time at a
+    time, and read the result over `partition`.
+
+    rows[c] lists the (j, weight) pairs with nonzero weight for input label
+    c: a cell labelled c at some window time sends that share of its mass to
+    label j there.  Under the cell-uniform convention this is every
+    operation that moves mass inside the window box coordinate by
+    coordinate: refinement, smoothing and adapted embedding.
+    """
+    current = t.masses
+    for pos in range(t.window.size()):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for key, mass in current.items():
+            head, tail = key[:pos], key[pos + 1 :]
+            for j, weight in rows[key[pos]]:
+                new_key = head + (j,) + tail
+                nxt[new_key] = nxt.get(new_key, 0) + mass * weight
+        current = nxt
+    return CylinderTable(t.window, partition, current)
+
+
 def refine_partition(t: CylinderTable, new_cuts) -> CylinderTable:
     """Re-express over a finer partition, splitting cell masses by length
     (the cell-uniform convention makes this exact)."""
     fine = Partition(tuple(sorted(set(t.partition.cuts) | {Fraction(c) for c in new_cuts})))
-    children: list[list[tuple[int, Fraction]]] = []
-    for j in range(t.partition.p):
-        lo, hi = t.partition.piece(j)
-        kids = []
-        for jj in range(fine.p):
-            flo, fhi = fine.piece(jj)
-            if lo <= flo and fhi <= hi:
-                kids.append((jj, (fhi - flo) / (hi - lo)))
-        children.append(kids)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, mass in t.masses.items():
-        expansions = [children[j] for j in key]
-        for combo in product(*expansions):
-            new_key = tuple(jj for jj, _f in combo)
-            factor = mass
-            for _jj, f in combo:
-                factor *= f
-            out[new_key] = out.get(new_key, Fraction(0)) + factor
-    return CylinderTable(t.window, fine, out)
+    kids = list(enumerate(fine.pieces()))
+    rows = [
+        [(jj, (fhi - flo) / (hi - lo)) for jj, (flo, fhi) in kids if lo <= flo and fhi <= hi]
+        for lo, hi in t.partition.pieces()
+    ]
+    return relabel(t, rows, fine)
 
 
 def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
@@ -310,8 +310,9 @@ def _diameter(a, x, b) -> Fraction:
     return max(a, x, b) - min(a, x, b)
 
 
-def graph_witness_exact(matrix, b_mask: int) -> tuple[int, Fraction]:
-    """Best A for this B by full enumeration over the 2^p unions."""
+def _into_b(matrix, b_mask: int) -> tuple[list[Fraction], Fraction, list[Fraction]]:
+    """The prelude of both witness searches: check the joining, then return
+    its piece masses, the mass of B and the mass each piece sends into B."""
     p, rows, _cols = _check_joining(matrix)
     b_total = Fraction(0)
     into_b = [Fraction(0)] * p
@@ -320,6 +321,13 @@ def graph_witness_exact(matrix, b_mask: int) -> tuple[int, Fraction]:
             b_total += rows[j]
             for i in range(p):
                 into_b[i] += matrix[i][j]
+    return rows, b_total, into_b
+
+
+def graph_witness_exact(matrix, b_mask: int) -> tuple[int, Fraction]:
+    """Best A for this B by full enumeration over the 2^p unions."""
+    rows, b_total, into_b = _into_b(matrix, b_mask)
+    p = len(rows)
     best_a, best = 0, None
     size = 1 << p
     a_sum = [Fraction(0)] * size
@@ -339,14 +347,8 @@ def graph_witness_exact(matrix, b_mask: int) -> tuple[int, Fraction]:
 def greedy_graph_witness(matrix, b_mask: int) -> tuple[int, Fraction]:
     """The documented shortcut: A collects the pieces sending more than half
     of their mass into B."""
-    p, rows, _cols = _check_joining(matrix)
-    b_total = Fraction(0)
-    into_b = [Fraction(0)] * p
-    for j in range(p):
-        if b_mask >> j & 1:
-            b_total += rows[j]
-            for i in range(p):
-                into_b[i] += matrix[i][j]
+    rows, b_total, into_b = _into_b(matrix, b_mask)
+    p = len(rows)
     a_mask = 0
     a = x = Fraction(0)
     for i in range(p):
@@ -358,6 +360,8 @@ def greedy_graph_witness(matrix, b_mask: int) -> tuple[int, Fraction]:
 
 
 def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
+    if len(matrix) > 16:
+        raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
     p, _rows, _cols = _check_joining(matrix)
     worst_b, worst_a, worst = 0, 0, Fraction(0)
     for b_mask in range(1 << p):
@@ -391,8 +395,6 @@ def is_graph_sim(t: CylinderTable, epsilon) -> tuple[bool, list]:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if t.partition.p > 16:
-        raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
     elems = t.window.elements()
     results = []
     ok = True
@@ -443,23 +445,12 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
         return t
     if not 0 < delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    p = t.partition.p
     pieces = t.partition.pieces()
-    weight = [[_smear_weight(pieces[i], pieces[c], delta) for c in range(p)] for i in range(p)]
-    k = t.window.size()
-    current = dict(t.masses)
-    for pos in range(k):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for key, mass in current.items():
-            c = key[pos]
-            for i in range(p):
-                wgt = weight[i][c]
-                if wgt == 0:
-                    continue
-                new_key = key[:pos] + (i,) + key[pos + 1 :]
-                nxt[new_key] = nxt.get(new_key, Fraction(0)) + mass * wgt
-        current = nxt
-    return CylinderTable(t.window, t.partition, current)
+    rows = [
+        [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]
+        for cell in pieces
+    ]
+    return relabel(t, rows, t.partition)
 
 
 def average_sims(t1: CylinderTable, t2: CylinderTable, weight) -> CylinderTable:

@@ -29,6 +29,7 @@ __all__ = [
     "coarse_term_count",
     "halmos_dist",
     "rohlin_tower",
+    "tower_base_indices",
     "aperiodicity_scale",
 ]
 
@@ -220,14 +221,17 @@ class DyadicSet:
         return DyadicSet(self.level, ~self.bits & ((1 << self.cells) - 1))
 
 
+def _dyadic_level(n: int, why: str) -> int:
+    """The m with 2^m = n; any other n is refused with `why` as the reason."""
+    m = n.bit_length() - 1
+    if n != 1 << m:
+        raise ValueError(f"resolution {n} is not a power of two; {why}")
+    return m
+
+
 def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
     """T^-1(S) as a dyadic set; needs the resolution to be a power of two."""
-    n, m = t.n, 0
-    while (1 << m) < n:
-        m += 1
-    if (1 << m) != n:
-        raise ValueError(f"resolution {n} is not a power of two; no dyadic refinement")
-    level = max(m, s.level)
+    level = max(_dyadic_level(t.n, "no dyadic refinement"), s.level)
     tt = t.refine(1 << level)
     ss = s.refine(level)
     bits = 0
@@ -299,7 +303,7 @@ def halmos_dist(t: IntervalPermutation, r: IntervalPermutation) -> Fraction:
 # -- towers ------------------------------------------------------------------
 
 
-def _tower_base_indices(t: IntervalPermutation, height: int) -> list[int]:
+def tower_base_indices(t: IntervalPermutation, height: int) -> list[int]:
     """Mark every height-th cell along each cycle, first height*floor(len/height) cells."""
     base = []
     for cycle in t.cycles():
@@ -331,12 +335,8 @@ def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
             raise ValueError(
                 f"infeasible: cycle of length {ln} is shorter than height/epsilon"
             )
-    n, m = t.n, 0
-    while (1 << m) < n:
-        m += 1
-    if (1 << m) != n:
-        raise ValueError(f"resolution {n} is not a power of two; base cannot be dyadic")
-    base = _tower_base_indices(t, height)
+    m = _dyadic_level(t.n, "base cannot be dyadic")
+    base = tower_base_indices(t, height)
     out = DyadicSet.from_indices(m, base)
     # exact post-check: disjoint levels, enough mass
     seen: set[int] = set()
@@ -349,7 +349,7 @@ def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
             seen.add(c)
         count += len(level)
         level = [t.perm[c] for c in level]
-    assert Fraction(count, n) >= 1 - epsilon
+    assert Fraction(count, t.n) >= 1 - epsilon
     return out
 
 

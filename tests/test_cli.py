@@ -172,3 +172,43 @@ def test_exit_4_unsatisfiable_sampler_request(capsys):
     assert "n must be divisible by the part granularity" in capsys.readouterr().err
     assert main(["wrp-demo", "--seed", "1", "--n", "0"]) == 4
     assert "n = 0 cannot hold a part" in capsys.readouterr().err
+
+
+# -- flags -------------------------------------------------------------------------
+
+
+def exit_code(argv):
+    """What main returns, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", gold("id4_action.json"), gold("swap_action.json"), "--seed", "1"],
+        ["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "2", "--cuts", "0,1/2", "--seed", "1"],
+        ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--seed", "1"],
+        ["graph-test", gold("diag_halves_table.json"), "--epsilon", "1/8", "--seed", "1"],
+        ["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "2", "--cuts", "0,1/2", "--format", "csv"],
+        ["recover", gold("diag_halves_table.json"), "--epsilon", "0", "--format", "json"],
+        ["realize", gold("markov_table.json"), "--format", "csv"],
+        ["wrp-demo", "--trials", "1", "--n", "64", "--min-cycle", "32"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    # --seed belongs to wrp-demo alone, --format to the five row-writing commands
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: simact") and "Traceback" not in err
+
+
+def test_smooth_json_rows_match_csv_rows(tmp_path):
+    argv = ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3"]
+    csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    header, *rows = [line.split(",") for line in read(str(csv_out)).decode().strip().split("\n")]
+    assert json.loads(read(str(json_out)))["rows"] == [dict(zip(header, r)) for r in rows]

@@ -1,23 +1,37 @@
-"""The exact integer kernels against the direct definitions they replace.
+"""The rewritten kernels against the direct definitions they replace.
 
 `coarse_dist_oracle` and `sim_dist_oracle` are the original bodies of
 `transform.coarse_dist` and `sim.sim_dist`: one preimage bitmask per dyadic
-set, and every key against every wildcard mask.  They are slow and plainly
-right, so the fast kernels must agree with them exactly.
+set, and every key against every wildcard mask.  `refine_partition_oracle`,
+`convolve_sim_oracle` and `adapt_table_oracle` are the per-coordinate label
+loops that `sim.relabel` replaced, and `combine_oracle` is the cell-by-cell
+interval-set operation that the endpoint sweep replaced.  They are slow and
+plainly right, so the new code must agree with them exactly.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simact.equivalence import action_to_sim
-from simact.sampling import iid_table, markov_table, random_action, random_partition
+import simact.intervals as iv
+from simact.equivalence import action_to_sim, adapt_table
+from simact.measure import Adaptation
+from simact.sampling import (
+    iid_table,
+    markov_table,
+    random_action,
+    random_adaptation,
+    random_partition,
+)
 from simact.sim import (
     CylinderTable,
+    Partition,
     Window,
+    _smear_weight,
     convolve_sim,
     marginalize_window,
     refine_partition,
@@ -73,6 +87,107 @@ def sim_dist_oracle(t1: CylinderTable, t2: CylinderTable) -> Fraction:
                 pattern = tuple(key[i] if mask >> i & 1 else None for i in range(k))
                 diffs[pattern] = diffs.get(pattern, Fraction(0)) + sign * mass
     return max((abs(v) for v in diffs.values()), default=Fraction(0))
+
+
+def refine_partition_oracle(t: CylinderTable, new_cuts) -> CylinderTable:
+    fine = Partition(tuple(sorted(set(t.partition.cuts) | {Fraction(c) for c in new_cuts})))
+    children: list[list[tuple[int, Fraction]]] = []
+    for j in range(t.partition.p):
+        lo, hi = t.partition.piece(j)
+        kids = []
+        for jj in range(fine.p):
+            flo, fhi = fine.piece(jj)
+            if lo <= flo and fhi <= hi:
+                kids.append((jj, (fhi - flo) / (hi - lo)))
+        children.append(kids)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, mass in t.masses.items():
+        expansions = [children[j] for j in key]
+        for combo in product(*expansions):
+            new_key = tuple(jj for jj, _f in combo)
+            factor = mass
+            for _jj, f in combo:
+                factor *= f
+            out[new_key] = out.get(new_key, Fraction(0)) + factor
+    return CylinderTable(t.window, fine, out)
+
+
+def convolve_sim_oracle(t: CylinderTable, delta) -> CylinderTable:
+    delta = Fraction(delta)
+    if delta == 0:
+        return t
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in [0, 1)")
+    p = t.partition.p
+    pieces = t.partition.pieces()
+    weight = [[_smear_weight(pieces[i], pieces[c], delta) for c in range(p)] for i in range(p)]
+    k = t.window.size()
+    current = dict(t.masses)
+    for pos in range(k):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for key, mass in current.items():
+            c = key[pos]
+            for i in range(p):
+                wgt = weight[i][c]
+                if wgt == 0:
+                    continue
+                new_key = key[:pos] + (i,) + key[pos + 1 :]
+                nxt[new_key] = nxt.get(new_key, Fraction(0)) + mass * wgt
+        current = nxt
+    return CylinderTable(t.window, t.partition, current)
+
+
+def _box_weights_oracle(h: Adaptation, partition_in: Partition, partition_out: Partition):
+    out = []
+    for j in range(partition_out.p):
+        lo, hi = partition_out.piece(j)
+        plo, phi = h.inverse_value(lo), h.inverse_value(hi)
+        row = []
+        for c in range(partition_in.p):
+            clo, chi = partition_in.piece(c)
+            overlap = min(phi, chi) - max(plo, clo)
+            row.append(overlap / (chi - clo) if overlap > 0 else Fraction(0))
+        out.append(row)
+    return out
+
+
+def adapt_table_oracle(
+    h: Adaptation, t: CylinderTable, partition_out: Partition | None = None
+) -> CylinderTable:
+    p_out = partition_out if partition_out is not None else t.partition
+    weights = _box_weights_oracle(h, t.partition, p_out)
+    k = t.window.size()
+    current = dict(t.masses)
+    for pos in range(k):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for key, mass in current.items():
+            c = key[pos]
+            for j in range(p_out.p):
+                wgt = weights[j][c]
+                if wgt == 0:
+                    continue
+                new_key = key[:pos] + (j,) + key[pos + 1 :]
+                nxt[new_key] = nxt.get(new_key, Fraction(0)) + mass * wgt
+        current = nxt
+    return CylinderTable(t.window, p_out, current)
+
+
+def _cells_oracle(*sets: iv.Pairs) -> list[tuple[Fraction, Fraction]]:
+    cuts = {Fraction(0), Fraction(1)}
+    for s in sets:
+        for a, b in s:
+            cuts.add(a)
+            cuts.add(b)
+    xs = sorted(cuts)
+    return list(zip(xs, xs[1:]))
+
+
+def combine_oracle(a: iv.Pairs, b: iv.Pairs, keep) -> iv.Pairs:
+    out = []
+    for lo, hi in _cells_oracle(a, b):
+        if keep(iv.contains_point(a, lo), iv.contains_point(b, lo)):
+            out.append((lo, hi))
+    return iv.normalize(out)
 
 
 def refine_oracle(t: IntervalPermutation, n2: int) -> IntervalPermutation:
@@ -175,3 +290,70 @@ def test_sim_dist_matches_oracle_against_own_blur(t, delta):
     blurred = convolve_sim(t, delta)
     assert sim_dist(blurred, t) == sim_dist_oracle(blurred, t)
     assert sim_dist(t, t) == sim_dist_oracle(t, t) == 0
+
+
+# -- per-coordinate label kernels -------------------------------------------------
+
+# points of [0, 1) on small grids, so new cuts often coincide with old ones
+grid_points = st.integers(1, 12).flatmap(lambda q: st.builds(Fraction, st.integers(0, q - 1), st.just(q)))
+
+
+@st.composite
+def tables(draw):
+    return draw(st.one_of(rank1_tables(), rank2_tables()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.lists(grid_points, max_size=4))
+def test_refine_partition_matches_oracle(t, cuts):
+    assert refine_partition(t, cuts) == refine_partition_oracle(t, cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.sampled_from([Fraction(1, 16), Fraction(1, 5), Fraction(1, 2), Fraction(7, 8)]))
+def test_convolve_sim_matches_oracle(t, delta):
+    assert convolve_sim(t, delta) == convolve_sim_oracle(t, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tables(),
+    st.integers(0, 10**6),
+    st.sampled_from([Fraction(1, 32), Fraction(1, 8), Fraction(1, 3)]),
+    st.sampled_from(["own", "random", "refined"]),
+)
+def test_adapt_table_matches_oracle(t, seed, delta, out_kind):
+    rng = random.Random(seed)
+    h = random_adaptation(rng, delta)
+    if out_kind == "own":
+        assert adapt_table(h, t) == adapt_table_oracle(h, t)
+        return
+    if out_kind == "random":
+        target = random_partition(rng, rng.randint(1, 4))
+    else:
+        # the partition a chained second adaptation would need
+        target = Partition(tuple(sorted(set(t.partition.cuts) | {h(c) for c in t.partition.cuts})))
+    assert adapt_table(h, t, target) == adapt_table_oracle(h, t, target)
+
+
+# -- interval-set operations ------------------------------------------------------
+
+
+@st.composite
+def canonical_sets(draw):
+    # endpoints on a coarse grid, so pieces of two draws often touch or
+    # share an endpoint; the empty and the full set come up on their own
+    ends = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6), max_size=8))
+    return iv.normalize(zip(ends[::2], ends[1::2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(canonical_sets(), st.just(iv.EMPTY), st.just(iv.FULL)),
+    st.one_of(canonical_sets(), st.just(iv.EMPTY), st.just(iv.FULL)),
+)
+def test_interval_ops_match_oracle(a, b):
+    assert iv.intersect(a, b) == combine_oracle(a, b, lambda x, y: x and y)
+    assert iv.union(a, b) == combine_oracle(a, b, lambda x, y: x or y)
+    assert iv.symdiff(a, b) == combine_oracle(a, b, lambda x, y: x != y)
+    assert iv.complement(a) == combine_oracle(a, iv.EMPTY, lambda x, _y: not x)

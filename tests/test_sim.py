@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import simact.sim as sim
 from simact.measure import convolve, uniform_on
 from simact.sampling import (
     diagonal_table,
@@ -77,6 +78,15 @@ def test_table_validation():
     # time-0 marginal {0: 1} but time-1 marginal {1: 1}: not shift invariant
     with pytest.raises(ValueError):
         CylinderTable(Window(1, 2), HALVES, {(0, 1): F(1)})
+
+
+@pytest.mark.parametrize("key,axis", [((0, 0, 1, 1), 0), ((0, 1, 0, 1), 1)])
+def test_rank2_shift_consistency_names_the_failing_axis(key, axis):
+    # key positions follow Window(2, 2).elements(): (0,0), (0,1), (1,0), (1,1).
+    # (0,0,1,1) changes label along axis 0 only, (0,1,0,1) along axis 1 only;
+    # each is consistent along the other axis
+    with pytest.raises(ValueError, match=f"along axis {axis}$"):
+        CylinderTable(Window(2, 2), HALVES, {key: F(1)})
 
 
 def test_zero_masses_are_dropped():
@@ -189,6 +199,18 @@ def test_is_graph_sim_checks_every_pair():
     big = iid_table(Partition(tuple(F(i, 17) for i in range(17))), [F(1, 17)] * 17, 2)
     with pytest.raises(ValueError):
         is_graph_sim(big, F(1, 2))
+
+
+def test_is_graph_joining_refuses_p17_before_enumerating(monkeypatch):
+    def enumerate_unions(*_args):
+        raise AssertionError("witness search started")
+
+    monkeypatch.setattr(sim, "greedy_graph_witness", enumerate_unions)
+    monkeypatch.setattr(sim, "graph_witness_exact", enumerate_unions)
+    seventeen = Partition(tuple(F(i, 17) for i in range(17)))
+    t = diagonal_table(seventeen, [F(1, 17)] * 17, 2)
+    with pytest.raises(ValueError, match="p > 16 refused"):
+        is_graph_joining(t, F(1, 2))
 
 
 # -- smoothing ----------------------------------------------------------------------
