@@ -37,6 +37,7 @@ __all__ = [
     "PairWitness",
     "recover_action",
     "realize_sim_as_action",
+    "MAX_RESOLUTION",
     "cylinder_atoms",
     "factor_defect",
     "inverse_continuity_check",
@@ -282,6 +283,18 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
 # -- realization -------------------------------------------------------------
 
 
+# The largest grid `realize_sim_as_action` builds.  Its resolution is the lcm
+# of the table's mass denominators, so a small file can ask for an unbounded
+# permutation; larger requests are refused before anything is allocated.
+MAX_RESOLUTION = 1 << 20
+
+
+def _check_resolution(n: int) -> int:
+    if n > MAX_RESOLUTION:
+        raise ValueError(f"realization needs resolution n = {n}, above the cap of {MAX_RESOLUTION}")
+    return n
+
+
 def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     """Build a rank-1 action whose table reproduces t entry by entry.
 
@@ -290,6 +303,7 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     holding the exact transition mass, and slots are matched to incoming
     slots in ascending block order.  The returned partition has cuts at the
     marginal's cumulative masses so its piece indices line up with t's.
+    A resolution above MAX_RESOLUTION is refused up front.
     """
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
@@ -303,7 +317,7 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
         levels.append(levels[-1] + m)
     partition_out = Partition(tuple(levels[:-1]))
     if w == 1:
-        n = lcm(*(x.denominator for x in levels))
+        n = _check_resolution(lcm(*(x.denominator for x in levels)))
         return LatticeAction(1, (identity(n),)), partition_out
     block_mass: dict[tuple[int, ...], Fraction] = {}
     trans: dict[tuple[tuple[int, ...], int], Fraction] = {}
@@ -312,7 +326,7 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
         block_mass[u] = block_mass.get(u, Fraction(0)) + mass
         trans[(u, key[-1])] = trans.get((u, key[-1]), Fraction(0)) + mass
     blocks = sorted(block_mass)
-    n = lcm(*(x.denominator for x in [*t.masses.values(), *levels]))
+    n = _check_resolution(lcm(*(x.denominator for x in [*t.masses.values(), *levels])))
     start: dict[tuple[int, ...], int] = {}
     offset = 0
     for u in blocks:

@@ -297,80 +297,91 @@ class GraphTest:
     diameter: Fraction
 
 
-def _check_joining(matrix) -> tuple[int, list[Fraction], list[Fraction]]:
+def _check_joining(matrix) -> list:
+    """Row masses of a joining: a square matrix with nonnegative entries whose
+    row and column marginals agree.  Entries may be Fractions or integer
+    numerators over one denominator."""
     p = len(matrix)
-    rows = [sum(r, Fraction(0)) for r in matrix]
-    cols = [sum((matrix[i][j] for i in range(p)), Fraction(0)) for j in range(p)]
-    if rows != cols:
+    if any(len(r) != p for r in matrix):
+        raise ValueError("pair matrix must be square")
+    if any(x < 0 for r in matrix for x in r):
+        raise ValueError("pair matrix has a negative entry; not a joining")
+    rows = [sum(r) for r in matrix]
+    if rows != [sum(r[j] for r in matrix) for j in range(p)]:
         raise ValueError("row and column marginals differ; not a joining")
-    return p, rows, cols
+    return rows
 
 
-def _diameter(a, x, b) -> Fraction:
-    return max(a, x, b) - min(a, x, b)
-
-
-def _into_b(matrix, b_mask: int) -> tuple[list[Fraction], Fraction, list[Fraction]]:
-    """The prelude of both witness searches: check the joining, then return
-    its piece masses, the mass of B and the mass each piece sends into B."""
-    p, rows, _cols = _check_joining(matrix)
-    b_total = Fraction(0)
-    into_b = [Fraction(0)] * p
-    for j in range(p):
-        if b_mask >> j & 1:
-            b_total += rows[j]
-            for i in range(p):
-                into_b[i] += matrix[i][j]
+def _into_b(matrix, b_mask: int, rows=None) -> tuple:
+    """The prelude of both witness searches: the piece masses (the joining is
+    checked here unless the caller passes the rows `_check_joining` returned
+    for this matrix), the mass of B and the mass each piece sends into B.
+    Sums keep the entries' type: Fractions, or integer numerators."""
+    if rows is None:
+        rows = _check_joining(matrix)
+    zero = rows[0] * 0 if rows else 0
+    cols = [j for j in range(len(rows)) if b_mask >> j & 1]
+    b_total = sum((rows[j] for j in cols), zero)
+    into_b = [sum((r[j] for j in cols), zero) for r in matrix]
     return rows, b_total, into_b
 
 
-def graph_witness_exact(matrix, b_mask: int) -> tuple[int, Fraction]:
-    """Best A for this B by full enumeration over the 2^p unions."""
-    rows, b_total, into_b = _into_b(matrix, b_mask)
-    p = len(rows)
-    best_a, best = 0, None
-    size = 1 << p
-    a_sum = [Fraction(0)] * size
-    x_sum = [Fraction(0)] * size
+def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
+    """Best A for this B by full enumeration over the 2^p unions.
+
+    On a joining the mass x of A x B is at most both a = mass(A) and
+    b = mass(B), so the diameter of {a, x, b} is max(a, b) - x.  Ties go to
+    the smallest mask.
+    """
+    rows, b_total, into_b = _into_b(matrix, b_mask, rows)
+    size = 1 << len(rows)
+    a_sum = [b_total * 0] * size
+    x_sum = a_sum[:]
+    best_a, best = 0, b_total
     for mask in range(1, size):
         low = mask & -mask
         i = low.bit_length() - 1
-        a_sum[mask] = a_sum[mask ^ low] + rows[i]
-        x_sum[mask] = x_sum[mask ^ low] + into_b[i]
-    for mask in range(size):
-        d = _diameter(a_sum[mask], x_sum[mask], b_total)
-        if best is None or d < best:
+        a = a_sum[mask] = a_sum[mask ^ low] + rows[i]
+        x = x_sum[mask] = x_sum[mask ^ low] + into_b[i]
+        d = (a if a > b_total else b_total) - x
+        if d < best:
             best_a, best = mask, d
     return best_a, best
 
 
-def greedy_graph_witness(matrix, b_mask: int) -> tuple[int, Fraction]:
+def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
     """The documented shortcut: A collects the pieces sending more than half
     of their mass into B."""
-    rows, b_total, into_b = _into_b(matrix, b_mask)
-    p = len(rows)
+    rows, b_total, into_b = _into_b(matrix, b_mask, rows)
     a_mask = 0
-    a = x = Fraction(0)
-    for i in range(p):
-        if rows[i] > 0 and 2 * into_b[i] > rows[i]:
+    a = x = b_total * 0
+    for i, (r, into) in enumerate(zip(rows, into_b)):
+        if r > 0 and 2 * into > r:
             a_mask |= 1 << i
-            a += rows[i]
-            x += into_b[i]
-    return a_mask, _diameter(a, x, b_total)
+            a += r
+            x += into
+    return a_mask, max(a, b_total) - x
 
 
 def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
+    """Worst B over all 2^p unions, on integer numerators over the lcm of
+    the entry denominators; each diameter is compared with epsilon by
+    cross-multiplication and divided once at the end."""
     if len(matrix) > 16:
         raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
-    p, _rows, _cols = _check_joining(matrix)
-    worst_b, worst_a, worst = 0, 0, Fraction(0)
-    for b_mask in range(1 << p):
-        a_mask, d = greedy_graph_witness(matrix, b_mask)
-        if d >= epsilon:
-            a_mask, d = graph_witness_exact(matrix, b_mask)
+    den = lcm(*(x.denominator for r in matrix for x in r))
+    ints = [[x.numerator * (den // x.denominator) for x in r] for r in matrix]
+    rows = _check_joining(ints)
+    # d / den >= epsilon exactly when d * epsilon.denominator >= bound
+    scale, bound = epsilon.denominator, epsilon.numerator * den
+    worst_b, worst_a, worst = 0, 0, 0
+    for b_mask in range(1 << len(ints)):
+        a_mask, d = greedy_graph_witness(ints, b_mask, rows=rows)
+        if d * scale >= bound:
+            a_mask, d = graph_witness_exact(ints, b_mask, rows=rows)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
-    return GraphTest(worst < epsilon, worst_b, worst_a, worst)
+    return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
 
 
 def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:

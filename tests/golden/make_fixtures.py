@@ -48,6 +48,11 @@ def main_fixtures():
         "markov_table.json",
         ser.dump_table(markov_table(trial_rng(42, 0), p=2, w=2, max_resolution=2000)),
     )
+    # not a graph joining: a nonzero worst diameter on a B that greedy misses
+    markov4 = write_json(
+        "markov4_table.json",
+        ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)),
+    )
 
     out = lambda name: os.path.join(HERE, name)
     runs = [
@@ -56,6 +61,7 @@ def main_fixtures():
         ["realize", markov, "--out", out("expected_realize.json")],
         ["smooth", diag, "--delta", "1/4", "--steps", "3", "--out", out("expected_smooth.csv")],
         ["graph-test", diag, "--epsilon", "1/8", "--out", out("expected_graph_test.csv")],
+        ["graph-test", markov4, "--epsilon", "1/8", "--out", out("expected_graph_test_fail.csv")],
     ]
     for argv in runs:
         code = main(argv)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ def read(path):
         (["realize", gold("markov_table.json")], "expected_realize.json"),
         (["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3"], "expected_smooth.csv"),
         (["graph-test", gold("diag_halves_table.json"), "--epsilon", "1/8"], "expected_graph_test.csv"),
+        (["graph-test", gold("markov4_table.json"), "--epsilon", "1/8"], "expected_graph_test_fail.csv"),
     ],
 )
 def test_matches_golden_output(tmp_path, argv, expected):
@@ -140,6 +142,23 @@ def test_exit_4_domain_preconditions(tmp_path):
     )
     assert main(["recover", str(iid), "--epsilon", "1/4"]) == 4
     assert main(["smooth", gold("diag_halves_table.json"), "--delta", "2"]) == 4
+
+
+def test_exit_4_realize_resolution_above_cap(tmp_path, capsys):
+    # valid tables whose mass denominators have an lcm of about 2 * 10^12:
+    # the realization grid would need that many cells
+    p, q = Fraction(1, 1000003), Fraction(1, 2 * 999983)
+    tables = {
+        "w2.json": {"w": 2, "masses": {"0,0": q, "0,1": p, "1,0": p, "1,1": 1 - 2 * p - q}},
+        "w1.json": {"w": 1, "masses": {"0": p + q, "1": 1 - p - q}},
+    }
+    for name, doc in tables.items():
+        doc.update(d=1, cuts=["0", "1/2"], masses={k: str(v) for k, v in doc["masses"].items()})
+        path = tmp_path / name
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        assert main(["realize", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"n = {1000003 * 2 * 999983}" in err and "Traceback" not in err
 
 
 def test_module_entry_point_and_usage_errors():

@@ -5,8 +5,10 @@
 set, and every key against every wildcard mask.  `refine_partition_oracle`,
 `convolve_sim_oracle` and `adapt_table_oracle` are the per-coordinate label
 loops that `sim.relabel` replaced, and `combine_oracle` is the cell-by-cell
-interval-set operation that the endpoint sweep replaced.  They are slow and
-plainly right, so the new code must agree with them exactly.
+interval-set operation that the endpoint sweep replaced.
+`graph_test_matrix_oracle` and the witness oracles are the graph test in
+`Fraction` arithmetic, before it moved to integer numerators.  They are
+slow and plainly right, so the new code must agree with them exactly.
 """
 
 import random
@@ -25,15 +27,23 @@ from simact.sampling import (
     markov_table,
     random_action,
     random_adaptation,
+    random_graph_joining,
     random_partition,
 )
 from simact.sim import (
     CylinderTable,
+    GraphTest,
     Partition,
     Window,
+    _graph_test_matrix,
     _smear_weight,
+    average_sims,
     convolve_sim,
+    graph_witness_exact,
+    greedy_graph_witness,
+    marginalize_to,
     marginalize_window,
+    pair_matrix,
     refine_partition,
     sim_dist,
 )
@@ -193,6 +203,82 @@ def combine_oracle(a: iv.Pairs, b: iv.Pairs, keep) -> iv.Pairs:
 def refine_oracle(t: IntervalPermutation, n2: int) -> IntervalPermutation:
     f = n2 // t.n
     return IntervalPermutation(n2, tuple(t.perm[i // f] * f + i % f for i in range(n2)))
+
+
+def check_joining_oracle(matrix) -> tuple[int, list[Fraction], list[Fraction]]:
+    p = len(matrix)
+    rows = [sum(r, Fraction(0)) for r in matrix]
+    cols = [sum((matrix[i][j] for i in range(p)), Fraction(0)) for j in range(p)]
+    if rows != cols:
+        raise ValueError("row and column marginals differ; not a joining")
+    return p, rows, cols
+
+
+def diameter_oracle(a, x, b) -> Fraction:
+    return max(a, x, b) - min(a, x, b)
+
+
+def into_b_oracle(matrix, b_mask: int) -> tuple[list[Fraction], Fraction, list[Fraction]]:
+    """The prelude of both witness searches: check the joining, then return
+    its piece masses, the mass of B and the mass each piece sends into B."""
+    p, rows, _cols = check_joining_oracle(matrix)
+    b_total = Fraction(0)
+    into_b = [Fraction(0)] * p
+    for j in range(p):
+        if b_mask >> j & 1:
+            b_total += rows[j]
+            for i in range(p):
+                into_b[i] += matrix[i][j]
+    return rows, b_total, into_b
+
+
+def graph_witness_exact_oracle(matrix, b_mask: int) -> tuple[int, Fraction]:
+    """Best A for this B by full enumeration over the 2^p unions."""
+    rows, b_total, into_b = into_b_oracle(matrix, b_mask)
+    p = len(rows)
+    best_a, best = 0, None
+    size = 1 << p
+    a_sum = [Fraction(0)] * size
+    x_sum = [Fraction(0)] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        a_sum[mask] = a_sum[mask ^ low] + rows[i]
+        x_sum[mask] = x_sum[mask ^ low] + into_b[i]
+    for mask in range(size):
+        d = diameter_oracle(a_sum[mask], x_sum[mask], b_total)
+        if best is None or d < best:
+            best_a, best = mask, d
+    return best_a, best
+
+
+def greedy_graph_witness_oracle(matrix, b_mask: int) -> tuple[int, Fraction]:
+    """The documented shortcut: A collects the pieces sending more than half
+    of their mass into B."""
+    rows, b_total, into_b = into_b_oracle(matrix, b_mask)
+    p = len(rows)
+    a_mask = 0
+    a = x = Fraction(0)
+    for i in range(p):
+        if rows[i] > 0 and 2 * into_b[i] > rows[i]:
+            a_mask |= 1 << i
+            a += rows[i]
+            x += into_b[i]
+    return a_mask, diameter_oracle(a, x, b_total)
+
+
+def graph_test_matrix_oracle(matrix, epsilon: Fraction) -> GraphTest:
+    if len(matrix) > 16:
+        raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
+    p, _rows, _cols = check_joining_oracle(matrix)
+    worst_b, worst_a, worst = 0, 0, Fraction(0)
+    for b_mask in range(1 << p):
+        a_mask, d = greedy_graph_witness_oracle(matrix, b_mask)
+        if d >= epsilon:
+            a_mask, d = graph_witness_exact_oracle(matrix, b_mask)
+        if d > worst:
+            worst_b, worst_a, worst = b_mask, a_mask, d
+    return GraphTest(worst < epsilon, worst_b, worst_a, worst)
 
 
 # -- permutations ------------------------------------------------------------------
@@ -357,3 +443,51 @@ def test_interval_ops_match_oracle(a, b):
     assert iv.union(a, b) == combine_oracle(a, b, lambda x, y: x or y)
     assert iv.symdiff(a, b) == combine_oracle(a, b, lambda x, y: x != y)
     assert iv.complement(a) == combine_oracle(a, iv.EMPTY, lambda x, _y: not x)
+
+
+# -- graph test ---------------------------------------------------------------------
+
+
+@st.composite
+def pair_matrices(draw):
+    """A two-time matrix of a graph joining mixed with the iid table of its
+    marginal (a graph at lambda = 0, independent at lambda = 1), or of a
+    Markov table, in either time order."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    p = draw(st.integers(2, 7))
+    if draw(st.integers(0, 3)):
+        joining = random_graph_joining(rng, p)
+        single = marginalize_to(joining, [(0,)])
+        iid = iid_table(joining.partition, [single.get((j,), Fraction(0)) for j in range(p)], 2)
+        t = average_sims(joining, iid, draw(st.fractions(0, 1, max_denominator=8)))
+    else:
+        t = markov_table(rng, p, 2)
+    order = [(0,), (1,)]
+    if draw(st.booleans()):
+        order.reverse()
+    return pair_matrix(t, *order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_matrices(), st.integers(0, 127), st.fractions(0, 1, max_denominator=16).filter(bool))
+def test_graph_test_matches_oracle(m, b_pick, epsilon):
+    worst = graph_test_matrix_oracle(m, epsilon).diameter
+    greedy = greedy_graph_witness_oracle(m, b_pick % (1 << len(m)))[1]
+    # epsilon on an attained diameter is the boundary of `d >= epsilon`
+    for eps in {epsilon, worst, greedy} - {0}:
+        res = _graph_test_matrix(m, eps)
+        assert res == graph_test_matrix_oracle(m, eps)
+        assert isinstance(res.diameter, Fraction)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_matrices())
+def test_graph_witnesses_match_oracle_for_every_b(m):
+    for b_mask in range(1 << len(m)):
+        for witness, oracle in (
+            (greedy_graph_witness, greedy_graph_witness_oracle),
+            (graph_witness_exact, graph_witness_exact_oracle),
+        ):
+            a_mask, d = witness(m, b_mask)
+            assert (a_mask, d) == oracle(m, b_mask)
+            assert isinstance(d, Fraction)

@@ -192,6 +192,21 @@ def test_graph_witness_rejects_non_joinings():
         greedy_graph_witness([[F(1, 2), F(1, 2)], [F(0), F(0)]], 1)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[F(1, 2)], [F(1, 2)]],  # 2 x 1
+        [[F(1, 2), F(0), F(0)], [F(0), F(1, 2)]],  # ragged; the square part is a joining
+        [[F(1), F(-1, 2)], [F(-1, 2), F(0)]],  # marginals agree, entries negative
+    ],
+)
+def test_graph_witnesses_reject_matrices_that_are_not_joinings(matrix):
+    for witness in (greedy_graph_witness, graph_witness_exact):
+        for b_mask in range(4):
+            with pytest.raises(ValueError, match="square|negative"):
+                witness(matrix, b_mask)
+
+
 def test_is_graph_sim_checks_every_pair():
     ok, results = is_graph_sim(diag_halves(w=3), F(1, 100))
     assert ok
