@@ -184,7 +184,7 @@ def cmd_realize(args) -> int:
     except ValueError as e:
         raise CliError(4, str(e)) from e
     check = action_to_sim(action, t.window, partition)
-    if check.masses != t.masses:
+    if check.nums != t.nums or check.den != t.den:
         raise AssertionError("realization postcondition failed; refusing to write output")
     payload = ser.dump_action(action)
     payload["cuts"] = [format_rational(c) for c in partition.cuts]

@@ -74,11 +74,16 @@ def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> Cyl
     """Read the window statistics of an action off its grid.
 
     The mass of an assignment is the measure of the set of points whose
-    time-gamma image lies in the assigned piece for every window time.
+    time-gamma image lies in the assigned piece for every window time: the
+    count of grid cells with that itinerary, over the grid size n.  The
+    grid refines the action to the lcm of its resolution and the cut
+    denominators; n above MAX_RESOLUTION is refused before anything is
+    allocated.
     """
     m = lcm(*(c.denominator for c in partition.cuts))
+    _check_resolution(lcm(a.n, m))
     n, keys = _itineraries(a, window, _piece_of_cell(partition, m))
-    return CylinderTable(window, partition, {k: Fraction(c, n) for k, c in Counter(keys).items()})
+    return CylinderTable(window, partition, Counter(keys), den=n)
 
 
 def embed_action(
@@ -88,7 +93,7 @@ def embed_action(
     h^-1(I); the resulting table lives over the target partition."""
     pulled = Partition(tuple(h.inverse_value(c) for c in partition.cuts))
     base = action_to_sim(a, window, pulled)
-    return CylinderTable(window, partition, base.masses)
+    return CylinderTable(window, partition, base.nums, den=base.den)
 
 
 def _box_weights(h: Adaptation, partition_in: Partition, partition_out: Partition):
@@ -283,15 +288,17 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
 # -- realization -------------------------------------------------------------
 
 
-# The largest grid `realize_sim_as_action` builds.  Its resolution is the lcm
-# of the table's mass denominators, so a small file can ask for an unbounded
-# permutation; larger requests are refused before anything is allocated.
+# The largest grid `realize_sim_as_action` and `action_to_sim` build.  Their
+# resolutions are lcms of denominators read from input files (the table's
+# masses; the action's resolution and the cuts), so a small file can ask for
+# an unbounded permutation; larger requests are refused before anything is
+# allocated.
 MAX_RESOLUTION = 1 << 20
 
 
 def _check_resolution(n: int) -> int:
     if n > MAX_RESOLUTION:
-        raise ValueError(f"realization needs resolution n = {n}, above the cap of {MAX_RESOLUTION}")
+        raise ValueError(f"the grid needs resolution n = {n}, above the cap of {MAX_RESOLUTION}")
     return n
 
 
@@ -316,38 +323,36 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     for m in single:
         levels.append(levels[-1] + m)
     partition_out = Partition(tuple(levels[:-1]))
+    # one grid cell per 1/den: every mass, and so every level, sits on the grid
+    n = _check_resolution(t.den)
     if w == 1:
-        n = _check_resolution(lcm(*(x.denominator for x in levels)))
         return LatticeAction(1, (identity(n),)), partition_out
-    block_mass: dict[tuple[int, ...], Fraction] = {}
-    trans: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for key, mass in t.masses.items():
+    block_size: dict[tuple[int, ...], int] = {}
+    trans: dict[tuple[tuple[int, ...], int], int] = {}
+    for key, num in t.nums.items():
         u = key[: w - 1]
-        block_mass[u] = block_mass.get(u, Fraction(0)) + mass
-        trans[(u, key[-1])] = trans.get((u, key[-1]), Fraction(0)) + mass
-    blocks = sorted(block_mass)
-    n = _check_resolution(lcm(*(x.denominator for x in [*t.masses.values(), *levels])))
+        block_size[u] = block_size.get(u, 0) + num
+        trans[(u, key[-1])] = trans.get((u, key[-1]), 0) + num
+    blocks = sorted(block_size)
     start: dict[tuple[int, ...], int] = {}
     offset = 0
     for u in blocks:
         start[u] = offset
-        offset += int(block_mass[u] * n)
+        offset += block_size[u]
     assert offset == n
-    # shift consistency makes incoming mass at v equal block_mass[v], so the
+    # shift consistency makes incoming mass at v equal block_size[v], so the
     # incoming slots tile v's interval exactly
     in_offset = {u: start[u] for u in blocks}
     perm = [-1] * n
     for u in blocks:
         out = start[u]
         for s in range(p):
-            q = trans.get((u, s), Fraction(0))
-            if q == 0:
+            width = trans.get((u, s), 0)
+            if width == 0:
                 continue
             v = u[1:] + (s,)
-            width = int(q * n)
             dst = in_offset[v]
-            for k in range(width):
-                perm[out + k] = dst + k
+            perm[out : out + width] = range(dst, dst + width)
             out += width
             in_offset[v] = dst + width
     gen = IntervalPermutation(n, tuple(perm))

@@ -10,10 +10,14 @@ mass spreads uniformly inside each cell box, coordinate by coordinate.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from operator import index, itemgetter
+from types import MappingProxyType
 
 from . import intervals as iv
 from .measure import StepMeasure, from_piece_masses
@@ -103,39 +107,71 @@ class Window:
 class CylinderTable:
     """Joint masses of piece labels over a window, checked on construction.
 
-    masses maps full label tuples (aligned with window.elements()) to
-    positive rationals summing to 1; zero entries are dropped.
+    The masses are kept exactly as integers over one shared denominator:
+    `nums` maps each full label tuple (aligned with window.elements()) to a
+    positive int and `den` is the least common denominator of the masses,
+    so the mass of a key is nums[key] / den and sum(nums) == den.  Kernels
+    work on nums and den and divide only where a Fraction is read.
+    `masses` is the same table as a read-only {key: Fraction} view, built
+    on first use.
+
+    The constructor's `masses` argument maps label tuples to nonnegative
+    masses (Fraction, int or str); with `den` given, its values are
+    integer numerators over den instead.  Zero entries are dropped, and den
+    is reduced by the gcd of the numerators.
     """
 
-    def __init__(self, window: Window, partition: Partition, masses):
+    def __init__(self, window: Window, partition: Partition, masses, den: int | None = None):
         self.window = window
         self.partition = partition
-        clean: dict[tuple[int, ...], Fraction] = {}
+        if den is not None and den < 1:
+            raise ValueError(f"mass denominator {den} must be >= 1")
         k = window.size()
         p = partition.p
+        entries = []
         for key, value in masses.items():
             key = tuple(key)
-            value = Fraction(value)
-            if len(key) != k or any(not (0 <= j < p) for j in key):
+            value = Fraction(value) if den is None else index(value)
+            if len(key) != k or min(key) < 0 or max(key) >= p:
                 raise ValueError(f"bad assignment key {key}")
             if value < 0:
                 raise ValueError(f"negative mass at {key}")
-            if value > 0:
-                clean[key] = clean.get(key, Fraction(0)) + value
-        self.masses = clean
-        total = sum(clean.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"total mass {total} != 1")
+            if value:
+                entries.append((key, value))
+        if den is None:
+            den = lcm(*(value.denominator for _key, value in entries))
+            entries = [(key, value.numerator * (den // value.denominator)) for key, value in entries]
+        nums: dict[tuple[int, ...], int] = {}
+        for key, num in entries:
+            nums[key] = nums.get(key, 0) + num
+        total = sum(nums.values())
+        if total != den:
+            raise ValueError(f"total mass {Fraction(total, den)} != 1")
+        # the numerators sum to den, so their gcd divides it
+        g = gcd(*nums.values())
+        if g > 1:
+            nums = {key: num // g for key, num in nums.items()}
+            den //= g
+        self.nums = nums
+        self.den = den
         self._check_shift_consistency()
 
+    @cached_property
+    def masses(self) -> Mapping[tuple[int, ...], Fraction]:
+        den = self.den
+        return MappingProxyType({key: Fraction(num, den) for key, num in self.nums.items()})
+
     def _check_shift_consistency(self):
-        w = self.window.w
+        """The labels on the box minus its last layer along an axis must be
+        distributed like the labels on the box minus its first layer."""
+        d, w = self.window.d, self.window.w
         if w == 1:
             return
-        for axis in range(self.window.d):
-            low = [e for e in self.window.elements() if e[axis] < w - 1]
-            high = [e[:axis] + (e[axis] + 1,) + e[axis + 1 :] for e in low]
-            if marginalize_to(self, low) != marginalize_to(self, high):
+        for axis in range(d):
+            stride = w ** (d - 1 - axis)
+            low = [i for i in range(w**d) if i // stride % w < w - 1]
+            high = [i + stride for i in low]
+            if _marginal_nums(self.nums, low) != _marginal_nums(self.nums, high):
                 raise ValueError(f"shift consistency fails along axis {axis}")
 
     def items_sorted(self):
@@ -147,24 +183,40 @@ class CylinderTable:
         return (
             self.window == other.window
             and self.partition == other.partition
-            and self.masses == other.masses
+            and self.den == other.den
+            and self.nums == other.nums
         )
+
+
+def _positions(window: Window, times) -> list[int]:
+    """Positions in window.elements() of the given times."""
+    pos = {e: i for i, e in enumerate(window.elements())}
+    idx = []
+    for e in times:
+        if tuple(e) not in pos:
+            raise ValueError(f"time {e} outside the window")
+        idx.append(pos[tuple(e)])
+    return idx
+
+
+def _marginal_nums(nums: dict, idx: list[int]) -> dict[tuple[int, ...], int]:
+    """Integer marginal of the numerators on the window positions idx."""
+    if len(idx) > 1:
+        project = itemgetter(*idx)
+    else:
+        # itemgetter(i) would return the bare label; a slice keeps the tuple
+        project = itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+    out: dict[tuple[int, ...], int] = {}
+    for key, num in nums.items():
+        sub = project(key)
+        out[sub] = out.get(sub, 0) + num
+    return out
 
 
 def marginalize_to(t: CylinderTable, subset) -> dict[tuple[int, ...], Fraction]:
     """Joint masses of the labels at the given window times."""
-    elems = t.window.elements()
-    pos = {e: i for i, e in enumerate(elems)}
-    idx = []
-    for e in subset:
-        if tuple(e) not in pos:
-            raise ValueError(f"time {e} outside the window")
-        idx.append(pos[tuple(e)])
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, mass in t.masses.items():
-        sub = tuple(key[i] for i in idx)
-        out[sub] = out.get(sub, Fraction(0)) + mass
-    return out
+    nums = _marginal_nums(t.nums, _positions(t.window, subset))
+    return {sub: Fraction(num, t.den) for sub, num in nums.items()}
 
 
 def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
@@ -180,11 +232,9 @@ def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
             raise ValueError(f"piece index {piece} out of range")
         fixed[gamma] = piece
     pos = {e: i for i, e in enumerate(t.window.elements())}
-    total = Fraction(0)
-    for key, mass in t.masses.items():
-        if all(key[pos[g]] == v for g, v in fixed.items()):
-            total += mass
-    return total
+    fixed_at = [(pos[g], v) for g, v in fixed.items()]
+    total = sum(num for key, num in t.nums.items() if all(key[i] == v for i, v in fixed_at))
+    return Fraction(total, t.den)
 
 
 def marginal(t: CylinderTable) -> StepMeasure:
@@ -217,17 +267,24 @@ def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
     label j there.  Under the cell-uniform convention this is every
     operation that moves mass inside the window box coordinate by
     coordinate: refinement, smoothing and adapted embedding.
+
+    The weights become integers over the lcm of their denominators, so
+    each pass multiplies the table's denominator by that lcm once; the
+    result is checked (and reduced) like any other table.
     """
-    current = t.masses
-    for pos in range(t.window.size()):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for key, mass in current.items():
+    scale = lcm(*(weight.denominator for row in rows for _j, weight in row))
+    int_rows = [[(j, weight.numerator * (scale // weight.denominator)) for j, weight in row] for row in rows]
+    current = t.nums
+    k = t.window.size()
+    for pos in range(k):
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, num in current.items():
             head, tail = key[:pos], key[pos + 1 :]
-            for j, weight in rows[key[pos]]:
+            for j, weight in int_rows[key[pos]]:
                 new_key = head + (j,) + tail
-                nxt[new_key] = nxt.get(new_key, 0) + mass * weight
+                nxt[new_key] = nxt.get(new_key, 0) + num * weight
         current = nxt
-    return CylinderTable(t.window, partition, current)
+    return CylinderTable(t.window, partition, current, den=t.den * scale**k)
 
 
 def refine_partition(t: CylinderTable, new_cuts) -> CylinderTable:
@@ -249,8 +306,8 @@ def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
     if w2 == t.window.w:
         return t
     sub = Window(t.window.d, w2)
-    m = marginalize_to(t, sub.elements())
-    return CylinderTable(sub, t.partition, m)
+    nums = _marginal_nums(t.nums, _positions(t.window, sub.elements()))
+    return CylinderTable(sub, t.partition, nums, den=t.den)
 
 
 def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
@@ -260,8 +317,8 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     common partition (the union of cuts).
 
     A cylinder is a key pattern with None at the free window times.  The
-    signed difference table goes to integer numerators over the lcm of all
-    mass denominators, and one pass per window time adds a copy of every
+    signed difference table goes to integer numerators over the lcm of the
+    two tables' denominators, and one pass per window time adds a copy of every
     entry with that time freed (the subset-lattice zeta transform, Yates's
     method).  Cost: k passes over at most the number of patterns that
     occur, with k = w^d, instead of keys * 2^k tuples; one division at
@@ -274,11 +331,11 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     if t1.partition != t2.partition:
         t1 = refine_partition(t1, t2.partition.cuts)
         t2 = refine_partition(t2, t1.partition.cuts)
-    den = lcm(*(m.denominator for t in (t1, t2) for m in t.masses.values()))
-    diffs: dict[tuple, int] = {}
-    for table, sign in ((t1, 1), (t2, -1)):
-        for key, mass in table.masses.items():
-            diffs[key] = diffs.get(key, 0) + sign * mass.numerator * (den // mass.denominator)
+    den = lcm(t1.den, t2.den)
+    f1, f2 = den // t1.den, den // t2.den
+    diffs: dict[tuple, int] = {key: f1 * num for key, num in t1.nums.items()}
+    for key, num in t2.nums.items():
+        diffs[key] = diffs.get(key, 0) - f2 * num
     for i in range(t1.window.size()):
         for key, value in list(diffs.items()):
             free = key[:i] + (None,) + key[i + 1 :]
@@ -471,12 +528,14 @@ def average_sims(t1: CylinderTable, t2: CylinderTable, weight) -> CylinderTable:
         raise ValueError("weight must lie in [0, 1]")
     if t1.window != t2.window or t1.partition != t2.partition:
         raise ValueError("tables must share window and partition")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, mass in t1.masses.items():
-        out[key] = out.get(key, Fraction(0)) + (1 - weight) * mass
-    for key, mass in t2.masses.items():
-        out[key] = out.get(key, Fraction(0)) + weight * mass
-    return CylinderTable(t1.window, t1.partition, out)
+    # (1 - a/b) * n1/d1 + a/b * n2/d2, over b * lcm(d1, d2)
+    a, b = weight.numerator, weight.denominator
+    den = lcm(t1.den, t2.den)
+    out: dict[tuple[int, ...], int] = {}
+    for t, factor in ((t1, (b - a) * (den // t1.den)), (t2, a * (den // t2.den))):
+        for key, num in t.nums.items():
+            out[key] = out.get(key, 0) + factor * num
+    return CylinderTable(t1.window, t1.partition, out, den=b * den)
 
 
 def _applicable_pairs(window: Window, beta) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -503,11 +562,8 @@ def fixed_mass_bound(t: CylinderTable, beta) -> Fraction:
         raise ValueError(f"no window time pairs at shift {tuple(beta)}")
     pos = {e: i for i, e in enumerate(t.window.elements())}
     idx = [(pos[g], pos[h]) for g, h in pairs]
-    total = Fraction(0)
-    for key, mass in t.masses.items():
-        if all(key[i] == key[j] for i, j in idx):
-            total += mass
-    return total
+    total = sum(num for key, num in t.nums.items() if all(key[i] == key[j] for i, j in idx))
+    return Fraction(total, t.den)
 
 
 def fixed_mass_report(t: CylinderTable, beta) -> tuple[Fraction, Fraction]:

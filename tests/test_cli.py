@@ -161,6 +161,19 @@ def test_exit_4_realize_resolution_above_cap(tmp_path, capsys):
         assert f"n = {1000003 * 2 * 999983}" in err and "Traceback" not in err
 
 
+def test_exit_4_embed_resolution_above_cap(tmp_path, capsys):
+    # an n = 2 action read at a 1/2^21 cut needs a grid of 2^21 cells, one
+    # doubling above the cap
+    idmap = tmp_path / "id.json"
+    idmap.write_text('{"knots": [["0", "0"]]}\n', encoding="utf-8")
+    swap = tmp_path / "swap.json"
+    swap.write_text('{"d": 1, "n": 2, "generators": [[1, 0]]}\n', encoding="utf-8")
+    argv = ["embed", str(idmap), str(swap), "--w", "1", "--cuts", f"0,1/{2**21}", "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"n = {2**21}" in err and "Traceback" not in err
+
+
 def test_module_entry_point_and_usage_errors():
     proc = subprocess.run(
         [sys.executable, "-m", "simact", "no-such-command"],

@@ -7,8 +7,12 @@ set, and every key against every wildcard mask.  `refine_partition_oracle`,
 loops that `sim.relabel` replaced, and `combine_oracle` is the cell-by-cell
 interval-set operation that the endpoint sweep replaced.
 `graph_test_matrix_oracle` and the witness oracles are the graph test in
-`Fraction` arithmetic, before it moved to integer numerators.  They are
-slow and plainly right, so the new code must agree with them exactly.
+`Fraction` arithmetic, before it moved to integer numerators.
+`CylinderTableOracle`, `relabel_oracle`, `marginalize_to_oracle`,
+`fixed_mass_bound_oracle` and `average_sims_oracle` are the table code with
+`Fraction` masses, before tables moved to integer numerators over one
+denominator.  They are slow and plainly right, so the new code must agree
+with them exactly.
 """
 
 import random
@@ -20,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
-from simact.equivalence import action_to_sim, adapt_table
+from simact.equivalence import _box_weights, action_to_sim, adapt_table
 from simact.measure import Adaptation
 from simact.sampling import (
     iid_table,
@@ -35,16 +39,19 @@ from simact.sim import (
     GraphTest,
     Partition,
     Window,
+    _applicable_pairs,
     _graph_test_matrix,
     _smear_weight,
     average_sims,
     convolve_sim,
+    fixed_mass_bound,
     graph_witness_exact,
     greedy_graph_witness,
     marginalize_to,
     marginalize_window,
     pair_matrix,
     refine_partition,
+    relabel,
     sim_dist,
 )
 from simact.transform import IntervalPermutation, coarse_dist
@@ -281,6 +288,96 @@ def graph_test_matrix_oracle(matrix, epsilon: Fraction) -> GraphTest:
     return GraphTest(worst < epsilon, worst_b, worst_a, worst)
 
 
+class CylinderTableOracle:
+    """Every construction check on Fraction masses; `masses` is a plain dict."""
+
+    def __init__(self, window: Window, partition: Partition, masses):
+        self.window = window
+        self.partition = partition
+        clean: dict[tuple[int, ...], Fraction] = {}
+        k = window.size()
+        p = partition.p
+        for key, value in masses.items():
+            key = tuple(key)
+            value = Fraction(value)
+            if len(key) != k or any(not (0 <= j < p) for j in key):
+                raise ValueError(f"bad assignment key {key}")
+            if value < 0:
+                raise ValueError(f"negative mass at {key}")
+            if value > 0:
+                clean[key] = clean.get(key, Fraction(0)) + value
+        self.masses = clean
+        total = sum(clean.values(), Fraction(0))
+        if total != 1:
+            raise ValueError(f"total mass {total} != 1")
+        self._check_shift_consistency()
+
+    def _check_shift_consistency(self):
+        w = self.window.w
+        if w == 1:
+            return
+        for axis in range(self.window.d):
+            low = [e for e in self.window.elements() if e[axis] < w - 1]
+            high = [e[:axis] + (e[axis] + 1,) + e[axis + 1 :] for e in low]
+            if marginalize_to_oracle(self, low) != marginalize_to_oracle(self, high):
+                raise ValueError(f"shift consistency fails along axis {axis}")
+
+
+def marginalize_to_oracle(t, subset) -> dict[tuple[int, ...], Fraction]:
+    elems = t.window.elements()
+    pos = {e: i for i, e in enumerate(elems)}
+    idx = []
+    for e in subset:
+        if tuple(e) not in pos:
+            raise ValueError(f"time {e} outside the window")
+        idx.append(pos[tuple(e)])
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, mass in t.masses.items():
+        sub = tuple(key[i] for i in idx)
+        out[sub] = out.get(sub, Fraction(0)) + mass
+    return out
+
+
+def relabel_oracle(t, rows, partition: Partition) -> CylinderTableOracle:
+    current = t.masses
+    for pos in range(t.window.size()):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for key, mass in current.items():
+            head, tail = key[:pos], key[pos + 1 :]
+            for j, weight in rows[key[pos]]:
+                new_key = head + (j,) + tail
+                nxt[new_key] = nxt.get(new_key, 0) + mass * weight
+        current = nxt
+    return CylinderTableOracle(t.window, partition, current)
+
+
+def fixed_mass_bound_oracle(t, beta) -> Fraction:
+    pairs = _applicable_pairs(t.window, beta)
+    if not pairs:
+        raise ValueError(f"no window time pairs at shift {tuple(beta)}")
+    pos = {e: i for i, e in enumerate(t.window.elements())}
+    idx = [(pos[g], pos[h]) for g, h in pairs]
+    total = Fraction(0)
+    for key, mass in t.masses.items():
+        if all(key[i] == key[j] for i, j in idx):
+            total += mass
+    return total
+
+
+def average_sims_oracle(t1, t2, weight) -> CylinderTableOracle:
+    weight = Fraction(weight)
+    if not 0 <= weight <= 1:
+        raise ValueError("weight must lie in [0, 1]")
+    if t1.window != t2.window or t1.partition != t2.partition:
+        raise ValueError("tables must share window and partition")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, mass in t1.masses.items():
+        out[key] = out.get(key, Fraction(0)) + (1 - weight) * mass
+    for key, mass in t2.masses.items():
+        out[key] = out.get(key, Fraction(0)) + weight * mass
+    return CylinderTableOracle(t1.window, t1.partition, out)
+
+
 # -- permutations ------------------------------------------------------------------
 
 # mixed resolutions, most of them not powers of two
@@ -420,6 +517,153 @@ def test_adapt_table_matches_oracle(t, seed, delta, out_kind):
         # the partition a chained second adaptation would need
         target = Partition(tuple(sorted(set(t.partition.cuts) | {h(c) for c in t.partition.cuts})))
     assert adapt_table(h, t, target) == adapt_table_oracle(h, t, target)
+
+
+# -- integer-numerator tables ------------------------------------------------------
+
+
+def _is_canonical(t: CylinderTable) -> bool:
+    """den is the lcm of the mass denominators, and the numerators sum to it."""
+    return t.den == lcm(*(m.denominator for m in t.masses.values())) and sum(t.nums.values()) == t.den
+
+
+@st.composite
+def relabel_cases(draw):
+    """A rank-1 or rank-2 table, the weight rows one of the three callers of
+    `relabel` would build for it, and the partition they read into."""
+    t = draw(tables())
+    pieces = t.partition.pieces()
+    kind = draw(st.sampled_from(["convolve", "refine", "adapt"]))
+    if kind == "convolve":
+        delta = draw(st.sampled_from([Fraction(1, 16), Fraction(1, 5), Fraction(1, 2), Fraction(7, 8)]))
+        rows = [
+            [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]
+            for cell in pieces
+        ]
+        return t, rows, t.partition
+    if kind == "refine":
+        fine = Partition(tuple(sorted(set(t.partition.cuts) | set(draw(st.lists(grid_points, max_size=4))))))
+        kids = list(enumerate(fine.pieces()))
+        rows = [
+            [(jj, (fhi - flo) / (hi - lo)) for jj, (flo, fhi) in kids if lo <= flo and fhi <= hi]
+            for lo, hi in pieces
+        ]
+        return t, rows, fine
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    h = random_adaptation(rng, draw(st.sampled_from([Fraction(1, 32), Fraction(1, 8), Fraction(1, 3)])))
+    target = random_partition(rng, rng.randint(1, 4))
+    return t, _box_weights(h, t.partition, target), target
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabel_cases())
+def test_relabel_matches_oracle(case):
+    t, rows, partition = case
+    out = relabel(t, rows, partition)
+    assert out.masses == relabel_oracle(t, rows, partition).masses
+    assert _is_canonical(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.integers(1, 6))
+def test_constructor_paths_agree_with_oracle(t, scale):
+    assert _is_canonical(t)
+    assert CylinderTableOracle(t.window, t.partition, t.masses).masses == t.masses
+    assert CylinderTable(t.window, t.partition, t.masses) == t
+    # numerators over a multiple of den reduce to the same table
+    scaled = CylinderTable(t.window, t.partition, {k: scale * n for k, n in t.nums.items()}, den=scale * t.den)
+    assert scaled == t and scaled.den == t.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.data())
+def test_table_readers_match_oracle(t, data):
+    elems = t.window.elements()
+    subset = data.draw(st.lists(st.sampled_from(elems), max_size=len(elems)))
+    assert marginalize_to(t, subset) == marginalize_to_oracle(t, subset)
+    zero = (0,) * t.window.d
+    for beta in {tuple(b - a for a, b in zip(g, h)) for g in elems for h in elems} - {zero}:
+        assert fixed_mass_bound(t, beta) == fixed_mass_bound_oracle(t, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.sampled_from([Fraction(1, 16), Fraction(1, 4)]), st.fractions(0, 1, max_denominator=12))
+def test_average_sims_matches_oracle(t, delta, weight):
+    other = convolve_sim(t, delta)
+    out = average_sims(t, other, weight)
+    assert out.masses == average_sims_oracle(t, other, weight).masses
+    assert _is_canonical(out)
+
+
+def _error(build) -> str | None:
+    try:
+        build()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _construction_errors(window: Window, partition: Partition, masses) -> tuple:
+    """The error text of the constructor on Fraction masses, on integer
+    numerators over their lcm, and of the oracle."""
+    masses = {key: Fraction(m) for key, m in masses.items()}
+    den = lcm(*(m.denominator for m in masses.values()))
+    nums = {key: m.numerator * (den // m.denominator) for key, m in masses.items()}
+    return (
+        _error(lambda: CylinderTable(window, partition, masses)),
+        _error(lambda: CylinderTable(window, partition, nums, den=den)),
+        _error(lambda: CylinderTableOracle(window, partition, masses)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.data())
+def test_malformed_masses_raise_the_oracle_error(t, data):
+    masses = dict(t.masses)
+    key = data.draw(st.sampled_from(sorted(masses)))
+    fault = data.draw(st.sampled_from(["negative", "high label", "low label", "length", "doubled", "dropped"]))
+    if fault == "negative":
+        masses[key] = -masses[key]
+    elif fault == "high label":
+        # a bad key is refused whatever its mass
+        masses[key[:-1] + (t.partition.p,)] = Fraction(0)
+    elif fault == "low label":
+        masses[(-1,) + key[1:]] = masses.pop(key)
+    elif fault == "length":
+        masses[key + (0,)] = masses.pop(key)
+    elif fault == "doubled":
+        masses[key] *= 2
+    else:
+        del masses[key]
+    fraction_path, integer_path, oracle = _construction_errors(t.window, t.partition, masses)
+    assert fraction_path == integer_path == oracle is not None
+
+
+@st.composite
+def one_axis_inconsistent(draw):
+    """A window of width 2 whose labels are a at times with coordinate 0 on
+    `axis` and b elsewhere, for a joint law of (a, b) whose two marginals
+    differ: shift consistent along every axis but `axis`."""
+    d = draw(st.integers(1, 2))
+    axis = draw(st.integers(0, d - 1))
+    p = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(0, 4), min_size=p * p, max_size=p * p))
+    total = sum(weights)
+    assume(total)
+    joint = {ab: Fraction(x, total) for ab, x in zip(product(range(p), repeat=2), weights) if x}
+    first = [sum(m for (a, _b), m in joint.items() if a == j) for j in range(p)]
+    second = [sum(m for (_a, b), m in joint.items() if b == j) for j in range(p)]
+    assume(first != second)
+    window = Window(d, 2)
+    masses = {tuple(a if e[axis] == 0 else b for e in window.elements()): m for (a, b), m in joint.items()}
+    return window, Partition(tuple(Fraction(j, p) for j in range(p))), masses, axis
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_axis_inconsistent())
+def test_shift_failure_along_one_axis_raises_the_oracle_error(case):
+    window, partition, masses, axis = case
+    assert _construction_errors(window, partition, masses) == (f"shift consistency fails along axis {axis}",) * 3
 
 
 # -- interval-set operations ------------------------------------------------------

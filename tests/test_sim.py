@@ -29,6 +29,7 @@ from simact.sim import (
     marginalize_window,
     pair_matrix,
     refine_partition,
+    relabel,
     sim_dist,
 )
 from simact.sim import _smear_weight
@@ -92,6 +93,30 @@ def test_rank2_shift_consistency_names_the_failing_axis(key, axis):
 def test_zero_masses_are_dropped():
     t = CylinderTable(Window(1, 1), HALVES, {(0,): F(1), (1,): F(0)})
     assert t.masses == {(0,): F(1)}
+
+
+def test_masses_are_integer_numerators_over_the_least_denominator():
+    t = CylinderTable(Window(1, 1), HALVES, {(0,): 6, (1,): 2}, den=8)
+    assert (t.nums, t.den) == ({(0,): 3, (1,): 1}, 4)
+    assert t == CylinderTable(Window(1, 1), HALVES, {(0,): "3/4", (1,): F(1, 4)})
+    assert t.masses == {(0,): F(3, 4), (1,): F(1, 4)}
+    with pytest.raises(TypeError):
+        t.masses[(0,)] = F(1)
+    with pytest.raises(ValueError, match="total mass 5/4 != 1"):
+        CylinderTable(Window(1, 1), HALVES, {(0,): 3, (1,): 2}, den=4)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[(0, F(1, 2))], [(1, F(1))]],  # label 0 keeps half its mass
+        [[(0, F(1)), (1, F(1, 3))], [(1, F(1))]],  # label 0 gains a third
+    ],
+)
+def test_relabel_refuses_rows_that_do_not_keep_the_mass(rows):
+    # relabel's output goes through every construction check
+    with pytest.raises(ValueError, match=r"^total mass .* != 1$"):
+        relabel(iid_halves(), rows, HALVES)
 
 
 def test_marginalization_and_cylinders():
