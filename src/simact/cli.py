@@ -151,10 +151,7 @@ def cmd_embed(args) -> int:
     partition = _cuts_arg(args.cuts)
     if args.w < 1:
         raise CliError(2, "window width must be >= 1")
-    try:
-        table = embed_action(h, a, Window(a.d, args.w), partition)
-    except ValueError as e:
-        raise CliError(4, str(e)) from e
+    table = embed_action(h, a, Window(a.d, args.w), partition)
     _emit_json(args, ser.dump_table(table))
     return 0
 
@@ -162,10 +159,7 @@ def cmd_embed(args) -> int:
 def cmd_recover(args) -> int:
     t = _load(args.table, ser.load_table, "table")
     epsilon = _fraction_arg(args.epsilon, "tolerance")
-    try:
-        action, witness = recover_action(t, epsilon)
-    except ValueError as e:
-        raise CliError(4, str(e)) from e
+    action, witness = recover_action(t, epsilon)
     for pw in witness.pairs:
         sys.stdout.write(
             f"pair {pw.alpha}->{pw.beta}: map {','.join(str(m) for m in pw.mapping)}"
@@ -179,10 +173,7 @@ def cmd_realize(args) -> int:
     t = _load(args.table, ser.load_table, "table")
     if t.window.d != 1:
         raise CliError(3, f"realize handles rank-1 tables, got rank {t.window.d}")
-    try:
-        action, partition = realize_sim_as_action(t)
-    except ValueError as e:
-        raise CliError(4, str(e)) from e
+    action, partition = realize_sim_as_action(t)
     check = action_to_sim(action, t.window, partition)
     if check.nums != t.nums or check.den != t.den:
         raise AssertionError("realization postcondition failed; refusing to write output")
@@ -244,11 +235,8 @@ def cmd_wrp_demo(args) -> int:
     rows = [header]
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
-        try:
-            t = aperiodic_permutation(rng, args.n, args.min_cycle)
-            r = aperiodic_permutation(rng, args.n, args.min_cycle)
-        except ValueError as e:
-            raise CliError(4, str(e)) from e
+        t = aperiodic_permutation(rng, args.n, args.min_cycle)
+        r = aperiodic_permutation(rng, args.n, args.min_cycle)
         a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
         started = time.perf_counter()
         try:
@@ -276,10 +264,7 @@ def cmd_wrp_demo(args) -> int:
 def cmd_graph_test(args) -> int:
     t = _load(args.table, ser.load_table, "table")
     epsilon = _fraction_arg(args.epsilon, "tolerance")
-    try:
-        ok, results = is_graph_sim(t, epsilon)
-    except ValueError as e:
-        raise CliError(4, str(e)) from e
+    ok, results = is_graph_sim(t, epsilon)
     p = t.partition.p
     mask = lambda m: "".join("1" if m >> i & 1 else "0" for i in range(p))
     if args.format == "json":
@@ -411,6 +396,11 @@ def main(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code
+    except ValueError as e:
+        # a domain precondition the computation refused; input and usage
+        # errors were already raised as CliError with their own codes
+        sys.stderr.write(f"error: {e}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -198,9 +198,11 @@ class GraphWitness:
     pairs: tuple[PairWitness, ...]
 
 
-def _majority_map(matrix, epsilon: Fraction) -> tuple[int, ...]:
+def _majority_map(matrix, epsilon: Fraction) -> tuple[tuple[int, ...], Fraction]:
+    """Each piece's best target and the largest row mass kept off it."""
     p = len(matrix)
     mapping = []
+    defect = Fraction(0)
     for i in range(p):
         row_total = sum(matrix[i], Fraction(0))
         best_j = max(range(p), key=lambda j: (matrix[i][j], -j))
@@ -210,17 +212,10 @@ def _majority_map(matrix, epsilon: Fraction) -> tuple[int, ...]:
                 f"target; not a graph at tolerance {epsilon}"
             )
         mapping.append(best_j)
+        defect = max(defect, row_total - matrix[i][best_j])
     if sorted(mapping) != list(range(p)):
         raise ValueError("majority targets collide; not a graph at this tolerance")
-    return tuple(mapping)
-
-
-def _pair_defect(matrix, mapping) -> Fraction:
-    worst = Fraction(0)
-    for i, j in enumerate(mapping):
-        row_total = sum(matrix[i], Fraction(0))
-        worst = max(worst, row_total - matrix[i][j])
-    return worst
+    return tuple(mapping), defect
 
 
 def _block_permutation(
@@ -278,9 +273,9 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
     for axis in range(d):
         unit = tuple(1 if i == axis else 0 for i in range(d))
         matrix = pair_matrix(t, zero, unit)
-        mapping = _majority_map(matrix, epsilon)
+        mapping, defect = _majority_map(matrix, epsilon)
         generators.append(_block_permutation(block_sizes, mapping, n))
-        witnesses.append(PairWitness(zero, unit, mapping, _pair_defect(matrix, mapping)))
+        witnesses.append(PairWitness(zero, unit, mapping, defect))
     action = LatticeAction(d, tuple(generators))
     return action, GraphWitness(tuple(witnesses))
 
@@ -288,11 +283,11 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
 # -- realization -------------------------------------------------------------
 
 
-# The largest grid `realize_sim_as_action` and `action_to_sim` build.  Their
-# resolutions are lcms of denominators read from input files (the table's
-# masses; the action's resolution and the cuts), so a small file can ask for
-# an unbounded permutation; larger requests are refused before anything is
-# allocated.
+# The largest grid `realize_sim_as_action`, `action_to_sim` and
+# `factor_defect` build.  Their resolutions are lcms of denominators read from
+# input files (the table's masses; the action's resolution and the cuts or
+# dyadic levels), so a small file can ask for an unbounded permutation; larger
+# requests are refused before anything is allocated.
 MAX_RESOLUTION = 1 << 20
 
 
@@ -367,7 +362,8 @@ def cylinder_atoms(
 ) -> tuple[int, list[int]]:
     """Partition the grid by the window itinerary relative to {piece,
     complement}.  Returns (resolution, atom label per cell); equal labels
-    mean same atom."""
+    mean same atom.  A resolution above MAX_RESOLUTION is refused up front."""
+    _check_resolution(lcm(a.n, piece.cells))
     n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
     atoms: dict[tuple[int, ...], int] = {}
     return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
@@ -378,7 +374,10 @@ def factor_defect(
 ) -> Fraction:
     """Distance from `target` to the algebra generated by the window
     itineraries of `piece`: the closest union of itinerary atoms misses the
-    target by exactly the sum over atoms of min(inside, outside) mass."""
+    target by exactly the sum over atoms of min(inside, outside) mass.  The
+    walk runs at lcm(a.n, piece cells, target cells), refused above
+    MAX_RESOLUTION before any grid is built."""
+    _check_resolution(lcm(a.n, piece.cells, target.cells))
     n, labels = cylinder_atoms(a, piece, window)
     n2 = lcm(n, target.cells)
     f = n2 // n

@@ -221,18 +221,10 @@ def marginalize_to(t: CylinderTable, subset) -> dict[tuple[int, ...], Fraction]:
 
 def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
     """Mass of the cylinder fixing the given window times to pieces."""
-    elems = set(t.window.elements())
-    p = t.partition.p
-    fixed = {}
-    for gamma, piece in assignment.items():
-        gamma = tuple(gamma)
-        if gamma not in elems:
-            raise ValueError(f"time {gamma} outside the window")
-        if not 0 <= piece < p:
+    fixed_at = list(zip(_positions(t.window, assignment), assignment.values()))
+    for piece in assignment.values():
+        if not 0 <= piece < t.partition.p:
             raise ValueError(f"piece index {piece} out of range")
-        fixed[gamma] = piece
-    pos = {e: i for i, e in enumerate(t.window.elements())}
-    fixed_at = [(pos[g], v) for g, v in fixed.items()]
     total = sum(num for key, num in t.nums.items() if all(key[i] == v for i, v in fixed_at))
     return Fraction(total, t.den)
 
@@ -354,33 +346,29 @@ class GraphTest:
     diameter: Fraction
 
 
-def _check_joining(matrix) -> list:
-    """Row masses of a joining: a square matrix with nonnegative entries whose
-    row and column marginals agree.  Entries may be Fractions or integer
-    numerators over one denominator."""
+def _joining(matrix) -> tuple[list[list[int]], int, list[int]]:
+    """A pair matrix on integer numerators over the lcm of its entry
+    denominators, checked as a joining: square, nonnegative entries, row and
+    column marginals equal.  Returns the numerators, the denominator and the
+    row sums."""
     p = len(matrix)
     if any(len(r) != p for r in matrix):
         raise ValueError("pair matrix must be square")
-    if any(x < 0 for r in matrix for x in r):
+    den = lcm(*(x.denominator for r in matrix for x in r))
+    nums = [[x.numerator * (den // x.denominator) for x in r] for r in matrix]
+    if any(x < 0 for r in nums for x in r):
         raise ValueError("pair matrix has a negative entry; not a joining")
-    rows = [sum(r) for r in matrix]
-    if rows != [sum(r[j] for r in matrix) for j in range(p)]:
+    rows = [sum(r) for r in nums]
+    if rows != [sum(r[j] for r in nums) for j in range(p)]:
         raise ValueError("row and column marginals differ; not a joining")
-    return rows
+    return nums, den, rows
 
 
-def _into_b(matrix, b_mask: int, rows=None) -> tuple:
-    """The prelude of both witness searches: the piece masses (the joining is
-    checked here unless the caller passes the rows `_check_joining` returned
-    for this matrix), the mass of B and the mass each piece sends into B.
-    Sums keep the entries' type: Fractions, or integer numerators."""
-    if rows is None:
-        rows = _check_joining(matrix)
-    zero = rows[0] * 0 if rows else 0
+def _into_b(nums: list[list[int]], b_mask: int, rows: list[int]) -> tuple[int, list[int]]:
+    """The prelude of both witness searches: the mass of B and the mass each
+    piece sends into B."""
     cols = [j for j in range(len(rows)) if b_mask >> j & 1]
-    b_total = sum((rows[j] for j in cols), zero)
-    into_b = [sum((r[j] for j in cols), zero) for r in matrix]
-    return rows, b_total, into_b
+    return sum(rows[j] for j in cols), [sum(r[j] for j in cols) for r in nums]
 
 
 def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
@@ -388,11 +376,16 @@ def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
 
     On a joining the mass x of A x B is at most both a = mass(A) and
     b = mass(B), so the diameter of {a, x, b} is max(a, b) - x.  Ties go to
-    the smallest mask.
+    the smallest mask.  Given the row sums `rows` that `_joining` returned,
+    `matrix` is its integer numerators and the diameter comes back as an
+    integer numerator over the same denominator.
     """
-    rows, b_total, into_b = _into_b(matrix, b_mask, rows)
+    den = None
+    if rows is None:
+        matrix, den, rows = _joining(matrix)
+    b_total, into_b = _into_b(matrix, b_mask, rows)
     size = 1 << len(rows)
-    a_sum = [b_total * 0] * size
+    a_sum = [0] * size
     x_sum = a_sum[:]
     best_a, best = 0, b_total
     for mask in range(1, size):
@@ -403,21 +396,24 @@ def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
         d = (a if a > b_total else b_total) - x
         if d < best:
             best_a, best = mask, d
-    return best_a, best
+    return best_a, best if den is None else Fraction(best, den)
 
 
 def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
     """The documented shortcut: A collects the pieces sending more than half
-    of their mass into B."""
-    rows, b_total, into_b = _into_b(matrix, b_mask, rows)
-    a_mask = 0
-    a = x = b_total * 0
+    of their mass into B.  `rows` works as in `graph_witness_exact`."""
+    den = None
+    if rows is None:
+        matrix, den, rows = _joining(matrix)
+    b_total, into_b = _into_b(matrix, b_mask, rows)
+    a_mask = a = x = 0
     for i, (r, into) in enumerate(zip(rows, into_b)):
         if r > 0 and 2 * into > r:
             a_mask |= 1 << i
             a += r
             x += into
-    return a_mask, max(a, b_total) - x
+    d = max(a, b_total) - x
+    return a_mask, d if den is None else Fraction(d, den)
 
 
 def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
@@ -426,16 +422,14 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     cross-multiplication and divided once at the end."""
     if len(matrix) > 16:
         raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
-    den = lcm(*(x.denominator for r in matrix for x in r))
-    ints = [[x.numerator * (den // x.denominator) for x in r] for r in matrix]
-    rows = _check_joining(ints)
+    nums, den, rows = _joining(matrix)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
     worst_b, worst_a, worst = 0, 0, 0
-    for b_mask in range(1 << len(ints)):
-        a_mask, d = greedy_graph_witness(ints, b_mask, rows=rows)
+    for b_mask in range(1 << len(nums)):
+        a_mask, d = greedy_graph_witness(nums, b_mask, rows=rows)
         if d * scale >= bound:
-            a_mask, d = graph_witness_exact(ints, b_mask, rows=rows)
+            a_mask, d = graph_witness_exact(nums, b_mask, rows=rows)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))

@@ -174,6 +174,18 @@ def test_exit_4_embed_resolution_above_cap(tmp_path, capsys):
     assert f"n = {2**21}" in err and "Traceback" not in err
 
 
+def test_exit_4_factor_defect_resolution_above_cap(tmp_path, capsys):
+    # an n = 1025 action against level-10 dyadic sets walks lcm(1025, 1024)
+    # = 1049600 cells, just above the cap
+    action = tmp_path / "a.json"
+    action.write_text(json.dumps({"d": 1, "n": 1025, "generators": [list(range(1, 1025)) + [0]]}) + "\n", encoding="utf-8")
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"level": 10, "mask": "0" * 512 + "1" * 512}) + "\n", encoding="utf-8")
+    assert main(["factor-defect", str(action), "--piece", str(half), "--target", str(half)]) == 4
+    err = capsys.readouterr().err
+    assert "n = 1049600" in err and "Traceback" not in err
+
+
 def test_module_entry_point_and_usage_errors():
     proc = subprocess.run(
         [sys.executable, "-m", "simact", "no-such-command"],
