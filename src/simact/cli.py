@@ -1,15 +1,16 @@
 """Command line front end: JSON objects in, CSV or JSON results out.
 
 Exit codes are a stable contract: 0 success, 2 unreadable input (missing
-file, invalid JSON, malformed object or flag value), 3 shape mismatch
-between otherwise valid inputs, 4 precondition failure reported by the
-computation.  Output is byte-deterministic for a fixed command line; the
+file, invalid JSON, malformed object or flag value) or unwritable --out, 3
+shape mismatch between otherwise valid inputs, 4 precondition failure
+reported by the computation.  Output is byte-deterministic for a fixed command line; the
 only wall-clock column (wrp-demo) stays empty unless --times is passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .sim import (
     is_graph_sim,
     sim_dist,
 )
+from .transform import check_depth
 
 __all__ = ["main"]
 
@@ -81,8 +83,11 @@ def _cuts_arg(text: str) -> Partition:
 
 def _emit_text(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(2, f"cannot write {args.out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -120,6 +125,7 @@ def _beta_name(beta) -> str:
 def cmd_dist(args) -> int:
     _positive_arg(args.terms, "--terms")
     _positive_arg(args.depth, "--depth")
+    check_depth(args.depth)
     a = _load(args.action_a, ser.load_action, "action")
     b = _load(args.action_b, ser.load_action, "action")
     if a.d != b.d:
@@ -222,6 +228,7 @@ def cmd_wrp_demo(args) -> int:
         raise CliError(4, "tolerance must be > 0")
     _positive_arg(args.terms, "--terms")
     _positive_arg(args.depth, "--depth")
+    check_depth(args.depth)
     header = [
         "trial",
         "requested",
@@ -389,8 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parse_args does not change it, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import intervals as iv
@@ -24,6 +25,8 @@ __all__ = [
     "common_resolution",
     "compose",
     "preimage",
+    "MAX_DEPTH",
+    "check_depth",
     "coarse_dist",
     "coarse_dist_tail",
     "coarse_term_count",
@@ -48,6 +51,14 @@ class IntervalPermutation:
         if len(self.perm) != self.n or sorted(self.perm) != list(range(self.n)):
             raise ValueError(f"perm is not a bijection of 0..{self.n - 1}")
 
+    @classmethod
+    def _trusted(cls, n: int, perm: tuple[int, ...]) -> "IntervalPermutation":
+        """Skip the bijection check, for a perm tuple built from bijections."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "perm", perm)
+        return t
+
     def refine(self, n2: int) -> "IntervalPermutation":
         """Re-express at a finer resolution; n2 must be a multiple of n."""
         if n2 % self.n != 0:
@@ -55,35 +66,31 @@ class IntervalPermutation:
         if n2 == self.n:
             return self  # frozen, with a tuple perm: safe to share
         f = n2 // self.n
-        out = [0] * n2
-        for i, pi in enumerate(self.perm):
-            for r in range(f):
-                out[i * f + r] = pi * f + r
-        return IntervalPermutation(n2, tuple(out))
+        return IntervalPermutation._trusted(n2, tuple(pi * f + r for pi in self.perm for r in range(f)))
 
     def inverse(self) -> "IntervalPermutation":
         out = [0] * self.n
         for i, pi in enumerate(self.perm):
             out[pi] = i
-        return IntervalPermutation(self.n, tuple(out))
+        return IntervalPermutation._trusted(self.n, tuple(out))
 
     def compose(self, other: "IntervalPermutation") -> "IntervalPermutation":
         """self after other (apply other first)."""
         a, b = common_resolution(self, other)
-        return IntervalPermutation(a.n, tuple(a.perm[j] for j in b.perm))
+        return IntervalPermutation._trusted(a.n, tuple(map(a.perm.__getitem__, b.perm)))
 
     def power(self, k: int) -> "IntervalPermutation":
         """k-th iterate for any integer k, via cycle rotation."""
         out = [0] * self.n
-        for cycle in self.cycles():
-            ln = len(cycle)
-            shift = k % ln
-            for idx, cell in enumerate(cycle):
-                out[cell] = cycle[(idx + shift) % ln]
-        return IntervalPermutation(self.n, tuple(out))
+        for cycle in self._cycles:
+            shift = k % len(cycle)
+            for cell, image in zip(cycle, cycle[shift:] + cycle[:shift]):
+                out[cell] = image
+        return IntervalPermutation._trusted(self.n, tuple(out))
 
-    def cycles(self) -> list[list[int]]:
-        """Cycles ordered by smallest element, each starting at its smallest."""
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles, built on first use; the object is frozen, so they never go stale."""
         seen = [False] * self.n
         out = []
         for start in range(self.n):
@@ -96,11 +103,15 @@ class IntervalPermutation:
                 cycle.append(nxt)
                 seen[nxt] = True
                 nxt = self.perm[nxt]
-            out.append(cycle)
-        return out
+            out.append(tuple(cycle))
+        return tuple(out)
+
+    def cycles(self) -> list[list[int]]:
+        """Cycles ordered by smallest element, each starting at its smallest."""
+        return [list(c) for c in self._cycles]
 
     def cycle_lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles()]
+        return [len(c) for c in self._cycles]
 
     def apply_point(self, x) -> Fraction:
         """Image of a single point of [0, 1)."""
@@ -123,7 +134,9 @@ class IntervalPermutation:
 
 
 def identity(n: int) -> IntervalPermutation:
-    return IntervalPermutation(n, tuple(range(n)))
+    if n < 1:
+        raise ValueError("resolution must be positive")
+    return IntervalPermutation._trusted(n, tuple(range(n)))
 
 
 def rotation(n: int, k: int) -> IntervalPermutation:
@@ -244,6 +257,20 @@ def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
 # -- distances ---------------------------------------------------------------
 
 
+# The exact coarse distance at depth m has the denominator n * 2^(2^(m+1) - 2),
+# whose digit count doubles with each level; 12 is the last depth whose value
+# prints under CPython's default 4300-digit limit on int-to-str conversion.
+MAX_DEPTH = 12
+
+
+def check_depth(depth: int):
+    """Refuse a dyadic depth below 1 or above MAX_DEPTH."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} is above the cap of {MAX_DEPTH} (MAX_DEPTH)")
+
+
 def coarse_term_count(depth: int) -> int:
     return 2 ** (depth + 1) - 2
 
@@ -263,8 +290,7 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     With K = coarse_term_count(depth) the sum is (sum_k diff_k 2^(K-k)) /
     (n 2^K), built as one integer numerator.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_depth(depth)
     n = lcm(t.n, r.n, 2**depth)
     tt, rr = t.refine(n), r.refine(n)
     top = coarse_term_count(depth)
@@ -306,7 +332,7 @@ def halmos_dist(t: IntervalPermutation, r: IntervalPermutation) -> Fraction:
 def tower_base_indices(t: IntervalPermutation, height: int) -> list[int]:
     """Mark every height-th cell along each cycle, first height*floor(len/height) cells."""
     base = []
-    for cycle in t.cycles():
+    for cycle in t._cycles:
         usable = height * (len(cycle) // height)
         base.extend(cycle[pos] for pos in range(0, usable, height))
     return sorted(base)

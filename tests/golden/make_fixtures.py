@@ -62,6 +62,10 @@ def main_fixtures():
         ["smooth", diag, "--delta", "1/4", "--steps", "3", "--out", out("expected_smooth.csv")],
         ["graph-test", diag, "--epsilon", "1/8", "--out", out("expected_graph_test.csv")],
         ["graph-test", markov4, "--epsilon", "1/8", "--out", out("expected_graph_test_fail.csv")],
+        [
+            "wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32",
+            "--terms", "6", "--depth", "6", "--out", out("expected_wrp_demo.csv"),
+        ],
     ]
     for argv in runs:
         code = main(argv)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from simact.cli import main
+from simact.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -33,6 +33,10 @@ def read(path):
         (["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3"], "expected_smooth.csv"),
         (["graph-test", gold("diag_halves_table.json"), "--epsilon", "1/8"], "expected_graph_test.csv"),
         (["graph-test", gold("markov4_table.json"), "--epsilon", "1/8"], "expected_graph_test_fail.csv"),
+        (
+            ["wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32", "--terms", "6", "--depth", "6"],
+            "expected_wrp_demo.csv",
+        ),
     ],
 )
 def test_matches_golden_output(tmp_path, argv, expected):
@@ -56,6 +60,7 @@ def test_json_format_dist(tmp_path):
 
 
 def test_wrp_demo_runs_are_byte_identical(tmp_path):
+    # two calls in one process: the second reuses the parser the first built
     argv = ["wrp-demo", "--seed", "7", "--trials", "2", "--n", "128", "--min-cycle", "16"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--out", str(a)]) == 0
@@ -256,3 +261,48 @@ def test_smooth_json_rows_match_csv_rows(tmp_path):
     assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
     header, *rows = [line.split(",") for line in read(str(csv_out)).decode().strip().split("\n")]
     assert json.loads(read(str(json_out)))["rows"] == [dict(zip(header, r)) for r in rows]
+
+
+def test_exit_2_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    argv = ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "13"],
+        ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", "--depth", "13"],
+    ],
+)
+def test_exit_4_depth_above_cap(tmp_path, argv, capsys):
+    # refused before any work: at depth 13 the exact distance would print
+    # with more digits than CPython converts by default
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "depth 13" in err and "cap of 12" in err and "Traceback" not in err
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path):
+    argv = ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3"]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--seed", "1"])
+    assert e.value.code == 2
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert read(str(out)) == read(gold("expected_dist.csv"))
+
+
+def test_help_text_is_the_built_parser_help(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()

@@ -13,6 +13,10 @@ interval-set operation that the endpoint sweep replaced.
 `Fraction` masses, before tables moved to integer numerators over one
 denominator.  They are slow and plainly right, so the new code must agree
 with them exactly.
+`refine_oracle`, `inverse_oracle`, `compose_oracle`, `power_oracle`,
+`cycles_oracle` and `identity_oracle` are the permutation algebra before
+cycles were cached and internal results skipped the bijection check; each
+builds through the checked public constructor.
 """
 
 import random
@@ -20,10 +24,12 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
+from simact.cli import main
 from simact.equivalence import _box_weights, action_to_sim, adapt_table
 from simact.measure import Adaptation
 from simact.sampling import (
@@ -54,7 +60,8 @@ from simact.sim import (
     relabel,
     sim_dist,
 )
-from simact.transform import IntervalPermutation, coarse_dist
+from simact.serialize import load_permutation
+from simact.transform import IntervalPermutation, coarse_dist, identity
 
 # -- oracles -------------------------------------------------------------------
 
@@ -208,8 +215,63 @@ def combine_oracle(a: iv.Pairs, b: iv.Pairs, keep) -> iv.Pairs:
 
 
 def refine_oracle(t: IntervalPermutation, n2: int) -> IntervalPermutation:
+    if n2 % t.n != 0:
+        raise ValueError(f"{n2} is not a multiple of {t.n}")
+    if n2 == t.n:
+        return t  # frozen, with a tuple perm: safe to share
     f = n2 // t.n
-    return IntervalPermutation(n2, tuple(t.perm[i // f] * f + i % f for i in range(n2)))
+    out = [0] * n2
+    for i, pi in enumerate(t.perm):
+        for r in range(f):
+            out[i * f + r] = pi * f + r
+    return IntervalPermutation(n2, tuple(out))
+
+
+def inverse_oracle(t: IntervalPermutation) -> IntervalPermutation:
+    out = [0] * t.n
+    for i, pi in enumerate(t.perm):
+        out[pi] = i
+    return IntervalPermutation(t.n, tuple(out))
+
+
+def compose_oracle(t: IntervalPermutation, other: IntervalPermutation) -> IntervalPermutation:
+    """t after other (apply other first)."""
+    n = lcm(t.n, other.n)
+    a, b = refine_oracle(t, n), refine_oracle(other, n)
+    return IntervalPermutation(a.n, tuple(a.perm[j] for j in b.perm))
+
+
+def power_oracle(t: IntervalPermutation, k: int) -> IntervalPermutation:
+    """k-th iterate for any integer k, via cycle rotation."""
+    out = [0] * t.n
+    for cycle in cycles_oracle(t):
+        ln = len(cycle)
+        shift = k % ln
+        for idx, cell in enumerate(cycle):
+            out[cell] = cycle[(idx + shift) % ln]
+    return IntervalPermutation(t.n, tuple(out))
+
+
+def cycles_oracle(t: IntervalPermutation) -> list[list[int]]:
+    """Cycles ordered by smallest element, each starting at its smallest."""
+    seen = [False] * t.n
+    out = []
+    for start in range(t.n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = t.perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = t.perm[nxt]
+        out.append(cycle)
+    return out
+
+
+def identity_oracle(n: int) -> IntervalPermutation:
+    return IntervalPermutation(n, tuple(range(n)))
 
 
 def check_joining_oracle(matrix) -> tuple[int, list[Fraction], list[Fraction]]:
@@ -411,6 +473,83 @@ def test_coarse_dist_matches_oracle_on_a_refined_copy(t, depth):
 def test_refine_to_own_resolution_is_the_same_object(t, k):
     assert t.refine(t.n) is t
     assert t.refine(k * t.n) == refine_oracle(t, k * t.n)
+
+
+# -- permutation algebra ---------------------------------------------------------------
+
+
+def _passes_public_check(r: IntervalPermutation) -> bool:
+    return type(r.perm) is tuple and IntervalPermutation(r.n, r.perm) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(), st.data())
+def test_power_matches_oracle(t, data):
+    k = data.draw(st.integers(-3 * t.n, 3 * t.n))
+    r = t.power(k)
+    assert r == power_oracle(t, k)
+    assert _passes_public_check(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(), perms())
+def test_compose_matches_oracle_at_mixed_resolutions(t, r):
+    out = t.compose(r)
+    assert out == compose_oracle(t, r)
+    assert _passes_public_check(out)
+
+
+@given(perms(), st.integers(1, 5))
+def test_inverse_and_refine_match_oracle(t, k):
+    for out, oracle in ((t.inverse(), inverse_oracle(t)), (t.refine(k * t.n), refine_oracle(t, k * t.n))):
+        assert out == oracle
+        assert _passes_public_check(out)
+
+
+@given(st.integers(1, 64))
+def test_identity_matches_oracle(n):
+    assert identity(n) == identity_oracle(n)
+    assert _passes_public_check(identity(n))
+
+
+def test_identity_refuses_a_nonpositive_resolution():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            identity(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms(), perms(), st.integers(-20, 20))
+def test_cached_cycles_cannot_be_corrupted(t, r, k):
+    # also on permutations built by the trusted constructor
+    for u in (t, t.compose(r), r.power(3), t.inverse()):
+        expected_cycles, expected_power = cycles_oracle(u), power_oracle(u, k)
+        first = u.cycles()
+        assert first == u.cycles() == expected_cycles
+        first[0].reverse()
+        first[0].append(u.n)
+        first.append([0])
+        assert u.cycles() == expected_cycles
+        assert u.power(k) == expected_power
+        assert u.cycle_lengths() == [len(c) for c in expected_cycles]
+
+
+@pytest.mark.parametrize("n,perm", [(3, (0, 0, 1)), (3, (0, 1)), (2, (0, 2)), (2, (1, -1))])
+def test_public_constructor_rejects_non_bijections(n, perm):
+    with pytest.raises(ValueError, match="not a bijection"):
+        IntervalPermutation(n, perm)
+    with pytest.raises(ValueError, match="not a bijection"):
+        load_permutation({"n": n, "perm": list(perm)})
+
+
+def test_dist_on_a_non_bijection_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"d": 1, "n": 4, "generators": [[0, 0, 1, 2]]}\n', encoding="utf-8")
+    good = tmp_path / "good.json"
+    good.write_text('{"d": 1, "n": 4, "generators": [[1, 0, 3, 2]]}\n', encoding="utf-8")
+    assert main(["dist", str(bad), str(good), "--terms", "2", "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "not a bijection" in err and "Traceback" not in err
 
 
 # -- tables ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import simact.intervals as iv
 from simact.transform import (
+    MAX_DEPTH,
     DyadicSet,
     IntervalPermutation,
     aperiodicity_scale,
@@ -148,6 +149,14 @@ def test_coarse_dist_below_halmos(a, b, depth):
 def test_coarse_dist_separates_distinct_rotations():
     t, r = rotation(4, 1), rotation(4, 3)
     assert coarse_dist(t, r, 2) > 0
+
+
+def test_coarse_dist_refuses_depth_outside_one_to_max_depth():
+    t, r = identity(2), swap_halves()
+    for depth in (0, MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match="depth"):
+            coarse_dist(t, r, depth)
+    assert coarse_dist(t, r, MAX_DEPTH) > 0
 
 
 # -- towers ----------------------------------------------------------------------
