@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from . import budget
 from .transform import (
     IntervalPermutation,
     coarse_dist,
@@ -103,6 +104,7 @@ def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> F
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    budget.check("terms", terms, budget.MAX_TERMS)
     total = Fraction(0)
     for j, gamma in enumerate(group_enumeration(a.d, terms), start=1):
         ta, tb = a.evaluate(gamma), b.evaluate(gamma)

@@ -1,0 +1,38 @@
+"""Size caps.  simact computes exactly, so a small input can ask for an
+lcm-sized grid or an exponential enumeration; each size is checked against
+its cap before any work, and a breach raises ValueError (exit 4 in the CLI)."""
+
+# The largest grid simact builds.  Resolutions are lcms of denominators read
+# from input files (the table's masses; the action's resolution and the cuts
+# or dyadic levels), so a small file can ask for an unbounded permutation.
+MAX_RESOLUTION = 1 << 20
+
+# The exact coarse distance at depth m has the denominator n * 2^(2^(m+1) - 2),
+# whose digit count doubles with each level; 12 is the last depth whose value
+# prints under CPython's default 4300-digit limit on int-to-str conversion.
+MAX_DEPTH = 12
+
+# The graph test enumerates the 2^p unions of pieces for each of 2^p unions.
+MAX_PIECES = 16
+
+# The j-th lattice element of an action distance weighs 2^-j, so the terms
+# past 64 move it by at most 2^-64, far below the 12 decimals a distance
+# prints; each term still costs two evaluations and one coarse distance on
+# the full grid, and widens the exact sum's denominator by one bit.
+MAX_TERMS = 64
+
+# Table distances and smoothing walk the cylinder patterns of a window: a
+# label or a free slot at each of its w^d times, so up to (p+1)^(w^d) of
+# them, one integer each.  A one-rung `smooth` at the cap (p = 1, w = 20)
+# takes about 5 s and 340 MiB on one core of a shared 2-vCPU machine.
+MAX_PATTERNS = 1 << 20
+
+
+def check(size: str, value: int, cap: int) -> int:
+    """Return value, or refuse it above cap; `size` ends in its symbol: "depth", "pieces p =". """
+    if value > cap:
+        symbol = size.removesuffix(" =").rsplit(" ", 1)[-1]
+        # a size read off a file can have more digits than CPython will print
+        shown = value if value.bit_length() <= 64 else f"2^{value.bit_length() - 1} or more"
+        raise ValueError(f"{size} {shown} is above the cap of {cap}; {symbol} > {cap} refused")
+    return value

@@ -14,7 +14,10 @@ import functools
 import sys
 import time
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
+from . import budget
 from . import serialize as ser
 from .action import (
     InfeasibleError,
@@ -41,7 +44,6 @@ from .sim import (
     is_graph_sim,
     sim_dist,
 )
-from .transform import check_depth
 
 __all__ = ["main"]
 
@@ -72,6 +74,14 @@ def _fraction_arg(text: str, what: str) -> Fraction:
 def _positive_arg(value: int, flag: str):
     if value < 1:
         raise CliError(2, f"{flag} must be >= 1, got {value}")
+
+
+def _dist_args(args):
+    """--terms and --depth of dist and wrp-demo, checked before any input is read."""
+    _positive_arg(args.terms, "--terms")
+    _positive_arg(args.depth, "--depth")
+    budget.check("depth", args.depth, budget.MAX_DEPTH)
+    budget.check("terms", args.terms, budget.MAX_TERMS)
 
 
 def _cuts_arg(text: str) -> Partition:
@@ -123,9 +133,7 @@ def _beta_name(beta) -> str:
 
 
 def cmd_dist(args) -> int:
-    _positive_arg(args.terms, "--terms")
-    _positive_arg(args.depth, "--depth")
-    check_depth(args.depth)
+    _dist_args(args)
     a = _load(args.action_a, ser.load_action, "action")
     b = _load(args.action_b, ser.load_action, "action")
     if a.d != b.d:
@@ -155,8 +163,7 @@ def cmd_embed(args) -> int:
     h = _load(args.adaptation, ser.load_adaptation, "adaptation")
     a = _load(args.action, ser.load_action, "action")
     partition = _cuts_arg(args.cuts)
-    if args.w < 1:
-        raise CliError(2, "window width must be >= 1")
+    _positive_arg(args.w, "--w")
     table = embed_action(h, a, Window(a.d, args.w), partition)
     _emit_json(args, ser.dump_table(table))
     return 0
@@ -194,19 +201,11 @@ def cmd_smooth(args) -> int:
     delta = _fraction_arg(args.delta, "delta")
     if not 0 < delta < 1:
         raise CliError(4, f"delta must lie in (0, 1), got {delta}")
-    if args.steps < 1:
-        raise CliError(2, "steps must be >= 1")
+    _positive_arg(args.steps, "--steps")
     ladder = [Fraction(0)] + [delta / 2 ** (args.steps - 1 - i) for i in range(args.steps)]
-    elems = t.window.elements()
-    betas = sorted(
-        {
-            tuple(x - y for x, y in zip(g2, g1))
-            for g1 in elems
-            for g2 in elems
-            if g2 != g1
-        }
-    )
-    betas = [b for b in betas if b > (0,) * t.window.d]
+    # the positive differences of two window times, in ascending order
+    d, w = t.window.d, t.window.w
+    betas = [b for b in product(range(1 - w, w), repeat=d) if b > (0,) * d]
     header = ["delta", "delta_exact", "dist", "dist_exact"]
     for beta in betas:
         header += [f"fixed_{_beta_name(beta)}", f"fixed_{_beta_name(beta)}_exact"]
@@ -226,9 +225,9 @@ def cmd_wrp_demo(args) -> int:
     epsilon = _fraction_arg(args.epsilon, "tolerance")
     if epsilon <= 0:
         raise CliError(4, "tolerance must be > 0")
-    _positive_arg(args.terms, "--terms")
-    _positive_arg(args.depth, "--depth")
-    check_depth(args.depth)
+    _dist_args(args)
+    # a refusal inside the search would be reported as a failed trial
+    budget.check("grid resolution n =", lcm(args.n, 2**args.depth), budget.MAX_RESOLUTION)
     header = [
         "trial",
         "requested",
@@ -313,8 +312,7 @@ def cmd_factor_defect(args) -> int:
     a = _load(args.action, ser.load_action, "action")
     piece = _load(args.piece, ser.load_dyadic, "dyadic set")
     target = _load(args.target, ser.load_dyadic, "dyadic set")
-    if args.w < 1:
-        raise CliError(2, "window width must be >= 1")
+    _positive_arg(args.w, "--w")
     value = factor_defect(a, piece, target, Window(a.d, args.w))
     if args.format == "json":
         _emit_json(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import budget
 from . import intervals as iv
 from .action import GroupElement, LatticeAction
 from .measure import Adaptation
@@ -21,8 +22,8 @@ from .sim import (
     CylinderTable,
     Partition,
     Window,
-    cylinder_mass,
     marginal,
+    marginalize_to,
     pair_matrix,
     relabel,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "PairWitness",
     "recover_action",
     "realize_sim_as_action",
-    "MAX_RESOLUTION",
     "cylinder_atoms",
     "factor_defect",
     "inverse_continuity_check",
@@ -63,6 +63,7 @@ def _itineraries(
     if window.d != a.d:
         raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
     n = lcm(a.n, len(label))
+    budget.check("itinerary cells n*w^d =", n * window.size(), budget.MAX_RESOLUTION)
     aa = a.refine(n)
     span = n // len(label)
     fine = [label[i // span] for i in range(n)]
@@ -81,7 +82,7 @@ def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> Cyl
     allocated.
     """
     m = lcm(*(c.denominator for c in partition.cuts))
-    _check_resolution(lcm(a.n, m))
+    budget.check("grid resolution n =", lcm(a.n, m), budget.MAX_RESOLUTION)
     n, keys = _itineraries(a, window, _piece_of_cell(partition, m))
     return CylinderTable(window, partition, Counter(keys), den=n)
 
@@ -198,6 +199,19 @@ class GraphWitness:
     pairs: tuple[PairWitness, ...]
 
 
+def _levels(t: CylinderTable) -> list[Fraction]:
+    """Cumulative single-time marginal masses 0, m_0, m_0 + m_1, ..., 1,
+    refused when the marginal vanishes on a piece."""
+    single = marginalize_to(t, [(0,) * t.window.d])
+    empty = [j for j in range(t.partition.p) if (j,) not in single]
+    if empty:
+        raise ValueError(f"marginal vanishes on pieces {empty}; drop them first")
+    levels = [Fraction(0)]
+    for j in range(t.partition.p):
+        levels.append(levels[-1] + single[(j,)])
+    return levels
+
+
 def _majority_map(matrix, epsilon: Fraction) -> tuple[tuple[int, ...], Fraction]:
     """Each piece's best target and the largest row mass kept off it."""
     p = len(matrix)
@@ -260,13 +274,8 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
     if w < 2:
         raise ValueError("window must contain the unit vectors; need w >= 2")
     zero = (0,) * d
-    masses = [cylinder_mass(t, {zero: j}) for j in range(t.partition.p)]
-    if any(m == 0 for m in masses):
-        raise ValueError("marginal must be positive on every piece")
-    levels = [Fraction(0)]
-    for m in masses:
-        levels.append(levels[-1] + m)
-    n = lcm(*(x.denominator for x in levels))
+    levels = _levels(t)
+    n = budget.check("grid resolution n =", lcm(*(x.denominator for x in levels)), budget.MAX_RESOLUTION)
     block_sizes = [int((levels[j + 1] - levels[j]) * n) for j in range(t.partition.p)]
     generators = []
     witnesses = []
@@ -283,20 +292,6 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
 # -- realization -------------------------------------------------------------
 
 
-# The largest grid `realize_sim_as_action`, `action_to_sim` and
-# `factor_defect` build.  Their resolutions are lcms of denominators read from
-# input files (the table's masses; the action's resolution and the cuts or
-# dyadic levels), so a small file can ask for an unbounded permutation; larger
-# requests are refused before anything is allocated.
-MAX_RESOLUTION = 1 << 20
-
-
-def _check_resolution(n: int) -> int:
-    if n > MAX_RESOLUTION:
-        raise ValueError(f"the grid needs resolution n = {n}, above the cap of {MAX_RESOLUTION}")
-    return n
-
-
 def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     """Build a rank-1 action whose table reproduces t entry by entry.
 
@@ -310,16 +305,9 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
     w, p = t.window.w, t.partition.p
-    single = [cylinder_mass(t, {(0,): j}) for j in range(p)]
-    empty = [j for j in range(p) if single[j] == 0]
-    if empty:
-        raise ValueError(f"marginal vanishes on pieces {empty}; drop them first")
-    levels = [Fraction(0)]
-    for m in single:
-        levels.append(levels[-1] + m)
-    partition_out = Partition(tuple(levels[:-1]))
+    partition_out = Partition(tuple(_levels(t)[:-1]))
     # one grid cell per 1/den: every mass, and so every level, sits on the grid
-    n = _check_resolution(t.den)
+    n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
     if w == 1:
         return LatticeAction(1, (identity(n),)), partition_out
     block_size: dict[tuple[int, ...], int] = {}
@@ -363,7 +351,7 @@ def cylinder_atoms(
     """Partition the grid by the window itinerary relative to {piece,
     complement}.  Returns (resolution, atom label per cell); equal labels
     mean same atom.  A resolution above MAX_RESOLUTION is refused up front."""
-    _check_resolution(lcm(a.n, piece.cells))
+    budget.check("grid resolution n =", lcm(a.n, piece.cells), budget.MAX_RESOLUTION)
     n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
     atoms: dict[tuple[int, ...], int] = {}
     return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
@@ -377,7 +365,7 @@ def factor_defect(
     target by exactly the sum over atoms of min(inside, outside) mass.  The
     walk runs at lcm(a.n, piece cells, target cells), refused above
     MAX_RESOLUTION before any grid is built."""
-    _check_resolution(lcm(a.n, piece.cells, target.cells))
+    budget.check("grid resolution n =", lcm(a.n, piece.cells, target.cells), budget.MAX_RESOLUTION)
     n, labels = cylinder_atoms(a, piece, window)
     n2 = lcm(n, target.cells)
     f = n2 // n

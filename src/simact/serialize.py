@@ -124,8 +124,9 @@ def load_dyadic(obj) -> DyadicSet:
     mask = _need(obj, "mask", str, "dyadic set")
     if level < 0:
         raise ValueError("dyadic set: level must be >= 0")
-    if len(mask) != 2**level or any(c not in "01" for c in mask):
-        raise ValueError(f"dyadic set: mask must be {2 ** level} characters of 0/1")
+    # the mask's length bounds the level before 2^level is computed
+    if level > len(mask).bit_length() or len(mask) != 2**level or any(c not in "01" for c in mask):
+        raise ValueError(f"dyadic set: mask must be 2^{level} characters of 0/1")
     bits = 0
     for i, c in enumerate(mask):
         if c == "1":
@@ -179,6 +180,11 @@ def load_table(obj) -> CylinderTable:
     raw = _need(obj, "masses", dict, "table")
     window = Window(d, w)
     partition = Partition(tuple(parse_rational(c) for c in cuts))
+    # a key lists w^d >= 2^d labels when w > 1, so the longest key bounds
+    # the rank before w^d is computed
+    longest = max((key.count(",") + 1 for key in raw), default=0)
+    if w > 1 and d > longest.bit_length():
+        raise ValueError(f"table: a window of {w}^{d} times is longer than every key")
     k = window.size()
     masses = {}
     for key, value in raw.items():

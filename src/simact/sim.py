@@ -19,6 +19,7 @@ from math import gcd, lcm
 from operator import index, itemgetter
 from types import MappingProxyType
 
+from . import budget
 from . import intervals as iv
 from .measure import StepMeasure, from_piece_masses
 
@@ -319,6 +320,8 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     if t1.window.d != t2.window.d:
         raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
     w = min(t1.window.w, t2.window.w)
+    p = len(set(t1.partition.cuts) | set(t2.partition.cuts))
+    budget.check("cylinder patterns (p+1)^(w^d) =", (p + 1) ** (w ** t1.window.d), budget.MAX_PATTERNS)
     t1, t2 = marginalize_window(t1, w), marginalize_window(t2, w)
     if t1.partition != t2.partition:
         t1 = refine_partition(t1, t2.partition.cuts)
@@ -420,8 +423,7 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     """Worst B over all 2^p unions, on integer numerators over the lcm of
     the entry denominators; each diameter is compared with epsilon by
     cross-multiplication and divided once at the end."""
-    if len(matrix) > 16:
-        raise ValueError("graph test enumerates 2^p unions; p > 16 refused")
+    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
     nums, den, rows = _joining(matrix)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
@@ -507,6 +509,7 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
         return t
     if not 0 < delta < 1:
         raise ValueError("delta must lie in [0, 1)")
+    budget.check("cylinder patterns (p+1)^(w^d) =", (t.partition.p + 1) ** t.window.size(), budget.MAX_PATTERNS)
     pieces = t.partition.pieces()
     rows = [
         [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]

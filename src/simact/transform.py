@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from . import budget
 from . import intervals as iv
 
 __all__ = [
@@ -25,8 +26,6 @@ __all__ = [
     "common_resolution",
     "compose",
     "preimage",
-    "MAX_DEPTH",
-    "check_depth",
     "coarse_dist",
     "coarse_dist_tail",
     "coarse_term_count",
@@ -257,20 +256,6 @@ def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
 # -- distances ---------------------------------------------------------------
 
 
-# The exact coarse distance at depth m has the denominator n * 2^(2^(m+1) - 2),
-# whose digit count doubles with each level; 12 is the last depth whose value
-# prints under CPython's default 4300-digit limit on int-to-str conversion.
-MAX_DEPTH = 12
-
-
-def check_depth(depth: int):
-    """Refuse a dyadic depth below 1 or above MAX_DEPTH."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"depth {depth} is above the cap of {MAX_DEPTH} (MAX_DEPTH)")
-
-
 def coarse_term_count(depth: int) -> int:
     return 2 ** (depth + 1) - 2
 
@@ -290,8 +275,10 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     With K = coarse_term_count(depth) the sum is (sum_k diff_k 2^(K-k)) /
     (n 2^K), built as one integer numerator.
     """
-    check_depth(depth)
-    n = lcm(t.n, r.n, 2**depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    budget.check("depth", depth, budget.MAX_DEPTH)
+    n = budget.check("grid resolution n =", lcm(t.n, r.n, 2**depth), budget.MAX_RESOLUTION)
     tt, rr = t.refine(n), r.refine(n)
     top = coarse_term_count(depth)
     span = n >> depth

@@ -73,6 +73,13 @@ def test_action_dist_example():
     assert action_dist_tail(3) == F(1, 8)
 
 
+def test_action_dist_refuses_terms_above_cap():
+    a = identity_action(1, 2)
+    assert action_dist(a, a, 64, 1) == 0
+    with pytest.raises(ValueError, match="terms 65 is above the cap of 64"):
+        action_dist(a, a, 65, 1)
+
+
 def test_action_dist_is_zero_iff_same_up_to_resolution():
     a = identity_action(1, 4)
     b = identity_action(1, 8)

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from simact import cli
 from simact.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -286,6 +288,96 @@ def test_exit_4_depth_above_cap(tmp_path, argv, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "depth 13" in err and "cap of 12" in err and "Traceback" not in err
+
+
+# -- size caps ---------------------------------------------------------------------
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def rotation_action(n):
+    return {"d": 1, "n": n, "generators": [[(i + 1) % n for i in range(n)]]}
+
+
+def diagonal_table(w, q):
+    """Rank-1 table on the halves: all labels 0 with mass 1/q, else all 1."""
+    return {"d": 1, "w": w, "cuts": ["0", "1/2"], "masses": {",".join("0" * w): f"1/{q}", ",".join("1" * w): f"{q - 1}/{q}"}}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # lcm(127, 131, 2^6) = 1064768 cells for the coarse distance
+        "dist_grid",
+        # a 2^21-cell sampled pair: refused before sampling, not as a failed trial
+        "wrp_demo_grid",
+        # the blocks of the recovered action sit on a grid of q = 2000003 cells
+        "recover_grid",
+        # 3^13 cylinder patterns for the distance of the first smoothing rung
+        "smooth_patterns",
+        # 3^3000 patterns: refused before the 3000^2 pairs of window times are
+        # walked, with a count too long to print in full
+        "smooth_wide_window",
+        # 12 cells (the n = 4 action and the pulled-back cut 2/3) times 296^2 window times
+        "embed_itineraries",
+        # 5000 lattice elements, each a coarse distance
+        "dist_terms",
+    ],
+)
+def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
+    # every case's files are written; each case reads only its own
+    argv, size, cap = {
+        "dist_grid": (
+            ["dist", write(tmp_path / "rot127.json", rotation_action(127)), write(tmp_path / "rot131.json", rotation_action(131)),
+             "--terms", "2", "--depth", "6"],
+            "n = 1064768", 2**20,
+        ),
+        "wrp_demo_grid": (
+            ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "2097152", "--min-cycle", "1048576", "--terms", "1", "--depth", "1"],
+            "n = 2097152", 2**20,
+        ),
+        "recover_grid": (
+            ["recover", write(tmp_path / "thin.json", diagonal_table(2, 2000003)), "--epsilon", "0"],
+            "n = 2000003", 2**20,
+        ),
+        "smooth_patterns": (
+            ["smooth", write(tmp_path / "wide.json", diagonal_table(13, 2)), "--delta", "1/4", "--steps", "1"],
+            f"(p+1)^(w^d) = {3**13}", 2**20,
+        ),
+        "smooth_wide_window": (
+            ["smooth", write(tmp_path / "wider.json", diagonal_table(3000, 2)), "--delta", "1/4", "--steps", "1"],
+            "(p+1)^(w^d) = 2^4754 or more", 2**20,
+        ),
+        "embed_itineraries": (
+            ["embed", gold("quarter_shift.json"),
+             write(tmp_path / "rank2.json", {"d": 2, "n": 4, "generators": [[1, 2, 3, 0], [2, 3, 0, 1]]}),
+             "--w", "296", "--cuts", "0,1/2"],
+            f"n*w^d = {12 * 296**2}", 2**20,
+        ),
+        "dist_terms": (
+            ["dist", gold("id4_action.json"), gold("swap_action.json"), "--depth", "1", "--terms", "5000"],
+            "terms 5000", 64,
+        ),
+    }[case]
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 4
+    assert time.perf_counter() - started < 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and size in err and f"cap of {cap}" in err and "Traceback" not in err
+
+
+def test_wrp_demo_refuses_terms_above_cap_before_sampling(monkeypatch, capsys):
+    def sample(*_args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "aperiodic_permutation", sample)
+    assert main(["wrp-demo", "--seed", "1", "--n", "64", "--min-cycle", "32", "--terms", "65"]) == 4
+    assert "terms 65 is above the cap of 64" in capsys.readouterr().err
 
 
 # -- one parser per process ------------------------------------------------------

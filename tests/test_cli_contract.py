@@ -1,0 +1,158 @@
+"""The exit-code contract of `simact`, driven with generated command lines.
+
+Every run, whatever its input files and flag values, must end with exit code
+0, 2, 3 or 4, print no traceback and finish within a fixed deadline.  The
+inputs mix the golden fixtures, malformed JSON, documents with wrong-typed
+or missing fields, and inputs whose sizes sit just above each cap in
+`simact.budget`.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS
+from simact.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def rotation(n):
+    return {"d": 1, "n": n, "generators": [[(i + 1) % n for i in range(n)]]}
+
+
+def diagonal(p, w, masses):
+    return {"d": 1, "w": w, "cuts": [f"{j}/{p}" for j in range(p)],
+            "masses": {",".join([str(j)] * w): m for j, m in enumerate(masses)}}
+
+
+# inputs whose sizes sit just above a cap, or declare a rank or a level far
+# above anything their keys or mask could hold
+OVERSIZED = [
+    rotation(127),  # against rotation(131) at depth 6: lcm(127, 131, 64) cells
+    rotation(131),
+    rotation(1025),  # against level-10 dyadic sets: lcm(1025, 1024) cells
+    diagonal(2, 2, ["1/1048583", "1048582/1048583"]),  # realize and recover grids
+    diagonal(2, 13, ["1/2", "1/2"]),  # 3^13 cylinder patterns
+    diagonal(MAX_PIECES + 1, 2, [f"1/{MAX_PIECES + 1}"] * (MAX_PIECES + 1)),  # graph test pieces
+    {"level": 10, "mask": "0" * 512 + "1" * 512},
+    {"d": 2**64, "w": 2, "cuts": ["0"], "masses": {"0,0": "1"}},
+    {"level": 2**64, "mask": "01"},
+]
+
+json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.sampled_from([MAX_RESOLUTION + 1, 2**64, -(2**64)]),
+    st.sampled_from(["0", "1/2", "1/3", "2/3", "-1", "1/0", "0.5", "01", "0,1", ""]),
+    st.text(max_size=4),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def document(**fields):
+    """A document with the given fields, each either plausible or junk."""
+    return st.fixed_dictionaries({k: st.one_of(v, json_value) for k, v in fields.items()})
+
+
+perm = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+documents = st.one_of(
+    document(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 4]), generators=st.lists(perm, max_size=2)),
+    document(
+        d=st.sampled_from([1, 2, 2**64]),
+        w=st.sampled_from([1, 2, 3]),
+        cuts=st.sampled_from([["0"], ["0", "1/2"], ["0", "1/3", "2/3"], ["1/2"]]),
+        masses=st.dictionaries(st.sampled_from(["0", "1", "0,0", "0,1", "1,1", "2,2", "0,0,0,0"]),
+                               st.sampled_from(["1", "1/2", "1/4", "0", "-1/2", 1]), max_size=4),
+    ),
+    document(level=st.sampled_from([0, 1, 2, 10, 2**64]), mask=st.sampled_from(["0", "01", "0110", "1" * 1024])),
+    document(knots=st.sampled_from([[["0", "0"]], [["0", "0"], ["1/2", "1/4"]], [["1/2", "0"]], [["0"]]])),
+    json_value,
+)
+file_texts = st.one_of(
+    st.sampled_from([golden(name) for name in sorted(os.listdir(GOLDEN)) if name.endswith(".json")]),
+    st.sampled_from(OVERSIZED).map(json.dumps),
+    documents.map(json.dumps),
+    st.text(max_size=12),  # mostly not JSON at all
+)
+
+ints = st.sampled_from(["-1", "0", "1", "2", "3", "6", "x", "1.5", str(MAX_DEPTH + 1), str(MAX_TERMS + 1)])
+rationals = st.sampled_from(["0", "1/8", "1/2", "2", "-1/4", "0.5", "a/b", "1/0"])
+cuts = st.sampled_from(["0,1/2", "0,1/3,2/3", "1/2", "0,1/2,1/4", "0,x", f"0,1/{2 * MAX_RESOLUTION}"])
+
+
+def flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def command(name, files, *flags):
+    """A subcommand name, `files` positional input slots (indices into the
+    generated files) and optional flags, concatenated."""
+    return st.tuples(st.just([name]), st.lists(st.integers(0, 2), min_size=files, max_size=files), *flags)
+
+
+argvs = st.one_of(
+    command("dist", 2, flag("--terms", ints), flag("--depth", ints), flag("--format", st.sampled_from(["csv", "json"]))),
+    command("embed", 2, flag("--w", ints), flag("--cuts", cuts)),
+    command("recover", 1, flag("--epsilon", rationals)),
+    command("realize", 1),
+    command("smooth", 1, flag("--delta", rationals), flag("--steps", ints)),
+    command("graph-test", 1, flag("--epsilon", rationals)),
+    command("factor-defect", 3, flag("--w", ints)),
+    command(
+        "wrp-demo",
+        0,
+        st.just(["--seed", "1", "--trials", "1"]),
+        flag("--n", st.sampled_from(["-1", "0", "8", "64", str(2 * MAX_RESOLUTION)])),
+        flag("--min-cycle", st.sampled_from(["0", "1", "4", "16", str(MAX_RESOLUTION)])),
+        flag("--epsilon", rationals),
+        flag("--terms", ints),
+        flag("--depth", ints),
+    ),
+)
+
+
+def run(argv):
+    """Exit code and stderr of one call; argparse's SystemExit counts as its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(file_texts, min_size=3, max_size=3), argvs)
+def test_every_command_line_keeps_the_exit_code_contract(texts, parts):
+    name, slots, *flags = parts
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(os.path.join(tmp, f"in{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        files = [paths[i] for i in slots]
+        if name == "factor-defect":
+            files = [files[0], "--piece", files[1], "--target", files[2]]
+        argv = name + files + [v for f in flags for v in f] + ["--out", os.path.join(tmp, "out")]
+        code, err = run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

@@ -190,6 +190,13 @@ def test_realize_rejects_bad_inputs():
         realize_sim_as_action(diagonal_table(HALVES, [F(1), F(0)], 2))
 
 
+def test_recover_and_realize_refuse_a_vanishing_piece_alike():
+    t = diagonal_table(Partition((F(0), F(1, 3), F(2, 3))), [F(1, 2), F(0), F(1, 2)], 2)
+    for build in (realize_sim_as_action, lambda t: recover_action(t, 0)):
+        with pytest.raises(ValueError, match=r"marginal vanishes on pieces \[1\]"):
+            build(t)
+
+
 # -- factor defect -----------------------------------------------------------------
 
 

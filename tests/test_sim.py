@@ -253,6 +253,22 @@ def test_is_graph_joining_refuses_p17_before_enumerating(monkeypatch):
         is_graph_joining(t, F(1, 2))
 
 
+def test_table_kernels_refuse_patterns_above_cap_before_any_pass(monkeypatch):
+    def pass_started(*_args):
+        raise AssertionError("a pass over the table started")
+
+    monkeypatch.setattr(sim, "relabel", pass_started)
+    monkeypatch.setattr(sim, "refine_partition", pass_started)
+    wide = diag_halves(w=13)
+    for run in (lambda: convolve_sim(wide, F(1, 4)), lambda: sim_dist(wide, wide)):
+        with pytest.raises(ValueError, match=r"\(p\+1\)\^\(w\^d\) = 1594323 is above the cap of 1048576"):
+            run()
+    # 3^9 and 4^9 patterns alone, but 5^9 over the common partition
+    thirds = diagonal_table(Partition((F(0), F(1, 3), F(2, 3))), [F(1, 3)] * 3, 9)
+    with pytest.raises(ValueError, match=f"= {5**9} is above the cap"):
+        sim_dist(diag_halves(w=9), thirds)
+
+
 # -- smoothing ----------------------------------------------------------------------
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
+from simact.budget import MAX_DEPTH
 from simact.transform import (
-    MAX_DEPTH,
     DyadicSet,
     IntervalPermutation,
     aperiodicity_scale,
