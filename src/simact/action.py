@@ -17,6 +17,7 @@ from . import budget
 from .transform import (
     IntervalPermutation,
     coarse_dist,
+    coarse_grid,
     common_resolution,
     identity,
     tower_base_indices,
@@ -27,6 +28,7 @@ __all__ = [
     "LatticeAction",
     "group_enumeration",
     "action_dist",
+    "action_dist_grid",
     "action_dist_tail",
     "conjugate",
     "free_defect",
@@ -102,9 +104,7 @@ def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> F
     distance of the two time-gamma_j maps.  Tail bound: action_dist_tail(terms)."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    budget.check("terms", terms, budget.MAX_TERMS)
+    action_dist_grid(a.n, b.n, terms, depth)
     total = Fraction(0)
     for j, gamma in enumerate(group_enumeration(a.d, terms), start=1):
         ta, tb = a.evaluate(gamma), b.evaluate(gamma)
@@ -112,6 +112,19 @@ def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> F
         if c:
             total += c / 2**j
     return total
+
+
+def action_dist_grid(n_a: int, n_b: int, terms: int, depth: int) -> int:
+    """The grid of an action distance between resolutions n_a and n_b, with
+    the terms, the depth, the grid and their joint work refused above their
+    caps before any work; the grid is checked before the work."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    budget.check("terms", terms, budget.MAX_TERMS)
+    n = coarse_grid(lcm(n_a, n_b), depth)
+    # each term refines both maps to the grid and walks it once per level
+    budget.check("work terms*n*depth =", terms * n * depth, budget.MAX_WORK)
+    return n
 
 
 def action_dist_tail(terms: int) -> Fraction:

@@ -21,6 +21,19 @@ MAX_PIECES = 16
 # the full grid, and widens the exact sum's denominator by one bit.
 MAX_TERMS = 64
 
+# An action distance refines both maps of each term to the grid
+# n = lcm(n_A, n_B, 2^depth) and walks it once per dyadic level, so its cost
+# grows with terms * n * depth, a product each cap above bounds only in part.
+# At 64 terms and depth 12 one unit took about 0.5 us (n = 2^12 and 2^14, one
+# core of a shared 2-vCPU machine), so the cap is about 4.5 s.
+MAX_WORK = 1 << 23
+
+# `smooth` runs a full blur, table distance and fixed-mass report on every
+# rung of its ladder, each as costly as a one-rung smooth.  The rungs halve
+# delta < 1, so past 40 rungs the narrowest widths fall below 2^-40 and
+# print as zero in the 12-decimal column.
+MAX_STEPS = 40
+
 # Table distances and smoothing walk the cylinder patterns of a window: a
 # label or a free slot at each of its w^d times, so up to (p+1)^(w^d) of
 # them, one integer each.  A one-rung `smooth` at the cap (p = 1, w = 20)

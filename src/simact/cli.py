@@ -15,7 +15,6 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from . import budget
 from . import serialize as ser
@@ -23,6 +22,7 @@ from .action import (
     InfeasibleError,
     LatticeAction,
     action_dist,
+    action_dist_grid,
     action_dist_tail,
     conjugate,
     wrp_conjugacy_search,
@@ -125,6 +125,19 @@ def _pair(value: Fraction) -> list[str]:
     return [exact_decimal(value), format_rational(value)]
 
 
+def _emit_values(args, values: dict[str, Fraction]):
+    """Named values: as CSV, one row of `name` (decimal) and `name_exact`
+    columns; as JSON, `name` (exact) and `name_decimal` keys."""
+    if args.format == "json":
+        obj = {}
+        for name, value in values.items():
+            obj[name], obj[f"{name}_decimal"] = format_rational(value), exact_decimal(value)
+        _emit_json(args, obj)
+    else:
+        header = [col for name in values for col in (name, f"{name}_exact")]
+        _emit_text(args, _csv([header, [cell for value in values.values() for cell in _pair(value)]]))
+
+
 def _beta_name(beta) -> str:
     return "_".join(str(b) for b in beta)
 
@@ -139,23 +152,7 @@ def cmd_dist(args) -> int:
     if a.d != b.d:
         raise CliError(3, f"rank mismatch: {a.d} vs {b.d}")
     value = action_dist(a, b, args.terms, args.depth)
-    tail = action_dist_tail(args.terms)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "distance": format_rational(value),
-                "distance_decimal": exact_decimal(value),
-                "tail": format_rational(tail),
-                "tail_decimal": exact_decimal(tail),
-            },
-        )
-    else:
-        rows = [
-            ["distance", "distance_exact", "tail", "tail_exact"],
-            _pair(value) + _pair(tail),
-        ]
-        _emit_text(args, _csv(rows))
+    _emit_values(args, {"distance": value, "tail": action_dist_tail(args.terms)})
     return 0
 
 
@@ -202,6 +199,7 @@ def cmd_smooth(args) -> int:
     if not 0 < delta < 1:
         raise CliError(4, f"delta must lie in (0, 1), got {delta}")
     _positive_arg(args.steps, "--steps")
+    budget.check("steps", args.steps, budget.MAX_STEPS)
     ladder = [Fraction(0)] + [delta / 2 ** (args.steps - 1 - i) for i in range(args.steps)]
     # the positive differences of two window times, in ascending order
     d, w = t.window.d, t.window.w
@@ -227,7 +225,7 @@ def cmd_wrp_demo(args) -> int:
         raise CliError(4, "tolerance must be > 0")
     _dist_args(args)
     # a refusal inside the search would be reported as a failed trial
-    budget.check("grid resolution n =", lcm(args.n, 2**args.depth), budget.MAX_RESOLUTION)
+    action_dist_grid(args.n, args.n, args.terms, args.depth)
     header = [
         "trial",
         "requested",
@@ -313,14 +311,7 @@ def cmd_factor_defect(args) -> int:
     piece = _load(args.piece, ser.load_dyadic, "dyadic set")
     target = _load(args.target, ser.load_dyadic, "dyadic set")
     _positive_arg(args.w, "--w")
-    value = factor_defect(a, piece, target, Window(a.d, args.w))
-    if args.format == "json":
-        _emit_json(
-            args,
-            {"defect": format_rational(value), "defect_decimal": exact_decimal(value)},
-        )
-    else:
-        _emit_text(args, _csv([["defect", "defect_exact"], _pair(value)]))
+    _emit_values(args, {"defect": factor_defect(a, piece, target, Window(a.d, args.w))})
     return 0
 
 

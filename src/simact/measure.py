@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import intervals as iv
 from . import poly as P
@@ -102,12 +103,6 @@ class StepMeasure:
         dens = sum((P.p_integrate(d, lo, hi) for lo, hi, d in self._pieces()), Fraction(0))
         return dens + sum((m for _x, m in self.atoms), Fraction(0))
 
-    def density_mass(self) -> Fraction:
-        return self.total() - self.atom_mass()
-
-    def atom_mass(self) -> Fraction:
-        return sum((m for _x, m in self.atoms), Fraction(0))
-
     def mass(self, lo, hi) -> Fraction:
         """Mass of the half-open interval [lo, hi), 0 <= lo <= hi <= 1."""
         lo, hi = Fraction(lo), Fraction(hi)
@@ -129,18 +124,7 @@ class StepMeasure:
 
     def max_density(self) -> Fraction:
         """Max of the density over the circle (atoms excluded)."""
-        best = Fraction(0)
-        for lo, hi, d in self._pieces():
-            deg = len(d) - 1
-            candidates = [lo, hi]
-            if deg == 2 and d[2] != 0:
-                v = -d[1] / (2 * d[2])
-                if lo < v < hi:
-                    candidates.append(v)
-            elif deg > 2:
-                raise NotImplementedError("degree > 2 density")
-            best = max(best, *(P.p_eval(d, c) for c in candidates))
-        return best
+        return max(-P.p_min_on(P.p_neg(d), lo, hi) for lo, hi, d in self._pieces())
 
     def canonical(self) -> "StepMeasure":
         """Merge adjacent pieces whose polynomials agree."""
@@ -195,22 +179,9 @@ def from_piece_masses(cuts, masses) -> StepMeasure:
 
 def is_good(mu: StepMeasure) -> bool:
     """Non-atomic with full support: no atoms and density > 0 everywhere."""
-    if mu.atoms:
-        return False
-    for lo, hi, d in mu._pieces():
-        if not d:
-            return False
-        if len(d) == 1:
-            if d[0] <= 0:
-                return False
-        else:
-            # affine or quadratic piece: positive on [lo, hi) iff positive at
-            # lo and nonnegative at hi with no interior zero-crossing
-            if P.p_eval(d, lo) <= 0 or P.p_eval(d, hi) < 0:
-                return False
-            if P.p_min_on(d, lo, hi) < 0:
-                return False
-    return True
+    return not mu.atoms and all(
+        d and P.p_eval(d, lo) > 0 and P.p_min_on(d, lo, hi) >= 0 for lo, hi, d in mu._pieces()
+    )
 
 
 # -- convolution -----------------------------------------------------------
@@ -225,39 +196,33 @@ def _density_pieces(mu: StepMeasure) -> DensityPieces:
 def _translate_pieces(pieces: DensityPieces, shift, scale) -> DensityPieces:
     """Rotate a density by `shift` and multiply by `scale`."""
     shift, scale = Fraction(shift) % 1, Fraction(scale)
-    out: DensityPieces = []
-    for lo, hi, d in pieces:
-        nd = P.p_scale(P.p_shift(d, -shift), scale)  # value at x comes from x - shift
-        nlo, nhi = lo + shift, hi + shift
-        if nhi <= 1:
-            out.append((nlo, nhi, nd))
-        elif nlo >= 1:
-            out.append((nlo - 1, nhi - 1, P.p_shift(nd, 1)))
-        else:
-            out.append((nlo, Fraction(1), nd))
-            out.append((Fraction(0), nhi - 1, P.p_shift(nd, 1)))
-    return out
+    # the value at x comes from x - shift
+    shifted = [(lo + shift, hi + shift, P.p_scale(P.p_shift(d, -shift), scale)) for lo, hi, d in pieces]
+    return _fold_to_circle(shifted)
 
 
 def _line_convolve(f: DensityPieces, g: DensityPieces) -> DensityPieces:
-    """Convolution on the real line of densities supported in [0, 1]."""
+    """Convolution on the real line of densities supported in [0, 1].
+
+    p(y) q(t - y) is the sum over m of t^m p(y) s_m(y), with
+    s_m(y) = sum over k of q_k C(k, m) (-y)^(k - m), so each term integrates
+    in y alone and takes the limits, which are affine in t, by substitution.
+    """
     out: DensityPieces = []
     for u1, u2, p in f:
-        bp = P.bi_from_y(p)
         for v1, v2, q in g:
-            bq = P.bi_from_t_minus_y(q)
-            anti = P.bi_antider_y(P.bi_mul(bp, bq))
+            s = [P.p_make([q[k] * comb(k, m) * (-1) ** (k - m) for k in range(m, len(q))]) for m in range(len(q))]
+            antis = [P.p_antider(P.p_mul(p, s_m)) for s_m in s]
             knots = sorted({u1 + v1, u1 + v2, u2 + v1, u2 + v2})
             for ta, tb in zip(knots, knots[1:]):
-                if ta == tb:
-                    continue
                 mid = (ta + tb) / 2
                 # integration limits over y: max(u1, t - v2) .. min(u2, t - v1)
                 lo_aff = (u1, 0) if u1 >= mid - v2 else (-v2, 1)
                 hi_aff = (u2, 0) if u2 <= mid - v1 else (-v1, 1)
-                hi_poly = P.bi_sub_y_affine(anti, *hi_aff)
-                lo_poly = P.bi_sub_y_affine(anti, *lo_aff)
-                piece = P.p_add(hi_poly, P.p_neg(lo_poly))
+                piece = P.ZERO
+                for m, anti in enumerate(antis):
+                    span = P.p_add(P.p_compose_affine(anti, *hi_aff), P.p_neg(P.p_compose_affine(anti, *lo_aff)))
+                    piece = P.p_add(piece, P.p_mul(P.p_make([0] * m + [1]), span))  # t^m * span
                 out.append((ta, tb, piece))
     return out
 
@@ -454,14 +419,14 @@ def weak_star_distance(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    n = 2**depth
+    # the gap on [a, b) is the change of the cdf difference from a to b
+    diff = [mu.cdf(Fraction(k, n)) - nu.cdf(Fraction(k, n)) for k in range(n + 1)]
     total = Fraction(0)
     for level in range(1, depth + 1):
-        cells = 2**level
-        worst = Fraction(0)
-        for k in range(cells):
-            lo, hi = Fraction(k, cells), Fraction(k + 1, cells)
-            worst = max(worst, abs(mu.mass(lo, hi) - nu.mass(lo, hi)))
-        total += Fraction(1, cells) * worst
+        stride = n >> level
+        ends = diff[::stride]
+        total += max(abs(b - a) for a, b in zip(ends, ends[1:])) / 2**level
     return total
 
 

@@ -2,16 +2,13 @@
 
 Used by the measure layer: piece densities are polynomials (degree 0 for
 plain step densities, degree 1 after one convolution of two step parts).
-Univariate polynomials are coefficient tuples, low degree first; the zero
-polynomial is the empty tuple.  A small two-variable helper supports the
-exact convolution integral, where the inner antiderivative is a polynomial
-in (y, t) and the integration limits are affine in t.
+Polynomials are coefficient tuples, low degree first; the zero polynomial is
+the empty tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 Poly = tuple[Fraction, ...]
 
@@ -105,57 +102,3 @@ def p_min_on(a: Poly, lo, hi) -> Fraction:
     elif deg > 2:
         raise NotImplementedError(f"degree {deg} densities are not supported")
     return min(p_eval(a, x) for x in candidates)
-
-
-# -- two-variable scratch layer for the convolution integral ---------------
-#
-# A BiPoly maps (y_exponent, t_exponent) -> coefficient.
-
-BiPoly = dict[tuple[int, int], Fraction]
-
-
-def bi_from_y(p: Poly) -> BiPoly:
-    return {(i, 0): c for i, c in enumerate(p) if c != 0}
-
-
-def bi_from_t_minus_y(q: Poly) -> BiPoly:
-    """q(t - y) expanded in (y, t)."""
-    out: BiPoly = {}
-    for k, coeff in enumerate(q):
-        if coeff == 0:
-            continue
-        for m in range(k + 1):
-            key = (k - m, m)
-            term = coeff * comb(k, m) * (Fraction(-1) ** (k - m))
-            out[key] = out.get(key, Fraction(0)) + term
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def bi_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (ya, ta), ca in a.items():
-        for (yb, tb), cb in b.items():
-            key = (ya + yb, ta + tb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def bi_antider_y(a: BiPoly) -> BiPoly:
-    return {(ky + 1, kt): c / (ky + 1) for (ky, kt), c in a.items()}
-
-
-def bi_sub_y_affine(a: BiPoly, c0, c1) -> Poly:
-    """Substitute y = c0 + c1*t, returning a polynomial in t."""
-    c0, c1 = Fraction(c0), Fraction(c1)
-    out: Poly = ZERO
-    affine = p_make([c0, c1])
-    # cache powers of the affine map; y exponents stay tiny here
-    powers: list[Poly] = [ONE]
-    max_y = max((ky for (ky, _t) in a), default=0)
-    for _ in range(max_y):
-        powers.append(p_mul(powers[-1], affine))
-    for (ky, kt), coeff in a.items():
-        term = p_scale(powers[ky], coeff)
-        shifted = p_make([Fraction(0)] * kt + list(term)) if term else ZERO
-        out = p_add(out, shifted)
-    return out

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 from .action import LatticeAction
 from .measure import Adaptation, StepMeasure, from_piece_masses
@@ -172,21 +173,16 @@ def markov_table(
     positive rational transitions.  With max_resolution set, redraws until
     the lcm of all mass denominators fits, so downstream constructions stay
     small."""
+    window = Window(1, w)
     while True:
         rows = [[Fraction(rng.randint(1, max_entry)) for _ in range(p)] for _ in range(p)]
         q_matrix = [[v / sum(row) for v in row] for row in rows]
         pi = _solve_stationary(q_matrix)
-        masses: dict[tuple[int, ...], Fraction] = {}
-
-        def fill(prefix: tuple[int, ...], mass: Fraction):
-            if len(prefix) == w:
-                masses[prefix] = mass
-                return
-            for j in range(p):
-                step = mass * (pi[j] if not prefix else q_matrix[prefix[-1]][j])
-                fill(prefix + (j,), step)
-
-        fill((), Fraction(1))
+        # pi at the first time, then one transition per step
+        masses = {
+            key: prod((q_matrix[a][b] for a, b in zip(key, key[1:])), start=pi[key[0]])
+            for key in product(range(p), repeat=w)
+        }
         if max_resolution is not None:
             scale = 1
             for m in masses.values():
@@ -194,25 +190,15 @@ def markov_table(
             if scale > max_resolution:
                 continue
         cuts = random_partition(rng, p)
-        return CylinderTable(Window(1, w), cuts, masses)
+        return CylinderTable(window, cuts, masses)
 
 
 def iid_table(partition: Partition, masses, w: int, d: int = 1) -> CylinderTable:
     """Product table: independent identical label distribution at each time."""
     masses = [Fraction(m) for m in masses]
     window = Window(d, w)
-    table: dict[tuple[int, ...], Fraction] = {}
-
-    def fill(prefix: tuple[int, ...], mass: Fraction):
-        if len(prefix) == window.size():
-            if mass > 0:
-                table[prefix] = mass
-            return
-        for j in range(partition.p):
-            fill(prefix + (j,), mass * masses[j])
-
-    fill((), Fraction(1))
-    return CylinderTable(window, partition, table)
+    keyed = ((key, prod(masses[j] for j in key)) for key in product(range(partition.p), repeat=window.size()))
+    return CylinderTable(window, partition, {key: mass for key, mass in keyed if mass > 0})
 
 
 def diagonal_table(partition: Partition, masses, w: int, d: int = 1) -> CylinderTable:

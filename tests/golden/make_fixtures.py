@@ -18,7 +18,7 @@ from simact.cli import main
 from simact.measure import Adaptation
 from simact.sampling import diagonal_table, markov_table, trial_rng
 from simact.sim import Partition
-from simact.transform import rotation, swap_halves
+from simact.transform import DyadicSet, rotation, swap_halves
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -53,10 +53,13 @@ def main_fixtures():
         "markov4_table.json",
         ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)),
     )
+    half = write_json("half_dyadic.json", ser.dump_dyadic(DyadicSet(1, 0b01)))
+    middle = write_json("middle_dyadic.json", ser.dump_dyadic(DyadicSet(2, 0b0110)))
 
     out = lambda name: os.path.join(HERE, name)
     runs = [
         ["dist", id4, swap, "--terms", "4", "--depth", "3", "--out", out("expected_dist.csv")],
+        ["dist", id4, swap, "--terms", "4", "--depth", "3", "--format", "json", "--out", out("expected_dist.json")],
         ["embed", shift, rot3, "--w", "2", "--cuts", "0,1/2", "--out", out("expected_embed.json")],
         ["realize", markov, "--out", out("expected_realize.json")],
         ["smooth", diag, "--delta", "1/4", "--steps", "3", "--out", out("expected_smooth.csv")],
@@ -65,6 +68,11 @@ def main_fixtures():
         [
             "wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32",
             "--terms", "6", "--depth", "6", "--out", out("expected_wrp_demo.csv"),
+        ],
+        ["factor-defect", rot3, "--piece", half, "--target", middle, "--w", "2", "--out", out("expected_factor_defect.csv")],
+        [
+            "factor-defect", rot3, "--piece", half, "--target", middle, "--w", "2", "--format", "json",
+            "--out", out("expected_factor_defect.json"),
         ],
     ]
     for argv in runs:

@@ -39,6 +39,18 @@ def read(path):
             ["wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32", "--terms", "6", "--depth", "6"],
             "expected_wrp_demo.csv",
         ),
+        (
+            ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3", "--format", "json"],
+            "expected_dist.json",
+        ),
+        (
+            ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2"],
+            "expected_factor_defect.csv",
+        ),
+        (
+            ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2", "--format", "json"],
+            "expected_factor_defect.json",
+        ),
     ],
 )
 def test_matches_golden_output(tmp_path, argv, expected):
@@ -325,6 +337,12 @@ def diagonal_table(w, q):
         "embed_itineraries",
         # 5000 lattice elements, each a coarse distance
         "dist_terms",
+        # every size inside its cap, but 64 terms * 2^14 cells * 12 levels of work
+        "dist_work",
+        # the same joint work on a 2^18-cell sampled pair, refused before sampling
+        "wrp_demo_work",
+        # 1000 rungs, each a full blur and table distance
+        "smooth_steps",
     ],
 )
 def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
@@ -360,6 +378,19 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
         "dist_terms": (
             ["dist", gold("id4_action.json"), gold("swap_action.json"), "--depth", "1", "--terms", "5000"],
             "terms 5000", 64,
+        ),
+        "dist_work": (
+            ["dist", write(tmp_path / "rot16k.json", rotation_action(2**14)),
+             write(tmp_path / "rot16k_b.json", rotation_action(2**14)), "--terms", "64", "--depth", "12"],
+            f"terms*n*depth = {64 * 2**14 * 12}", 2**23,
+        ),
+        "wrp_demo_work": (
+            ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "262144", "--min-cycle", "131072", "--terms", "64", "--depth", "12"],
+            f"terms*n*depth = {64 * 2**18 * 12}", 2**23,
+        ),
+        "smooth_steps": (
+            ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "1000"],
+            "steps 1000", 40,
         ),
     }[case]
     out = tmp_path / "out"

@@ -17,21 +17,26 @@ with them exactly.
 `cycles_oracle` and `identity_oracle` are the permutation algebra before
 cycles were cached and internal results skipped the bijection check; each
 builds through the checked public constructor.
+`line_convolve_oracle` with its `bi_*` helpers is the convolution integral
+on two-variable polynomials in (y, t), before it was split into powers of t
+over univariate ones, and `weak_star_distance_oracle` integrates both
+measures afresh on every dyadic interval at every level.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
+import simact.poly as P
 from simact.cli import main
 from simact.equivalence import _box_weights, action_to_sim, adapt_table
-from simact.measure import Adaptation
+from simact.measure import Adaptation, StepMeasure, _line_convolve, weak_star_distance
 from simact.sampling import (
     iid_table,
     markov_table,
@@ -438,6 +443,95 @@ def average_sims_oracle(t1, t2, weight) -> CylinderTableOracle:
     for key, mass in t2.masses.items():
         out[key] = out.get(key, Fraction(0)) + weight * mass
     return CylinderTableOracle(t1.window, t1.partition, out)
+
+
+# A BiPoly maps (y_exponent, t_exponent) -> coefficient.
+
+BiPoly = dict[tuple[int, int], Fraction]
+
+
+def bi_from_y(p: P.Poly) -> BiPoly:
+    return {(i, 0): c for i, c in enumerate(p) if c != 0}
+
+
+def bi_from_t_minus_y(q: P.Poly) -> BiPoly:
+    """q(t - y) expanded in (y, t)."""
+    out: BiPoly = {}
+    for k, coeff in enumerate(q):
+        if coeff == 0:
+            continue
+        for m in range(k + 1):
+            key = (k - m, m)
+            term = coeff * comb(k, m) * (Fraction(-1) ** (k - m))
+            out[key] = out.get(key, Fraction(0)) + term
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def bi_mul(a: BiPoly, b: BiPoly) -> BiPoly:
+    out: BiPoly = {}
+    for (ya, ta), ca in a.items():
+        for (yb, tb), cb in b.items():
+            key = (ya + yb, ta + tb)
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def bi_antider_y(a: BiPoly) -> BiPoly:
+    return {(ky + 1, kt): c / (ky + 1) for (ky, kt), c in a.items()}
+
+
+def bi_sub_y_affine(a: BiPoly, c0, c1) -> P.Poly:
+    """Substitute y = c0 + c1*t, returning a polynomial in t."""
+    c0, c1 = Fraction(c0), Fraction(c1)
+    out: P.Poly = P.ZERO
+    affine = P.p_make([c0, c1])
+    # cache powers of the affine map; y exponents stay tiny here
+    powers: list[P.Poly] = [P.ONE]
+    max_y = max((ky for (ky, _t) in a), default=0)
+    for _ in range(max_y):
+        powers.append(P.p_mul(powers[-1], affine))
+    for (ky, kt), coeff in a.items():
+        term = P.p_scale(powers[ky], coeff)
+        shifted = P.p_make([Fraction(0)] * kt + list(term)) if term else P.ZERO
+        out = P.p_add(out, shifted)
+    return out
+
+
+def line_convolve_oracle(f, g):
+    """Convolution on the real line of densities supported in [0, 1]."""
+    out = []
+    for u1, u2, p in f:
+        bp = bi_from_y(p)
+        for v1, v2, q in g:
+            bq = bi_from_t_minus_y(q)
+            anti = bi_antider_y(bi_mul(bp, bq))
+            knots = sorted({u1 + v1, u1 + v2, u2 + v1, u2 + v2})
+            for ta, tb in zip(knots, knots[1:]):
+                if ta == tb:
+                    continue
+                mid = (ta + tb) / 2
+                # integration limits over y: max(u1, t - v2) .. min(u2, t - v1)
+                lo_aff = (u1, 0) if u1 >= mid - v2 else (-v2, 1)
+                hi_aff = (u2, 0) if u2 <= mid - v1 else (-v1, 1)
+                hi_poly = bi_sub_y_affine(anti, *hi_aff)
+                lo_poly = bi_sub_y_affine(anti, *lo_aff)
+                piece = P.p_add(hi_poly, P.p_neg(lo_poly))
+                out.append((ta, tb, piece))
+    return out
+
+
+def weak_star_distance_oracle(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    total = Fraction(0)
+    for level in range(1, depth + 1):
+        cells = 2**level
+        worst = Fraction(0)
+        for k in range(cells):
+            lo, hi = Fraction(k, cells), Fraction(k + 1, cells)
+            worst = max(worst, abs(mu.mass(lo, hi) - nu.mass(lo, hi)))
+        total += Fraction(1, cells) * worst
+    return total
 
 
 # -- permutations ------------------------------------------------------------------
@@ -874,3 +968,47 @@ def test_graph_witnesses_match_oracle_for_every_b(m):
             a_mask, d = witness(m, b_mask)
             assert (a_mask, d) == oracle(m, b_mask)
             assert isinstance(d, Fraction)
+
+
+# -- measures ------------------------------------------------------------------------
+
+
+@st.composite
+def density_pieces(draw):
+    """Pieces (lo, hi, p) inside [0, 1], each p of degree <= 2, not zero."""
+    q = draw(st.integers(1, 12))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = sorted(draw(st.lists(st.integers(0, q), min_size=2, max_size=2, unique=True)))
+        coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=3))
+        assume(P.p_make(coeffs))
+        out.append((Fraction(lo, q), Fraction(hi, q), P.p_make(coeffs)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(density_pieces(), density_pieces())
+def test_line_convolve_matches_oracle(f, g):
+    assert _line_convolve(f, g) == line_convolve_oracle(f, g)
+
+
+@st.composite
+def step_measures(draw, atoms: bool):
+    """Step densities on a grid of denominator <= 12, plus up to three atoms."""
+    q = draw(st.integers(1, 12))
+    cuts = [0] + sorted(draw(st.sets(st.integers(1, q - 1), max_size=4))) if q > 1 else [0]
+    weights = draw(st.lists(st.integers(0, 8), min_size=len(cuts), max_size=len(cuts)))
+    spots = draw(st.dictionaries(st.integers(0, 15), st.integers(1, 8), max_size=3)) if atoms else {}
+    total = sum(weights) + sum(spots.values())
+    assume(total > 0)
+    bounds = [Fraction(c, q) for c in cuts] + [Fraction(1)]
+    dens = [Fraction(w, total) / (hi - lo) for w, lo, hi in zip(weights, bounds, bounds[1:])]
+    return StepMeasure(tuple(bounds[:-1]), tuple(dens), tuple((Fraction(x, 16), Fraction(m, total)) for x, m in spots.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_measures(atoms=False), step_measures(atoms=True), st.booleans(), st.integers(1, 6))
+def test_weak_star_distance_matches_oracle(plain, atomic, both_atomic, depth):
+    mu = atomic if both_atomic else plain
+    for a, b in ((mu, atomic), (plain, mu), (plain, plain)):
+        assert weak_star_distance(a, b, depth) == weak_star_distance_oracle(a, b, depth)

@@ -19,6 +19,7 @@ from simact.measure import (
     weak_star_distance,
     weak_star_tail,
 )
+from simact.sampling import random_good_measure, trial_rng
 
 F = Fraction
 
@@ -118,6 +119,33 @@ def test_uniform_self_convolution_is_triangular():
     assert out.mass(0, F(1, 2)) == F(1, 2)
     assert out.mass(F(1, 4), F(3, 4)) == F(3, 4)
     assert out.max_density() == 2
+
+
+def test_uniform_threefold_convolution_peaks_at_an_interior_vertex():
+    # the middle piece of the folded density is -8x^2 + 12x - 3 on [1/2, 1),
+    # whose maximum 3/2 sits at x = 3/4, inside the piece
+    mu = uniform_on(0, F(1, 2))
+    out = convolve(convolve(mu, mu), mu)
+    assert max(len(d) for d in out.densities) == 3
+    assert out.max_density() == F(3, 2)
+    assert is_good(out)
+
+
+@st.composite
+def convolvable(draw):
+    """A random good step measure, or the uniform law on an arc."""
+    if draw(st.booleans()):
+        return random_good_measure(trial_rng(draw(st.integers(0, 10**6)), 0), max_pieces=3, max_den=8)
+    lo = draw(st.integers(0, 7))
+    length = draw(st.integers(1, 8))
+    return uniform_on(F(lo, 8), F(length, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(convolvable(), convolvable(), convolvable())
+def test_convolution_is_associative(a, b, c):
+    # the outer convolutions feed a degree-1 density into convolve
+    assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
 
 def riemann_bracket(res, mu, nu, lo, hi):
