@@ -172,25 +172,25 @@ def markov_table(
     """Shift-consistent rank-1 table from a stationary Markov chain with
     positive rational transitions.  With max_resolution set, redraws until
     the lcm of all mass denominators fits, so downstream constructions stay
-    small."""
+    small; a draw is dropped at the first mass that pushes the running lcm
+    past the cap.  The cuts are drawn only for the accepted draw."""
     window = Window(1, w)
     while True:
         rows = [[Fraction(rng.randint(1, max_entry)) for _ in range(p)] for _ in range(p)]
         q_matrix = [[v / sum(row) for v in row] for row in rows]
         pi = _solve_stationary(q_matrix)
-        # pi at the first time, then one transition per step
-        masses = {
-            key: prod((q_matrix[a][b] for a, b in zip(key, key[1:])), start=pi[key[0]])
-            for key in product(range(p), repeat=w)
-        }
-        if max_resolution is not None:
-            scale = 1
-            for m in masses.values():
+        masses = {}
+        scale = 1
+        for key in product(range(p), repeat=w):
+            # pi at the first time, then one transition per step
+            m = masses[key] = prod((q_matrix[a][b] for a, b in zip(key, key[1:])), start=pi[key[0]])
+            if max_resolution is not None:
                 scale = lcm(scale, m.denominator)
-            if scale > max_resolution:
-                continue
-        cuts = random_partition(rng, p)
-        return CylinderTable(window, cuts, masses)
+                if scale > max_resolution:
+                    break
+        else:
+            cuts = random_partition(rng, p)
+            return CylinderTable(window, cuts, masses)
 
 
 def iid_table(partition: Partition, masses, w: int, d: int = 1) -> CylinderTable:

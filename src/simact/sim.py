@@ -367,11 +367,25 @@ def _joining(matrix) -> tuple[list[list[int]], int, list[int]]:
     return nums, den, rows
 
 
-def _into_b(nums: list[list[int]], b_mask: int, rows: list[int]) -> tuple[int, list[int]]:
-    """The prelude of both witness searches: the mass of B and the mass each
-    piece sends into B."""
-    cols = [j for j in range(len(rows)) if b_mask >> j & 1]
-    return sum(rows[j] for j in cols), [sum(r[j] for j in cols) for r in nums]
+def _subset_sums(values: list[int]) -> list[int]:
+    """The 2^p subset sums of values, indexed by mask: bit i of the mask
+    picks values[i].  Built by doubling, so entry mask is the entry of mask
+    without its top bit plus the value of that bit."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def _one_b_prelude(matrix, b_mask: int) -> tuple[list[list[int]], int, tuple]:
+    """The integer matrix, its denominator and the witness prelude of
+    `_graph_test_matrix` for a single B: the row masses, their subset sums,
+    the mass each piece sends into B, and the mass of B."""
+    nums, den, rows = _joining(matrix)
+    a_sums = _subset_sums(rows)
+    b_mask &= len(a_sums) - 1
+    into_b = [sum(x for j, x in enumerate(r) if b_mask >> j & 1) for r in nums]
+    return nums, den, (rows, a_sums, into_b, a_sums[b_mask])
 
 
 def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
@@ -379,27 +393,18 @@ def graph_witness_exact(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
 
     On a joining the mass x of A x B is at most both a = mass(A) and
     b = mass(B), so the diameter of {a, x, b} is max(a, b) - x.  Ties go to
-    the smallest mask.  Given the row sums `rows` that `_joining` returned,
-    `matrix` is its integer numerators and the diameter comes back as an
-    integer numerator over the same denominator.
+    the smallest mask.  `rows` is private: given the prelude that
+    `_graph_test_matrix` builds for this B, `matrix` is its integer
+    numerators and the diameter comes back as an integer numerator over
+    the same denominator.
     """
     den = None
     if rows is None:
-        matrix, den, rows = _joining(matrix)
-    b_total, into_b = _into_b(matrix, b_mask, rows)
-    size = 1 << len(rows)
-    a_sum = [0] * size
-    x_sum = a_sum[:]
-    best_a, best = 0, b_total
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        a = a_sum[mask] = a_sum[mask ^ low] + rows[i]
-        x = x_sum[mask] = x_sum[mask ^ low] + into_b[i]
-        d = (a if a > b_total else b_total) - x
-        if d < best:
-            best_a, best = mask, d
-    return best_a, best if den is None else Fraction(best, den)
+        matrix, den, rows = _one_b_prelude(matrix, b_mask)
+    _rows, a_sums, into_b, b_total = rows
+    ds = [(a if a > b_total else b_total) - x for a, x in zip(a_sums, _subset_sums(into_b))]
+    best = min(ds)
+    return ds.index(best), best if den is None else Fraction(best, den)
 
 
 def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
@@ -407,8 +412,8 @@ def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]
     of their mass into B.  `rows` works as in `graph_witness_exact`."""
     den = None
     if rows is None:
-        matrix, den, rows = _joining(matrix)
-    b_total, into_b = _into_b(matrix, b_mask, rows)
+        matrix, den, rows = _one_b_prelude(matrix, b_mask)
+    rows, _a_sums, into_b, b_total = rows
     a_mask = a = x = 0
     for i, (r, into) in enumerate(zip(rows, into_b)):
         if r > 0 and 2 * into > r:
@@ -419,19 +424,45 @@ def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]
     return a_mask, d if den is None else Fraction(d, den)
 
 
+def _into_b_walk(nums: list[list[int]]):
+    """The mass each piece sends into B, for B = 0, 1, ..., 2^p - 1 in turn.
+
+    B runs as a binary counter: going from B - 1 to B sets bit k and clears
+    bits 0..k-1, so the list changes by column k minus columns 0..k-1.
+    Those p step lists are built once, and each B costs one list update.
+    """
+    steps, below = [], [0] * len(nums)
+    for col in zip(*nums):
+        steps.append([c - b for c, b in zip(col, below)])
+        below = [c + b for c, b in zip(col, below)]
+    into_b = [0] * len(nums)
+    yield into_b
+    for b_mask in range(1, 1 << len(nums)):
+        step = steps[(b_mask & -b_mask).bit_length() - 1]
+        into_b = [x + s for x, s in zip(into_b, step)]
+        yield into_b
+
+
 def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     """Worst B over all 2^p unions, on integer numerators over the lcm of
     the entry denominators; each diameter is compared with epsilon by
-    cross-multiplication and divided once at the end."""
+    cross-multiplication and divided once at the end.
+
+    The subset sums of the row masses are built once per matrix; in a
+    joining the column sums equal the row sums, so they are also the
+    masses of the sets B.
+    """
     budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
     nums, den, rows = _joining(matrix)
+    a_sums = _subset_sums(rows)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
     worst_b, worst_a, worst = 0, 0, 0
-    for b_mask in range(1 << len(nums)):
-        a_mask, d = greedy_graph_witness(nums, b_mask, rows=rows)
+    for b_mask, into_b in enumerate(_into_b_walk(nums)):
+        prelude = (rows, a_sums, into_b, a_sums[b_mask])
+        a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
         if d * scale >= bound:
-            a_mask, d = graph_witness_exact(nums, b_mask, rows=rows)
+            a_mask, d = graph_witness_exact(nums, b_mask, rows=prelude)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))

@@ -10,14 +10,15 @@ by running the CLI itself.  Commit the results; test_cli.py compares bytes.
 
 import json
 import os
+import random
 from fractions import Fraction
 
 from simact import serialize as ser
 from simact.action import LatticeAction, identity_action
 from simact.cli import main
 from simact.measure import Adaptation
-from simact.sampling import diagonal_table, markov_table, trial_rng
-from simact.sim import Partition
+from simact.sampling import diagonal_table, iid_table, markov_table, random_graph_joining, trial_rng
+from simact.sim import Partition, average_sims, marginalize_to
 from simact.transform import DyadicSet, rotation, swap_halves
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -53,6 +54,13 @@ def main_fixtures():
         "markov4_table.json",
         ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)),
     )
+    # a graph joining at lambda = 1/4 toward the iid table of its marginal:
+    # passes, and every worst-B witness comes from the greedy shortcut
+    # (here the exact search would pick the same A)
+    joining = random_graph_joining(random.Random(0), 6)
+    single = marginalize_to(joining, [(0,)])
+    iid = iid_table(joining.partition, [single[(j,)] for j in range(6)], 2)
+    mixed6 = write_json("mixed6_table.json", ser.dump_table(average_sims(joining, iid, F(1, 4))))
     half = write_json("half_dyadic.json", ser.dump_dyadic(DyadicSet(1, 0b01)))
     middle = write_json("middle_dyadic.json", ser.dump_dyadic(DyadicSet(2, 0b0110)))
 
@@ -65,6 +73,10 @@ def main_fixtures():
         ["smooth", diag, "--delta", "1/4", "--steps", "3", "--out", out("expected_smooth.csv")],
         ["graph-test", diag, "--epsilon", "1/8", "--out", out("expected_graph_test.csv")],
         ["graph-test", markov4, "--epsilon", "1/8", "--out", out("expected_graph_test_fail.csv")],
+        ["graph-test", mixed6, "--epsilon", "1/8", "--out", out("expected_graph_test_mixed.csv")],
+        # passes on greedy witnesses that the exact search would beat, so
+        # the greedy-first order shows in the output
+        ["graph-test", markov4, "--epsilon", "1/2", "--out", out("expected_graph_test_greedy.csv")],
         [
             "wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32",
             "--terms", "6", "--depth", "6", "--out", out("expected_wrp_demo.csv"),

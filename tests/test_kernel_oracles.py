@@ -7,7 +7,10 @@ set, and every key against every wildcard mask.  `refine_partition_oracle`,
 loops that `sim.relabel` replaced, and `combine_oracle` is the cell-by-cell
 interval-set operation that the endpoint sweep replaced.
 `graph_test_matrix_oracle` and the witness oracles are the graph test in
-`Fraction` arithmetic, before it moved to integer numerators.
+`Fraction` arithmetic, before it moved to integer numerators;
+`graph_test_matrix_int_oracle`, its witnesses and `into_b_int_oracle` are
+the integer graph test before the work that does not depend on B moved to
+one prelude per matrix.
 `CylinderTableOracle`, `relabel_oracle`, `marginalize_to_oracle`,
 `fixed_mass_bound_oracle` and `average_sims_oracle` are the table code with
 `Fraction` masses, before tables moved to integer numerators over one
@@ -20,13 +23,16 @@ builds through the checked public constructor.
 `line_convolve_oracle` with its `bi_*` helpers is the convolution integral
 on two-variable polynomials in (y, t), before it was split into powers of t
 over univariate ones, and `weak_star_distance_oracle` integrates both
-measures afresh on every dyadic interval at every level.
+measures afresh on every dyadic interval at every level;
+`weak_star_distance_cdf_oracle` reads every dyadic point through
+`StepMeasure.cdf`, before the one-sweep CDF.  `markov_table_oracle` builds
+all masses of a draw before it checks their lcm.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,10 +40,13 @@ from hypothesis import strategies as st
 
 import simact.intervals as iv
 import simact.poly as P
+from simact import budget
 from simact.cli import main
 from simact.equivalence import _box_weights, action_to_sim, adapt_table
-from simact.measure import Adaptation, StepMeasure, _line_convolve, weak_star_distance
+from simact.measure import Adaptation, StepMeasure, _grid_cdf, _line_convolve, weak_star_distance
 from simact.sampling import (
+    _solve_stationary,
+    diagonal_table,
     iid_table,
     markov_table,
     random_action,
@@ -52,7 +61,10 @@ from simact.sim import (
     Window,
     _applicable_pairs,
     _graph_test_matrix,
+    _into_b_walk,
+    _joining,
     _smear_weight,
+    _subset_sums,
     average_sims,
     convolve_sim,
     fixed_mass_bound,
@@ -355,6 +367,63 @@ def graph_test_matrix_oracle(matrix, epsilon: Fraction) -> GraphTest:
     return GraphTest(worst < epsilon, worst_b, worst_a, worst)
 
 
+def into_b_int_oracle(nums: list[list[int]], b_mask: int, rows: list[int]) -> tuple[int, list[int]]:
+    """The prelude of both witness searches: the mass of B and the mass each
+    piece sends into B."""
+    cols = [j for j in range(len(rows)) if b_mask >> j & 1]
+    return sum(rows[j] for j in cols), [sum(r[j] for j in cols) for r in nums]
+
+
+def graph_witness_exact_int_oracle(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
+    den = None
+    if rows is None:
+        matrix, den, rows = _joining(matrix)
+    b_total, into_b = into_b_int_oracle(matrix, b_mask, rows)
+    size = 1 << len(rows)
+    a_sum = [0] * size
+    x_sum = a_sum[:]
+    best_a, best = 0, b_total
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        a = a_sum[mask] = a_sum[mask ^ low] + rows[i]
+        x = x_sum[mask] = x_sum[mask ^ low] + into_b[i]
+        d = (a if a > b_total else b_total) - x
+        if d < best:
+            best_a, best = mask, d
+    return best_a, best if den is None else Fraction(best, den)
+
+
+def greedy_graph_witness_int_oracle(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]:
+    den = None
+    if rows is None:
+        matrix, den, rows = _joining(matrix)
+    b_total, into_b = into_b_int_oracle(matrix, b_mask, rows)
+    a_mask = a = x = 0
+    for i, (r, into) in enumerate(zip(rows, into_b)):
+        if r > 0 and 2 * into > r:
+            a_mask |= 1 << i
+            a += r
+            x += into
+    d = max(a, b_total) - x
+    return a_mask, d if den is None else Fraction(d, den)
+
+
+def graph_test_matrix_int_oracle(matrix, epsilon: Fraction) -> GraphTest:
+    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
+    nums, den, rows = _joining(matrix)
+    # d / den >= epsilon exactly when d * epsilon.denominator >= bound
+    scale, bound = epsilon.denominator, epsilon.numerator * den
+    worst_b, worst_a, worst = 0, 0, 0
+    for b_mask in range(1 << len(nums)):
+        a_mask, d = greedy_graph_witness_int_oracle(nums, b_mask, rows=rows)
+        if d * scale >= bound:
+            a_mask, d = graph_witness_exact_int_oracle(nums, b_mask, rows=rows)
+        if d > worst:
+            worst_b, worst_a, worst = b_mask, a_mask, d
+    return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
+
+
 class CylinderTableOracle:
     """Every construction check on Fraction masses; `masses` is a plain dict."""
 
@@ -532,6 +601,43 @@ def weak_star_distance_oracle(mu: StepMeasure, nu: StepMeasure, depth: int) -> F
             worst = max(worst, abs(mu.mass(lo, hi) - nu.mass(lo, hi)))
         total += Fraction(1, cells) * worst
     return total
+
+
+def weak_star_distance_cdf_oracle(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    n = 2**depth
+    # the gap on [a, b) is the change of the cdf difference from a to b
+    diff = [mu.cdf(Fraction(k, n)) - nu.cdf(Fraction(k, n)) for k in range(n + 1)]
+    total = Fraction(0)
+    for level in range(1, depth + 1):
+        stride = n >> level
+        ends = diff[::stride]
+        total += max(abs(b - a) for a, b in zip(ends, ends[1:])) / 2**level
+    return total
+
+
+def markov_table_oracle(
+    rng, p: int, w: int, max_entry: int = 3, max_resolution: int | None = None
+) -> CylinderTable:
+    window = Window(1, w)
+    while True:
+        rows = [[Fraction(rng.randint(1, max_entry)) for _ in range(p)] for _ in range(p)]
+        q_matrix = [[v / sum(row) for v in row] for row in rows]
+        pi = _solve_stationary(q_matrix)
+        # pi at the first time, then one transition per step
+        masses = {
+            key: prod((q_matrix[a][b] for a, b in zip(key, key[1:])), start=pi[key[0]])
+            for key in product(range(p), repeat=w)
+        }
+        if max_resolution is not None:
+            scale = 1
+            for m in masses.values():
+                scale = lcm(scale, m.denominator)
+            if scale > max_resolution:
+                continue
+        cuts = random_partition(rng, p)
+        return CylinderTable(window, cuts, masses)
 
 
 # -- permutations ------------------------------------------------------------------
@@ -926,27 +1032,37 @@ def test_interval_ops_match_oracle(a, b):
 
 
 @st.composite
-def pair_matrices(draw):
+def pair_matrices(draw, max_p: int = 8):
     """A two-time matrix of a graph joining mixed with the iid table of its
     marginal (a graph at lambda = 0, independent at lambda = 1), or of a
-    Markov table, in either time order."""
+    Markov table, in either time order; or a tie-heavy one, the iid table
+    of a uniform marginal or a diagonal table with masses in 0..3."""
     rng = random.Random(draw(st.integers(0, 10**6)))
-    p = draw(st.integers(2, 7))
-    if draw(st.integers(0, 3)):
+    p = draw(st.integers(2, max_p))
+    kind = draw(st.sampled_from(["mixed", "mixed", "mixed", "markov", "uniform iid", "diagonal"]))
+    if kind == "mixed":
         joining = random_graph_joining(rng, p)
         single = marginalize_to(joining, [(0,)])
         iid = iid_table(joining.partition, [single.get((j,), Fraction(0)) for j in range(p)], 2)
         t = average_sims(joining, iid, draw(st.fractions(0, 1, max_denominator=8)))
-    else:
+    elif kind == "markov":
         t = markov_table(rng, p, 2)
+    else:
+        cuts = Partition(tuple(Fraction(j, p) for j in range(p)))
+        if kind == "uniform iid":
+            t = iid_table(cuts, [Fraction(1, p)] * p, 2)
+        else:
+            weights = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p).filter(any))
+            t = diagonal_table(cuts, [Fraction(wt, sum(weights)) for wt in weights], 2)
     order = [(0,), (1,)]
     if draw(st.booleans()):
         order.reverse()
     return pair_matrix(t, *order)
 
 
+# the Fraction oracles are slow at p = 8; the integer oracle covers it
 @settings(max_examples=60, deadline=None)
-@given(pair_matrices(), st.integers(0, 127), st.fractions(0, 1, max_denominator=16).filter(bool))
+@given(pair_matrices(max_p=7), st.integers(0, 127), st.fractions(0, 1, max_denominator=16).filter(bool))
 def test_graph_test_matches_oracle(m, b_pick, epsilon):
     worst = graph_test_matrix_oracle(m, epsilon).diameter
     greedy = greedy_graph_witness_oracle(m, b_pick % (1 << len(m)))[1]
@@ -958,7 +1074,7 @@ def test_graph_test_matches_oracle(m, b_pick, epsilon):
 
 
 @settings(max_examples=30, deadline=None)
-@given(pair_matrices())
+@given(pair_matrices(max_p=7))
 def test_graph_witnesses_match_oracle_for_every_b(m):
     for b_mask in range(1 << len(m)):
         for witness, oracle in (
@@ -968,6 +1084,53 @@ def test_graph_witnesses_match_oracle_for_every_b(m):
             a_mask, d = witness(m, b_mask)
             assert (a_mask, d) == oracle(m, b_mask)
             assert isinstance(d, Fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_matrices(), st.integers(0, 255), st.fractions(0, 1, max_denominator=16).filter(bool))
+def test_graph_test_matches_int_oracle(m, b_pick, epsilon):
+    worst = graph_test_matrix_int_oracle(m, epsilon).diameter
+    greedy = greedy_graph_witness_int_oracle(m, b_pick % (1 << len(m)))[1]
+    # epsilon on an attained diameter is the boundary of `d >= epsilon`
+    for eps in {epsilon, worst, greedy} - {0}:
+        assert _graph_test_matrix(m, eps) == graph_test_matrix_int_oracle(m, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_matrices())
+def test_into_b_walk_matches_into_b_for_every_b(m):
+    nums, _den, rows = _joining(m)
+    walk = list(_into_b_walk(nums))
+    assert len(walk) == 1 << len(m)
+    a_sums = _subset_sums(rows)
+    for b_mask, into_b in enumerate(walk):
+        assert (a_sums[b_mask], into_b) == into_b_int_oracle(nums, b_mask, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_matrices(), st.data())
+def test_public_witnesses_match_int_oracle(m, data):
+    # masks outside 0..2^p - 1 read only their low p bits, as before
+    p = len(m)
+    masks = list(range(1 << p)) + [data.draw(st.integers(-(1 << 10), 1 << 10)) for _ in range(4)]
+    for b_mask in masks:
+        assert greedy_graph_witness(m, b_mask) == greedy_graph_witness_int_oracle(m, b_mask)
+        assert graph_witness_exact(m, b_mask) == graph_witness_exact_int_oracle(m, b_mask)
+
+
+def _subset_sums_low_bit(values: list[int]) -> list[int]:
+    size = 1 << len(values)
+    sums = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**12), max_size=10))
+def test_subset_sums_match_low_bit_recurrence(values):
+    assert _subset_sums(values) == _subset_sums_low_bit(values)
 
 
 # -- measures ------------------------------------------------------------------------
@@ -1011,4 +1174,20 @@ def step_measures(draw, atoms: bool):
 def test_weak_star_distance_matches_oracle(plain, atomic, both_atomic, depth):
     mu = atomic if both_atomic else plain
     for a, b in ((mu, atomic), (plain, mu), (plain, plain)):
-        assert weak_star_distance(a, b, depth) == weak_star_distance_oracle(a, b, depth)
+        want = weak_star_distance_oracle(a, b, depth)
+        assert weak_star_distance(a, b, depth) == want == weak_star_distance_cdf_oracle(a, b, depth)
+    n = 2**depth
+    for a in (plain, atomic):
+        assert _grid_cdf(a, n) == [a.cdf(Fraction(k, n)) for k in range(n + 1)]
+
+
+# -- sampling ------------------------------------------------------------------------
+
+
+def test_markov_table_matches_oracle_and_draws_as_much():
+    for seed in range(200):
+        p, w = 2 + seed % 3, 2 + seed // 3 % 2
+        cap = (None, 5000, 20000)[seed // 6 % 3]
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert markov_table(rng, p, w, max_resolution=cap) == markov_table_oracle(oracle_rng, p, w, max_resolution=cap)
+        assert rng.getstate() == oracle_rng.getstate()
