@@ -32,8 +32,10 @@ __all__ = [
     "action_dist_tail",
     "conjugate",
     "free_defect",
+    "identity_action",
     "wrp_conjugacy_search",
     "WrpResult",
+    "InfeasibleError",
 ]
 
 GroupElement = tuple[int, ...]

@@ -40,6 +40,12 @@ MAX_STEPS = 40
 # takes about 5 s and 340 MiB on one core of a shared 2-vCPU machine.
 MAX_PATTERNS = 1 << 20
 
+# `markov_table` redraws until the lcm of a draw's mass denominators fits its
+# max_resolution: p = 4, w = 3 under 200 took 5539 draws (about 5 s) from
+# Random(0).  The tests and fixtures need at most 144 draws, and 1000 draws at
+# p = 4, w = 3 take about 0.8 s on one core of a shared 2-vCPU machine.
+MAX_DRAWS = 1000
+
 
 def check(size: str, value: int, cap: int) -> int:
     """Return value, or refuse it above cap; `size` ends in its symbol: "depth", "pieces p =". """

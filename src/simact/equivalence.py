@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import budget
@@ -22,7 +23,6 @@ from .sim import (
     CylinderTable,
     Partition,
     Window,
-    marginal,
     marginalize_to,
     pair_matrix,
     relabel,
@@ -100,7 +100,7 @@ def embed_action(
 def _box_weights(h: Adaptation, partition_in: Partition, partition_out: Partition):
     """rows[c]: (j, share of cell c of partition_in covered by h^-1 of piece
     j of partition_out), for each j that covers some of it."""
-    pulled = [(h.inverse_value(lo), h.inverse_value(hi)) for lo, hi in partition_out.pieces()]
+    pulled = [h.preimage_interval(lo, hi) for lo, hi in partition_out.pieces()]
     return [
         [
             (j, overlap / (chi - clo))
@@ -163,16 +163,14 @@ def continuity_bound_check(
     assignment = tuple(assignment)
     if len(assignment) != k:
         raise ValueError("assignment must cover the whole window")
-    marg = marginal(t)
-    for j in range(t.partition.p):
-        lo, hi = t.partition.piece(j)
-        if marg.mass(lo, hi) != hi - lo:
-            raise ValueError("marginal must equal piece lengths for the bound")
+    single = marginalize_to(t, [(0,) * t.window.d])
+    if any(single.get((j,), 0) != hi - lo for j, (lo, hi) in enumerate(t.partition.pieces())):
+        raise ValueError("marginal must equal piece lengths for the bound")
     boxes = []
     mid = Fraction(0)
     for j in assignment:
         lo, hi = t.partition.piece(j)
-        plo, phi = h.inverse_value(lo), h.inverse_value(hi)
+        plo, phi = h.preimage_interval(lo, hi)
         boxes.append(iv.interval(plo, phi))
         mid += iv.length(iv.symdiff(iv.interval(plo, phi), iv.interval(lo, hi)))
     lhs = abs(_eval_boxes(t, boxes) - t.masses.get(assignment, Fraction(0)))
@@ -235,25 +233,20 @@ def _majority_map(matrix, epsilon: Fraction) -> tuple[tuple[int, ...], Fraction]
 def _block_permutation(
     block_sizes: list[int], mapping: tuple[int, ...], n: int
 ) -> IntervalPermutation:
-    """Send block j onto block mapping[j], order preserving; when sizes
-    disagree the overflow cells are paired with the spare slots, both in
-    ascending order."""
-    starts = [0]
-    for size in block_sizes[:-1]:
-        starts.append(starts[-1] + size)
+    """Send block j onto block mapping[j], a permutation, order preserving;
+    when sizes disagree the overflow cells are paired with the spare slots,
+    both in ascending order."""
+    edges = list(accumulate(block_sizes, initial=0))
+    blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
     perm = [-1] * n
-    free = [list(range(starts[j], starts[j] + block_sizes[j])) for j in range(len(block_sizes))]
     leftovers: list[int] = []
-    for j in range(len(block_sizes)):
-        cells = list(range(starts[j], starts[j] + block_sizes[j]))
-        slots = free[mapping[j]]
+    spare: list[int] = []
+    for cells, slots in zip(blocks, (blocks[j] for j in mapping)):
         take = min(len(cells), len(slots))
-        for c, s in zip(cells[:take], slots[:take]):
-            perm[c] = s
-        free[mapping[j]] = slots[take:]
+        perm[cells.start : cells.start + take] = slots[:take]
         leftovers.extend(cells[take:])
-    spare = sorted(s for slots in free for s in slots)
-    for c, s in zip(sorted(leftovers), spare):
+        spare.extend(slots[take:])
+    for c, s in zip(leftovers, sorted(spare)):
         perm[c] = s
     return IntervalPermutation(n, tuple(perm))
 
@@ -304,40 +297,25 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     """
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
-    w, p = t.window.w, t.partition.p
     partition_out = Partition(tuple(_levels(t)[:-1]))
     # one grid cell per 1/den: every mass, and so every level, sits on the grid
     n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
-    if w == 1:
+    if t.window.w == 1:
         return LatticeAction(1, (identity(n),)), partition_out
-    block_size: dict[tuple[int, ...], int] = {}
-    trans: dict[tuple[tuple[int, ...], int], int] = {}
-    for key, num in t.nums.items():
-        u = key[: w - 1]
-        block_size[u] = block_size.get(u, 0) + num
-        trans[(u, key[-1])] = trans.get((u, key[-1]), 0) + num
-    blocks = sorted(block_size)
-    start: dict[tuple[int, ...], int] = {}
-    offset = 0
-    for u in blocks:
-        start[u] = offset
-        offset += block_size[u]
-    assert offset == n
-    # shift consistency makes incoming mass at v equal block_size[v], so the
-    # incoming slots tile v's interval exactly
-    in_offset = {u: start[u] for u in blocks}
+    keys = sorted(t.nums)
+    outs = list(accumulate((t.nums[key] for key in keys), initial=0))
+    assert outs[-1] == n
+    # a block starts at its first key's out-slot; shift consistency makes the
+    # mass coming into v equal v's block size, so incoming slots tile it exactly
+    in_offset: dict[tuple[int, ...], int] = {}
+    for key, out in zip(keys, outs):
+        in_offset.setdefault(key[:-1], out)
     perm = [-1] * n
-    for u in blocks:
-        out = start[u]
-        for s in range(p):
-            width = trans.get((u, s), 0)
-            if width == 0:
-                continue
-            v = u[1:] + (s,)
-            dst = in_offset[v]
-            perm[out : out + width] = range(dst, dst + width)
-            out += width
-            in_offset[v] = dst + width
+    for key, out in zip(keys, outs):
+        width, v = t.nums[key], key[1:]
+        dst = in_offset[v]
+        perm[out : out + width] = range(dst, dst + width)
+        in_offset[v] = dst + width
     gen = IntervalPermutation(n, tuple(perm))
     return LatticeAction(1, (gen,)), partition_out
 
@@ -368,20 +346,10 @@ def factor_defect(
     budget.check("grid resolution n =", lcm(a.n, piece.cells, target.cells), budget.MAX_RESOLUTION)
     n, labels = cylinder_atoms(a, piece, window)
     n2 = lcm(n, target.cells)
-    f = n2 // n
-    span = n2 // target.cells
-    inside: dict[int, int] = {}
-    outside: dict[int, int] = {}
-    for cell in range(n2):
-        lab = labels[cell // f]
-        if target.bits >> (cell // span) & 1:
-            inside[lab] = inside.get(lab, 0) + 1
-        else:
-            outside[lab] = outside.get(lab, 0) + 1
-    total = Fraction(0)
-    for lab in set(inside) | set(outside):
-        total += Fraction(min(inside.get(lab, 0), outside.get(lab, 0)), n2)
-    return total
+    f, span = n2 // n, n2 // target.cells
+    # (atom, inside target) cell counts; each atom misses by its smaller side
+    counts = Counter((labels[cell // f], target.bits >> (cell // span) & 1) for cell in range(n2))
+    return Fraction(sum(min(counts[lab, 0], counts[lab, 1]) for lab in set(labels)), n2)
 
 
 # -- inverse continuity -------------------------------------------------------

@@ -20,6 +20,7 @@ from . import poly as P
 __all__ = [
     "StepMeasure",
     "Adaptation",
+    "identity_adaptation",
     "lebesgue",
     "uniform_on",
     "from_piece_masses",
@@ -156,12 +157,8 @@ def uniform_on(lo, length) -> StepMeasure:
     length = Fraction(length)
     if not 0 < length <= 1:
         raise ValueError("arc length must lie in (0, 1]")
-    arc = iv.wrapped_interval(lo, length)
-    cuts = sorted({Fraction(0)} | {a for a, _b in arc} | {b for _a, b in arc if b < 1})
-    dens = []
-    for i, c in enumerate(cuts):
-        dens.append(1 / length if iv.contains_point(arc, c) else Fraction(0))
-    return StepMeasure(tuple(cuts), tuple(dens)).canonical()
+    lo = Fraction(lo) % 1
+    return _assemble(_fold_to_circle([(lo, lo + length, P.p_const(1 / length))]), ())
 
 
 def from_piece_masses(cuts, masses) -> StepMeasure:
@@ -377,33 +374,17 @@ def quantile_adaptation(nu: StepMeasure) -> Adaptation:
 
 def pushforward(h: Adaptation, mu: StepMeasure) -> StepMeasure:
     """h<mu>: the measure B |-> mu(h^-1(B))."""
-    atoms = tuple((h(x), m) for x, m in mu.atoms)
-    cuts = {Fraction(0)}
-    cuts |= {h(b) for b in mu.breakpoints}
-    cuts |= {y for _z, y in h.knots}
-    xs = sorted(c for c in cuts if c < 1)
-    dens: list[P.Poly] = []
-    for i, lo in enumerate(xs):
-        hi = xs[i + 1] if i + 1 < len(xs) else Fraction(1)
-        mid = (lo + hi) / 2
-        # find the h-segment and the mu-piece covering this span
-        for (z1, y1), (z2, y2) in h._segments():
-            if y1 <= mid <= y2:
-                slope = (y2 - y1) / (z2 - z1)
-                inv0 = z1 - y1 / slope  # h^-1(y) = inv0 + y/slope
-                break
-        x_mid = inv0 + mid / slope
-        d = None
-        for plo, phi, pd in mu._pieces():
-            if plo <= x_mid < phi:
-                d = pd
-                break
-        if d is None:
-            dens.append(P.ZERO)
-            continue
-        # density(y) = mu_density(h^-1(y)) / slope
-        dens.append(P.p_scale(P.p_compose_affine(d, inv0, 1 / slope), 1 / slope))
-    out = StepMeasure(tuple(xs), tuple(dens), atoms).canonical()
+    pieces: DensityPieces = []
+    for (z1, y1), (z2, y2) in h._segments():
+        slope = (y2 - y1) / (z2 - z1)
+        inv0 = z1 - y1 / slope  # h^-1(y) = inv0 + y/slope
+        for lo, hi, d in _density_pieces(mu):
+            a, b = max(lo, z1), min(hi, z2)
+            if a < b:
+                # density(y) = mu_density(h^-1(y)) / slope
+                image = P.p_scale(P.p_compose_affine(d, inv0, 1 / slope), 1 / slope)
+                pieces.append((y1 + (a - z1) * slope, y1 + (b - z1) * slope, image))
+    out = _assemble(pieces, [(h(x), m) for x, m in mu.atoms])
     assert out.total() == 1
     return out
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
+from . import budget
 from .action import LatticeAction
 from .measure import Adaptation, StepMeasure, from_piece_masses
 from .sim import CylinderTable, Partition, Window
@@ -166,17 +167,15 @@ def _solve_stationary(q_matrix) -> list[Fraction]:
     return b
 
 
-def markov_table(
-    rng, p: int, w: int, max_entry: int = 3, max_resolution: int | None = None
-) -> CylinderTable:
+def markov_table(rng, p: int, w: int, max_resolution: int | None = None) -> CylinderTable:
     """Shift-consistent rank-1 table from a stationary Markov chain with
-    positive rational transitions.  With max_resolution set, redraws until
-    the lcm of all mass denominators fits, so downstream constructions stay
-    small; a draw is dropped at the first mass that pushes the running lcm
-    past the cap.  The cuts are drawn only for the accepted draw."""
+    transition weights drawn from 1..3.  With max_resolution set, redraws until
+    the lcm of all mass denominators fits, at most MAX_DRAWS times; a draw is
+    dropped at the first mass that pushes the running lcm past the cap.  The
+    cuts are drawn only for the accepted draw."""
     window = Window(1, w)
-    while True:
-        rows = [[Fraction(rng.randint(1, max_entry)) for _ in range(p)] for _ in range(p)]
+    for _draw in range(budget.MAX_DRAWS):
+        rows = [[Fraction(rng.randint(1, 3)) for _ in range(p)] for _ in range(p)]
         q_matrix = [[v / sum(row) for v in row] for row in rows]
         pi = _solve_stationary(q_matrix)
         masses = {}
@@ -191,6 +190,7 @@ def markov_table(
         else:
             cuts = random_partition(rng, p)
             return CylinderTable(window, cuts, masses)
+    raise ValueError(f"no draw in {budget.MAX_DRAWS} fits max_resolution {max_resolution}; more draws refused")
 
 
 def iid_table(partition: Partition, masses, w: int, d: int = 1) -> CylinderTable:

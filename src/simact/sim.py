@@ -42,6 +42,7 @@ __all__ = [
     "fixed_mass_report",
     "refine_partition",
     "marginalize_window",
+    "marginalize_to",
     "relabel",
 ]
 

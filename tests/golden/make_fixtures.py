@@ -26,69 +26,70 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 F = Fraction
 
 
-def write_json(name: str, obj) -> str:
-    path = os.path.join(HERE, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def gold(name: str) -> str:
+    return os.path.join(HERE, name)
+
+
+# Every CLI fixture as (argv, expected output file).  test_cli.py runs the
+# same list with --out and compares bytes, so its test ids follow this order.
+RUNS = [
+    (["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3"], "expected_dist.csv"),
+    (["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "2", "--cuts", "0,1/2"], "expected_embed.json"),
+    (["realize", gold("markov_table.json")], "expected_realize.json"),
+    (["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3"], "expected_smooth.csv"),
+    (["graph-test", gold("diag_halves_table.json"), "--epsilon", "1/8"], "expected_graph_test.csv"),
+    (["graph-test", gold("markov4_table.json"), "--epsilon", "1/8"], "expected_graph_test_fail.csv"),
+    (
+        ["wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32", "--terms", "6", "--depth", "6"],
+        "expected_wrp_demo.csv",
+    ),
+    (
+        ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3", "--format", "json"],
+        "expected_dist.json",
+    ),
+    (
+        ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2"],
+        "expected_factor_defect.csv",
+    ),
+    (
+        ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2", "--format", "json"],
+        "expected_factor_defect.json",
+    ),
+    (["graph-test", gold("mixed6_table.json"), "--epsilon", "1/8"], "expected_graph_test_mixed.csv"),
+    # passes on greedy witnesses that the exact search would beat, so the
+    # greedy-first order shows in the output
+    (["graph-test", gold("markov4_table.json"), "--epsilon", "1/2"], "expected_graph_test_greedy.csv"),
+]
+
+
+def write_json(name: str, obj) -> None:
+    with open(gold(name), "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def main_fixtures():
-    id4 = write_json("id4_action.json", ser.dump_action(identity_action(1, 4)))
-    swap = write_json("swap_action.json", ser.dump_action(LatticeAction(1, (swap_halves(),))))
-    rot3 = write_json("rot3_action.json", ser.dump_action(LatticeAction(1, (rotation(3, 1),))))
-    shift = write_json(
-        "quarter_shift.json",
-        ser.dump_adaptation(Adaptation(((F(0), F(0)), (F(1, 2), F(1, 4))))),
-    )
-    diag = write_json(
+    write_json("id4_action.json", ser.dump_action(identity_action(1, 4)))
+    write_json("swap_action.json", ser.dump_action(LatticeAction(1, (swap_halves(),))))
+    write_json("rot3_action.json", ser.dump_action(LatticeAction(1, (rotation(3, 1),))))
+    write_json("quarter_shift.json", ser.dump_adaptation(Adaptation(((F(0), F(0)), (F(1, 2), F(1, 4))))))
+    write_json(
         "diag_halves_table.json",
         ser.dump_table(diagonal_table(Partition((F(0), F(1, 2))), [F(1, 2), F(1, 2)], 2)),
     )
-    markov = write_json(
-        "markov_table.json",
-        ser.dump_table(markov_table(trial_rng(42, 0), p=2, w=2, max_resolution=2000)),
-    )
+    write_json("markov_table.json", ser.dump_table(markov_table(trial_rng(42, 0), p=2, w=2, max_resolution=2000)))
     # not a graph joining: a nonzero worst diameter on a B that greedy misses
-    markov4 = write_json(
-        "markov4_table.json",
-        ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)),
-    )
+    write_json("markov4_table.json", ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)))
     # a graph joining at lambda = 1/4 toward the iid table of its marginal:
     # passes, and every worst-B witness comes from the greedy shortcut
     # (here the exact search would pick the same A)
     joining = random_graph_joining(random.Random(0), 6)
     single = marginalize_to(joining, [(0,)])
     iid = iid_table(joining.partition, [single[(j,)] for j in range(6)], 2)
-    mixed6 = write_json("mixed6_table.json", ser.dump_table(average_sims(joining, iid, F(1, 4))))
-    half = write_json("half_dyadic.json", ser.dump_dyadic(DyadicSet(1, 0b01)))
-    middle = write_json("middle_dyadic.json", ser.dump_dyadic(DyadicSet(2, 0b0110)))
-
-    out = lambda name: os.path.join(HERE, name)
-    runs = [
-        ["dist", id4, swap, "--terms", "4", "--depth", "3", "--out", out("expected_dist.csv")],
-        ["dist", id4, swap, "--terms", "4", "--depth", "3", "--format", "json", "--out", out("expected_dist.json")],
-        ["embed", shift, rot3, "--w", "2", "--cuts", "0,1/2", "--out", out("expected_embed.json")],
-        ["realize", markov, "--out", out("expected_realize.json")],
-        ["smooth", diag, "--delta", "1/4", "--steps", "3", "--out", out("expected_smooth.csv")],
-        ["graph-test", diag, "--epsilon", "1/8", "--out", out("expected_graph_test.csv")],
-        ["graph-test", markov4, "--epsilon", "1/8", "--out", out("expected_graph_test_fail.csv")],
-        ["graph-test", mixed6, "--epsilon", "1/8", "--out", out("expected_graph_test_mixed.csv")],
-        # passes on greedy witnesses that the exact search would beat, so
-        # the greedy-first order shows in the output
-        ["graph-test", markov4, "--epsilon", "1/2", "--out", out("expected_graph_test_greedy.csv")],
-        [
-            "wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32",
-            "--terms", "6", "--depth", "6", "--out", out("expected_wrp_demo.csv"),
-        ],
-        ["factor-defect", rot3, "--piece", half, "--target", middle, "--w", "2", "--out", out("expected_factor_defect.csv")],
-        [
-            "factor-defect", rot3, "--piece", half, "--target", middle, "--w", "2", "--format", "json",
-            "--out", out("expected_factor_defect.json"),
-        ],
-    ]
-    for argv in runs:
-        code = main(argv)
+    write_json("mixed6_table.json", ser.dump_table(average_sims(joining, iid, F(1, 4))))
+    write_json("half_dyadic.json", ser.dump_dyadic(DyadicSet(1, 0b01)))
+    write_json("middle_dyadic.json", ser.dump_dyadic(DyadicSet(2, 0b0110)))
+    for argv, expected in RUNS:
+        code = main(argv + ["--out", gold(expected)])
         assert code == 0, f"fixture run failed ({code}): {argv}"
 
 

@@ -11,11 +11,9 @@ import pytest
 from simact import cli
 from simact.cli import build_parser, main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
-
-def gold(name):
-    return os.path.join(GOLDEN, name)
+# the golden commands and fixture paths live with the script that writes them
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+from make_fixtures import RUNS, gold  # noqa: E402
 
 
 def read(path):
@@ -26,35 +24,7 @@ def read(path):
 # -- golden outputs -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv,expected",
-    [
-        (["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3"], "expected_dist.csv"),
-        (["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "2", "--cuts", "0,1/2"], "expected_embed.json"),
-        (["realize", gold("markov_table.json")], "expected_realize.json"),
-        (["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3"], "expected_smooth.csv"),
-        (["graph-test", gold("diag_halves_table.json"), "--epsilon", "1/8"], "expected_graph_test.csv"),
-        (["graph-test", gold("markov4_table.json"), "--epsilon", "1/8"], "expected_graph_test_fail.csv"),
-        (
-            ["wrp-demo", "--seed", "3", "--trials", "3", "--n", "128", "--min-cycle", "32", "--terms", "6", "--depth", "6"],
-            "expected_wrp_demo.csv",
-        ),
-        (
-            ["dist", gold("id4_action.json"), gold("swap_action.json"), "--terms", "4", "--depth", "3", "--format", "json"],
-            "expected_dist.json",
-        ),
-        (
-            ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2"],
-            "expected_factor_defect.csv",
-        ),
-        (
-            ["factor-defect", gold("rot3_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "2", "--format", "json"],
-            "expected_factor_defect.json",
-        ),
-        (["graph-test", gold("mixed6_table.json"), "--epsilon", "1/8"], "expected_graph_test_mixed.csv"),
-        (["graph-test", gold("markov4_table.json"), "--epsilon", "1/2"], "expected_graph_test_greedy.csv"),
-    ],
-)
+@pytest.mark.parametrize("argv,expected", RUNS)
 def test_matches_golden_output(tmp_path, argv, expected):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from simact.action import LatticeAction, identity_action
 from simact.equivalence import (
     GraphWitness,
+    PairWitness,
     action_to_sim,
     adapt_table,
     continuity_bound_check,
@@ -25,7 +26,7 @@ from simact.sampling import (
     trial_rng,
 )
 from simact.sim import CylinderTable, Partition, Window, average_sims, marginal
-from simact.transform import DyadicSet, rotation, swap_halves
+from simact.transform import DyadicSet, IntervalPermutation, rotation, swap_halves
 
 F = Fraction
 
@@ -150,6 +151,17 @@ def test_recover_tolerates_small_contamination():
     assert pw.mapping == tuple(sigma[i] for i in range(4))
     assert 0 < pw.defect <= F(1, 10)
     assert act.d == 1
+
+
+def test_recover_sends_a_block_onto_a_larger_block():
+    # marginal 9/20, 11/20 on a 20-cell grid: block 0 fills the first 9 of
+    # block 1's 11 slots, block 1's first 9 cells fill block 0, and its two
+    # overflow cells take the two spare slots left in block 1
+    t = CylinderTable(Window(1, 2), HALVES, {(0, 0): F(1, 20), (0, 1): F(2, 5), (1, 0): F(2, 5), (1, 1): F(3, 20)})
+    act, witness = recover_action(t, F(1, 3))
+    perm = tuple(range(9, 18)) + tuple(range(9)) + (18, 19)
+    assert act.generators == (IntervalPermutation(20, perm),)
+    assert witness.pairs == (PairWitness((0,), (1,), (1, 0), F(3, 20)),)
 
 
 def test_recover_rejects_non_graphs():

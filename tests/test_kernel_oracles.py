@@ -27,23 +27,50 @@ measures afresh on every dyadic interval at every level;
 `weak_star_distance_cdf_oracle` reads every dyadic point through
 `StepMeasure.cdf`, before the one-sweep CDF.  `markov_table_oracle` builds
 all masses of a draw before it checks their lcm.
+`realize_sim_as_action_oracle`, `block_permutation_oracle` and
+`factor_defect_oracle` are the bridge bodies that kept second layouts of
+what the table keys, the block edges and one `Counter` already give: block
+and transition maps probed piece by piece, a free-slot list per block, and
+separate inside and outside counts.  `pushforward_oracle` and
+`uniform_on_oracle` laid out their pieces by hand before they went through
+`measure._assemble`.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
+from simact.action import LatticeAction
 from simact.cli import main
-from simact.equivalence import _box_weights, action_to_sim, adapt_table
-from simact.measure import Adaptation, StepMeasure, _grid_cdf, _line_convolve, weak_star_distance
+from simact.equivalence import (
+    _block_permutation,
+    _box_weights,
+    _levels,
+    action_to_sim,
+    adapt_table,
+    cylinder_atoms,
+    factor_defect,
+    realize_sim_as_action,
+)
+from simact.measure import (
+    Adaptation,
+    StepMeasure,
+    _grid_cdf,
+    _line_convolve,
+    convolve,
+    pushforward,
+    uniform_on,
+    weak_star_distance,
+)
 from simact.sampling import (
     _solve_stationary,
     diagonal_table,
@@ -78,7 +105,7 @@ from simact.sim import (
     sim_dist,
 )
 from simact.serialize import load_permutation
-from simact.transform import IntervalPermutation, coarse_dist, identity
+from simact.transform import DyadicSet, IntervalPermutation, coarse_dist, identity
 
 # -- oracles -------------------------------------------------------------------
 
@@ -640,6 +667,136 @@ def markov_table_oracle(
         return CylinderTable(window, cuts, masses)
 
 
+def realize_sim_as_action_oracle(t: CylinderTable) -> tuple[LatticeAction, Partition]:
+    if t.window.d != 1:
+        raise ValueError("realization covers rank-1 tables only")
+    w, p = t.window.w, t.partition.p
+    partition_out = Partition(tuple(_levels(t)[:-1]))
+    # one grid cell per 1/den: every mass, and so every level, sits on the grid
+    n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
+    if w == 1:
+        return LatticeAction(1, (identity(n),)), partition_out
+    block_size: dict[tuple[int, ...], int] = {}
+    trans: dict[tuple[tuple[int, ...], int], int] = {}
+    for key, num in t.nums.items():
+        u = key[: w - 1]
+        block_size[u] = block_size.get(u, 0) + num
+        trans[(u, key[-1])] = trans.get((u, key[-1]), 0) + num
+    blocks = sorted(block_size)
+    start: dict[tuple[int, ...], int] = {}
+    offset = 0
+    for u in blocks:
+        start[u] = offset
+        offset += block_size[u]
+    assert offset == n
+    # shift consistency makes incoming mass at v equal block_size[v], so the
+    # incoming slots tile v's interval exactly
+    in_offset = {u: start[u] for u in blocks}
+    perm = [-1] * n
+    for u in blocks:
+        out = start[u]
+        for s in range(p):
+            width = trans.get((u, s), 0)
+            if width == 0:
+                continue
+            v = u[1:] + (s,)
+            dst = in_offset[v]
+            perm[out : out + width] = range(dst, dst + width)
+            out += width
+            in_offset[v] = dst + width
+    gen = IntervalPermutation(n, tuple(perm))
+    return LatticeAction(1, (gen,)), partition_out
+
+
+def block_permutation_oracle(
+    block_sizes: list[int], mapping: tuple[int, ...], n: int
+) -> IntervalPermutation:
+    starts = [0]
+    for size in block_sizes[:-1]:
+        starts.append(starts[-1] + size)
+    perm = [-1] * n
+    free = [list(range(starts[j], starts[j] + block_sizes[j])) for j in range(len(block_sizes))]
+    leftovers: list[int] = []
+    for j in range(len(block_sizes)):
+        cells = list(range(starts[j], starts[j] + block_sizes[j]))
+        slots = free[mapping[j]]
+        take = min(len(cells), len(slots))
+        for c, s in zip(cells[:take], slots[:take]):
+            perm[c] = s
+        free[mapping[j]] = slots[take:]
+        leftovers.extend(cells[take:])
+    spare = sorted(s for slots in free for s in slots)
+    for c, s in zip(sorted(leftovers), spare):
+        perm[c] = s
+    return IntervalPermutation(n, tuple(perm))
+
+
+def factor_defect_oracle(
+    a: LatticeAction, piece: DyadicSet, target: DyadicSet, window: Window
+) -> Fraction:
+    budget.check("grid resolution n =", lcm(a.n, piece.cells, target.cells), budget.MAX_RESOLUTION)
+    n, labels = cylinder_atoms(a, piece, window)
+    n2 = lcm(n, target.cells)
+    f = n2 // n
+    span = n2 // target.cells
+    inside: dict[int, int] = {}
+    outside: dict[int, int] = {}
+    for cell in range(n2):
+        lab = labels[cell // f]
+        if target.bits >> (cell // span) & 1:
+            inside[lab] = inside.get(lab, 0) + 1
+        else:
+            outside[lab] = outside.get(lab, 0) + 1
+    total = Fraction(0)
+    for lab in set(inside) | set(outside):
+        total += Fraction(min(inside.get(lab, 0), outside.get(lab, 0)), n2)
+    return total
+
+
+def uniform_on_oracle(lo, length) -> StepMeasure:
+    length = Fraction(length)
+    if not 0 < length <= 1:
+        raise ValueError("arc length must lie in (0, 1]")
+    arc = iv.wrapped_interval(lo, length)
+    cuts = sorted({Fraction(0)} | {a for a, _b in arc} | {b for _a, b in arc if b < 1})
+    dens = []
+    for i, c in enumerate(cuts):
+        dens.append(1 / length if iv.contains_point(arc, c) else Fraction(0))
+    return StepMeasure(tuple(cuts), tuple(dens)).canonical()
+
+
+def pushforward_oracle(h: Adaptation, mu: StepMeasure) -> StepMeasure:
+    atoms = tuple((h(x), m) for x, m in mu.atoms)
+    cuts = {Fraction(0)}
+    cuts |= {h(b) for b in mu.breakpoints}
+    cuts |= {y for _z, y in h.knots}
+    xs = sorted(c for c in cuts if c < 1)
+    dens: list[P.Poly] = []
+    for i, lo in enumerate(xs):
+        hi = xs[i + 1] if i + 1 < len(xs) else Fraction(1)
+        mid = (lo + hi) / 2
+        # find the h-segment and the mu-piece covering this span
+        for (z1, y1), (z2, y2) in h._segments():
+            if y1 <= mid <= y2:
+                slope = (y2 - y1) / (z2 - z1)
+                inv0 = z1 - y1 / slope  # h^-1(y) = inv0 + y/slope
+                break
+        x_mid = inv0 + mid / slope
+        d = None
+        for plo, phi, pd in mu._pieces():
+            if plo <= x_mid < phi:
+                d = pd
+                break
+        if d is None:
+            dens.append(P.ZERO)
+            continue
+        # density(y) = mu_density(h^-1(y)) / slope
+        dens.append(P.p_scale(P.p_compose_affine(d, inv0, 1 / slope), 1 / slope))
+    out = StepMeasure(tuple(xs), tuple(dens), atoms).canonical()
+    assert out.total() == 1
+    return out
+
+
 # -- permutations ------------------------------------------------------------------
 
 # mixed resolutions, most of them not powers of two
@@ -1133,6 +1290,58 @@ def test_subset_sums_match_low_bit_recurrence(values):
     assert _subset_sums(values) == _subset_sums_low_bit(values)
 
 
+# -- bridges between actions and tables ----------------------------------------------
+
+
+@st.composite
+def realizable_tables(draw):
+    """Markov tables, and graph joinings mixed with the iid table of their
+    marginal (weight 0 is the joining, weight 1 the iid table)."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        # a grid of at most 2^16 cells keeps the oracle's walk short
+        return markov_table(rng, draw(st.integers(2, 4)), draw(st.integers(1, 4)), max_resolution=1 << 16)
+    joining = random_graph_joining(rng, draw(st.integers(2, 6)))
+    single = marginalize_to(joining, [(0,)])
+    iid = iid_table(joining.partition, [single[(j,)] for j in range(joining.partition.p)], 2)
+    weight = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    return average_sims(joining, iid, weight)
+
+
+@settings(max_examples=80, deadline=None)
+@given(realizable_tables())
+def test_realize_matches_oracle(t):
+    assert realize_sim_as_action(t) == realize_sim_as_action_oracle(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=7), st.data())
+def test_block_permutation_matches_oracle(sizes, data):
+    mapping = tuple(data.draw(st.permutations(range(len(sizes)))))
+    n = sum(sizes)
+    assert _block_permutation(sizes, mapping, n) == block_permutation_oracle(sizes, mapping, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([3, 5, 6, 7, 9, 10, 12]),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(0, 5),
+)
+def test_factor_defect_matches_oracle(seed, n, d, w, piece_level, target_level):
+    # resolutions that are not powers of two, and targets both coarser and
+    # finer than the piece
+    rng = random.Random(seed)
+    action = random_action(rng, d, n)
+    piece = DyadicSet(piece_level, rng.getrandbits(1 << piece_level))
+    target = DyadicSet(target_level, rng.getrandbits(1 << target_level))
+    window = Window(d, w)
+    assert factor_defect(action, piece, target, window) == factor_defect_oracle(action, piece, target, window)
+
+
 # -- measures ------------------------------------------------------------------------
 
 
@@ -1181,6 +1390,35 @@ def test_weak_star_distance_matches_oracle(plain, atomic, both_atomic, depth):
         assert _grid_cdf(a, n) == [a.cdf(Fraction(k, n)) for k in range(n + 1)]
 
 
+def _parts(mu: StepMeasure):
+    return mu.breakpoints, mu.densities, mu.atoms
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    step_measures(atoms=True),
+    step_measures(atoms=True),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 8), Fraction(1, 33)]),
+)
+def test_pushforward_matches_oracle(mu, other, smooth, seed, delta):
+    if smooth:
+        # degree-1 pieces, and atoms where both inputs have them
+        mu = convolve(other, mu)
+    h = random_adaptation(random.Random(seed), delta)
+    assert _parts(pushforward(h, mu)) == _parts(pushforward_oracle(h, mu))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 10**6), st.integers(1, 24), st.integers(1, 24))
+@example(q=3, k=4, r=1, j=1)  # the whole circle
+def test_uniform_on_matches_oracle(q, k, r, j):
+    lo = Fraction(k % (5 * q), q) - 2  # in [-2, 3)
+    length = Fraction(min(j, r), r)  # in (0, 1]
+    assert _parts(uniform_on(lo, length)) == _parts(uniform_on_oracle(lo, length))
+
+
 # -- sampling ------------------------------------------------------------------------
 
 
@@ -1191,3 +1429,10 @@ def test_markov_table_matches_oracle_and_draws_as_much():
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         assert markov_table(rng, p, w, max_resolution=cap) == markov_table_oracle(oracle_rng, p, w, max_resolution=cap)
         assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_markov_table_refuses_past_the_draw_cap():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"no draw in {budget.MAX_DRAWS} fits max_resolution 200"):
+        markov_table(random.Random(0), 4, 3, max_resolution=200)
+    assert time.perf_counter() - start < 2
