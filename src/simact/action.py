@@ -190,18 +190,16 @@ def _matched_tower_map(
         raise ValueError(f"no full column of height {height} fits either map")
     base_t, base_r = base_t[:keep], base_r[:keep]
     phi = [-1] * n
-    used_src, used_dst = set(), set()
     src_level, dst_level = list(base_t), list(base_r)
     for _ in range(height):
         for s, d in zip(src_level, dst_level):
             phi[s] = d
-        used_src.update(src_level)
-        used_dst.update(dst_level)
         src_level = [t.perm[c] for c in src_level]
         dst_level = [r.perm[c] for c in dst_level]
-    rest_src = sorted(set(range(n)) - used_src)
-    rest_dst = sorted(set(range(n)) - used_dst)
-    for s, d in zip(rest_src, rest_dst):
+    # the free cells are those phi leaves unset, the free targets those it misses
+    taken = set(phi)
+    rest_dst = [c for c in range(n) if c not in taken]
+    for s, d in zip([c for c in range(n) if phi[c] < 0], rest_dst):
         phi[s] = d
     return IntervalPermutation(n, tuple(phi))
 

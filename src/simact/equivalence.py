@@ -52,8 +52,8 @@ def _piece_of_cell(partition: Partition, n: int) -> list[int]:
 
 
 def _itineraries(
-    a: LatticeAction, window: Window, label: list[int]
-) -> tuple[int, list[tuple[int, ...]]]:
+    a: LatticeAction, window: Window, label: list[int] | str
+) -> tuple[int, list[tuple]]:
     """Each grid cell's labels at the window times.
 
     label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  The
@@ -330,8 +330,8 @@ def cylinder_atoms(
     complement}.  Returns (resolution, atom label per cell); equal labels
     mean same atom.  A resolution above MAX_RESOLUTION is refused up front."""
     budget.check("grid resolution n =", lcm(a.n, piece.cells), budget.MAX_RESOLUTION)
-    n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
-    atoms: dict[tuple[int, ...], int] = {}
+    n, signatures = _itineraries(a, window, piece.mask())
+    atoms: dict[tuple[str, ...], int] = {}
     return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
 
 
@@ -347,9 +347,10 @@ def factor_defect(
     n, labels = cylinder_atoms(a, piece, window)
     n2 = lcm(n, target.cells)
     f, span = n2 // n, n2 // target.cells
+    inside = target.mask()
     # (atom, inside target) cell counts; each atom misses by its smaller side
-    counts = Counter((labels[cell // f], target.bits >> (cell // span) & 1) for cell in range(n2))
-    return Fraction(sum(min(counts[lab, 0], counts[lab, 1]) for lab in set(labels)), n2)
+    counts = Counter((labels[cell // f], inside[cell // span]) for cell in range(n2))
+    return Fraction(sum(min(counts[lab, "0"], counts[lab, "1"]) for lab in set(labels)), n2)
 
 
 # -- inverse continuity -------------------------------------------------------

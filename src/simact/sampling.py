@@ -43,27 +43,21 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 # -- permutations and actions --------------------------------------------------
 
 
-def random_cycle_lengths(rng, n: int, min_len: int = 1, granularity: int = 1) -> list[int]:
-    """Random composition of n, every part >= min_len and divisible by
-    granularity.  With granularity = min_len a power of two, every
-    power-of-two tower height up to min_len stacks the parts without
-    leftover."""
-    if granularity < 1 or n % granularity:
+def random_cycle_lengths(rng, n: int, unit: int) -> list[int]:
+    """Random composition of n into multiples of unit.  With unit a power
+    of two, every power-of-two tower height up to unit stacks the parts
+    without leftover."""
+    if unit < 1 or n % unit:
         raise ValueError("n must be divisible by the part granularity")
-    units = n // granularity
-    floor_units = max(1, -(-min_len // granularity))
-    if units < floor_units:
-        raise ValueError(f"n = {n} cannot hold a part of length >= {min_len}")
+    if n < unit:
+        raise ValueError(f"n = {n} cannot hold a part of length >= {unit}")
     parts = []
-    left = units
-    while left:
-        if left < 2 * floor_units:
-            parts.append(left)
-            break
-        take = rng.randint(floor_units, left - floor_units)
-        parts.append(take)
+    left = n // unit
+    while left > 1:
+        take = rng.randint(1, left - 1)
+        parts.append(take * unit)
         left -= take
-    return [p * granularity for p in parts]
+    return parts + [unit]
 
 
 def permutation_from_cycle_lengths(rng, n: int, lengths) -> IntervalPermutation:
@@ -85,7 +79,7 @@ def permutation_from_cycle_lengths(rng, n: int, lengths) -> IntervalPermutation:
 
 def aperiodic_permutation(rng, n: int, min_cycle: int) -> IntervalPermutation:
     """All cycle lengths are multiples of min_cycle, hence >= min_cycle."""
-    lengths = random_cycle_lengths(rng, n, min_cycle, min_cycle)
+    lengths = random_cycle_lengths(rng, n, min_cycle)
     return permutation_from_cycle_lengths(rng, n, lengths)
 
 

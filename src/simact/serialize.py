@@ -127,16 +127,11 @@ def load_dyadic(obj) -> DyadicSet:
     # the mask's length bounds the level before 2^level is computed
     if level > len(mask).bit_length() or len(mask) != 2**level or any(c not in "01" for c in mask):
         raise ValueError(f"dyadic set: mask must be 2^{level} characters of 0/1")
-    bits = 0
-    for i, c in enumerate(mask):
-        if c == "1":
-            bits |= 1 << i
-    return DyadicSet(level, bits)
+    return DyadicSet.from_mask(mask)
 
 
 def dump_dyadic(s: DyadicSet) -> dict:
-    mask = "".join("1" if s.bits >> i & 1 else "0" for i in range(s.cells))
-    return {"level": s.level, "mask": mask}
+    return {"level": s.level, "mask": s.mask()}
 
 
 # -- actions ------------------------------------------------------------------

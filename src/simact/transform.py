@@ -164,7 +164,7 @@ def compose(t: IntervalPermutation, r: IntervalPermutation) -> IntervalPermutati
 class DyadicSet:
     """A union of level-`level` dyadic cells, stored as a bitmask.
 
-    Bit i marks the cell [i/2^level, (i+1)/2^level).
+    Bit i, and a "1" at character i of mask(), marks [i/2^level, (i+1)/2^level).
     """
 
     level: int
@@ -195,18 +195,25 @@ class DyadicSet:
     def empty(cls, level: int) -> "DyadicSet":
         return cls(level, 0)
 
+    @classmethod
+    def from_mask(cls, mask: str) -> "DyadicSet":
+        """Inverse of mask(), for a mask of 2^level characters of 0/1."""
+        level = len(mask).bit_length() - 1
+        if level < 0 or len(mask) != 1 << level or mask.strip("01"):
+            raise ValueError("mask must be 2^level characters of 0/1")
+        return cls(level, int(mask[::-1], 2))
+
+    def mask(self) -> str:
+        return format(self.bits, f"0{self.cells}b")[::-1]
+
     def indices(self) -> list[int]:
-        return [i for i in range(self.cells) if self.bits >> i & 1]
+        return [i for i, c in enumerate(self.mask()) if c == "1"]
 
     def refine(self, level2: int) -> "DyadicSet":
         if level2 < self.level:
             raise ValueError("cannot coarsen a dyadic set")
         f = 1 << (level2 - self.level)
-        block = (1 << f) - 1
-        bits = 0
-        for i in self.indices():
-            bits |= block << (i * f)
-        return DyadicSet(level2, bits)
+        return DyadicSet.from_mask("".join(c * f for c in self.mask()))
 
     def mass(self) -> Fraction:
         return Fraction(self.bits.bit_count(), self.cells)
@@ -246,12 +253,8 @@ def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
     """T^-1(S) as a dyadic set; needs the resolution to be a power of two."""
     level = max(_dyadic_level(t.n, "no dyadic refinement"), s.level)
     tt = t.refine(1 << level)
-    ss = s.refine(level)
-    bits = 0
-    for i in range(tt.n):
-        if ss.bits >> tt.perm[i] & 1:
-            bits |= 1 << i
-    return DyadicSet(level, bits)
+    inside = s.refine(level).mask()
+    return DyadicSet.from_mask("".join(inside[j] for j in tt.perm))
 
 
 # -- distances ---------------------------------------------------------------

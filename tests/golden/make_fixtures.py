@@ -59,6 +59,14 @@ RUNS = [
     # passes on greedy witnesses that the exact search would beat, so the
     # greedy-first order shows in the output
     (["graph-test", gold("markov4_table.json"), "--epsilon", "1/2"], "expected_graph_test_greedy.csv"),
+    (["graph-test", gold("markov4_table.json"), "--epsilon", "1/8", "--format", "json"], "expected_graph_test_fail.json"),
+    (["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "3", "--format", "json"], "expected_smooth.json"),
+    # 48-cycles: the height ladder ends on a height that is not a power of
+    # two, and the towers leave cells over that are matched in order
+    (
+        ["wrp-demo", "--seed", "1", "--trials", "2", "--n", "96", "--min-cycle", "48", "--terms", "6", "--depth", "5"],
+        "expected_wrp_demo_tail.csv",
+    ),
 ]
 
 

@@ -34,8 +34,17 @@ and transition maps probed piece by piece, a free-slot list per block, and
 separate inside and outside counts.  `pushforward_oracle` and
 `uniform_on_oracle` laid out their pieces by hand before they went through
 `measure._assemble`.
+`load_dyadic_oracle`, `dump_dyadic_oracle`, `indices_oracle`,
+`dyadic_refine_oracle`, `preimage_oracle` and `cylinder_atoms_oracle` read
+and write a dyadic set one bit at a time, before `DyadicSet.mask` and
+`DyadicSet.from_mask` took over its cell layout; each touch of the whole
+2^level-bit int makes them quadratic.  `matched_tower_map_oracle` matches
+the tower leftovers through sets of used cells, and
+`random_cycle_lengths_oracle` takes a minimum length and a granularity
+where one unit now serves.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -49,11 +58,12 @@ from hypothesis import strategies as st
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
-from simact.action import LatticeAction
+from simact.action import LatticeAction, _matched_tower_map
 from simact.cli import main
 from simact.equivalence import (
     _block_permutation,
     _box_weights,
+    _itineraries,
     _levels,
     action_to_sim,
     adapt_table,
@@ -78,6 +88,7 @@ from simact.sampling import (
     markov_table,
     random_action,
     random_adaptation,
+    random_cycle_lengths,
     random_graph_joining,
     random_partition,
 )
@@ -104,8 +115,16 @@ from simact.sim import (
     relabel,
     sim_dist,
 )
-from simact.serialize import load_permutation
-from simact.transform import DyadicSet, IntervalPermutation, coarse_dist, identity
+from simact.serialize import _need, dump_dyadic, load_dyadic, load_permutation
+from simact.transform import (
+    DyadicSet,
+    IntervalPermutation,
+    _dyadic_level,
+    coarse_dist,
+    identity,
+    preimage,
+    tower_base_indices,
+)
 
 # -- oracles -------------------------------------------------------------------
 
@@ -753,6 +772,105 @@ def factor_defect_oracle(
     return total
 
 
+def load_dyadic_oracle(obj) -> DyadicSet:
+    level = _need(obj, "level", int, "dyadic set")
+    mask = _need(obj, "mask", str, "dyadic set")
+    if level < 0:
+        raise ValueError("dyadic set: level must be >= 0")
+    # the mask's length bounds the level before 2^level is computed
+    if level > len(mask).bit_length() or len(mask) != 2**level or any(c not in "01" for c in mask):
+        raise ValueError(f"dyadic set: mask must be 2^{level} characters of 0/1")
+    bits = 0
+    for i, c in enumerate(mask):
+        if c == "1":
+            bits |= 1 << i
+    return DyadicSet(level, bits)
+
+
+def dump_dyadic_oracle(s: DyadicSet) -> dict:
+    mask = "".join("1" if s.bits >> i & 1 else "0" for i in range(s.cells))
+    return {"level": s.level, "mask": mask}
+
+
+def indices_oracle(s: DyadicSet) -> list[int]:
+    return [i for i in range(s.cells) if s.bits >> i & 1]
+
+
+def dyadic_refine_oracle(s: DyadicSet, level2: int) -> DyadicSet:
+    if level2 < s.level:
+        raise ValueError("cannot coarsen a dyadic set")
+    f = 1 << (level2 - s.level)
+    block = (1 << f) - 1
+    bits = 0
+    for i in indices_oracle(s):
+        bits |= block << (i * f)
+    return DyadicSet(level2, bits)
+
+
+def preimage_oracle(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
+    level = max(_dyadic_level(t.n, "no dyadic refinement"), s.level)
+    tt = t.refine(1 << level)
+    ss = dyadic_refine_oracle(s, level)
+    bits = 0
+    for i in range(tt.n):
+        if ss.bits >> tt.perm[i] & 1:
+            bits |= 1 << i
+    return DyadicSet(level, bits)
+
+
+def cylinder_atoms_oracle(a: LatticeAction, piece: DyadicSet, window: Window) -> tuple[int, list[int]]:
+    budget.check("grid resolution n =", lcm(a.n, piece.cells), budget.MAX_RESOLUTION)
+    n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
+    atoms: dict[tuple[int, ...], int] = {}
+    return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
+
+
+def matched_tower_map_oracle(
+    t: IntervalPermutation, r: IntervalPermutation, height: int
+) -> IntervalPermutation:
+    n = t.n
+    base_t = tower_base_indices(t, height)
+    base_r = tower_base_indices(r, height)
+    keep = min(len(base_t), len(base_r))
+    if keep == 0:
+        raise ValueError(f"no full column of height {height} fits either map")
+    base_t, base_r = base_t[:keep], base_r[:keep]
+    phi = [-1] * n
+    used_src, used_dst = set(), set()
+    src_level, dst_level = list(base_t), list(base_r)
+    for _ in range(height):
+        for s, d in zip(src_level, dst_level):
+            phi[s] = d
+        used_src.update(src_level)
+        used_dst.update(dst_level)
+        src_level = [t.perm[c] for c in src_level]
+        dst_level = [r.perm[c] for c in dst_level]
+    rest_src = sorted(set(range(n)) - used_src)
+    rest_dst = sorted(set(range(n)) - used_dst)
+    for s, d in zip(rest_src, rest_dst):
+        phi[s] = d
+    return IntervalPermutation(n, tuple(phi))
+
+
+def random_cycle_lengths_oracle(rng, n: int, min_len: int = 1, granularity: int = 1) -> list[int]:
+    if granularity < 1 or n % granularity:
+        raise ValueError("n must be divisible by the part granularity")
+    units = n // granularity
+    floor_units = max(1, -(-min_len // granularity))
+    if units < floor_units:
+        raise ValueError(f"n = {n} cannot hold a part of length >= {min_len}")
+    parts = []
+    left = units
+    while left:
+        if left < 2 * floor_units:
+            parts.append(left)
+            break
+        take = rng.randint(floor_units, left - floor_units)
+        parts.append(take)
+        left -= take
+    return [p * granularity for p in parts]
+
+
 def uniform_on_oracle(lo, length) -> StepMeasure:
     length = Fraction(length)
     if not 0 < length <= 1:
@@ -1099,6 +1217,14 @@ def _error(build) -> str | None:
     return None
 
 
+def _outcome(build):
+    """What build returns, or the text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
 def _construction_errors(window: Window, partition: Partition, masses) -> tuple:
     """The error text of the constructor on Fraction masses, on integer
     numerators over their lcm, and of the oracle."""
@@ -1339,7 +1465,97 @@ def test_factor_defect_matches_oracle(seed, n, d, w, piece_level, target_level):
     piece = DyadicSet(piece_level, rng.getrandbits(1 << piece_level))
     target = DyadicSet(target_level, rng.getrandbits(1 << target_level))
     window = Window(d, w)
+    assert cylinder_atoms(action, piece, window) == cylinder_atoms_oracle(action, piece, window)
     assert factor_defect(action, piece, target, window) == factor_defect_oracle(action, piece, target, window)
+
+
+# -- dyadic sets and towers ------------------------------------------------------------
+
+
+@st.composite
+def dyadic_sets(draw, max_level: int = 8):
+    level = draw(st.integers(0, max_level))
+    return DyadicSet(level, draw(st.integers(0, (1 << (1 << level)) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_sets())
+def test_dyadic_mask_round_trips_match_oracle(s):
+    obj = dump_dyadic(s)
+    assert obj == dump_dyadic_oracle(s)
+    assert load_dyadic(obj) == load_dyadic_oracle(obj) == s
+    assert DyadicSet.from_mask(s.mask()) == s
+    assert s.indices() == indices_oracle(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 4), st.text(alphabet="01x", max_size=20))
+def test_load_dyadic_raises_the_oracle_error(level, mask):
+    obj = {"level": level, "mask": mask}
+    assert _error(lambda: load_dyadic(obj)) == _error(lambda: load_dyadic_oracle(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_sets())
+def test_dyadic_refine_matches_oracle_at_every_higher_level(s):
+    for level2 in range(s.level, 9):
+        assert s.refine(level2) == dyadic_refine_oracle(s, level2)
+    assert _error(lambda: s.refine(s.level - 1)) == _error(lambda: dyadic_refine_oracle(s, s.level - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), dyadic_sets(), st.data())
+def test_preimage_matches_oracle(k, s, data):
+    t = IntervalPermutation(1 << k, tuple(data.draw(st.permutations(range(1 << k)))))
+    assert preimage(t, s) == preimage_oracle(t, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 10**6))
+def test_matched_tower_map_matches_oracle(n, height, seed):
+    rng = random.Random(seed)
+    t, r = (IntervalPermutation(n, tuple(rng.sample(range(n), n))) for _ in range(2))
+    assert _outcome(lambda: _matched_tower_map(t, r, height)) == _outcome(lambda: matched_tower_map_oracle(t, r, height))
+
+
+@pytest.mark.parametrize("unit", [-2, 0, *range(1, 33)])
+def test_random_cycle_lengths_draws_as_the_oracle(unit):
+    for seed in range(20):
+        n = unit * (1 + seed % 7)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        new = _outcome(lambda: random_cycle_lengths(rng, n, unit))
+        assert new == _outcome(lambda: random_cycle_lengths_oracle(oracle_rng, n, unit, unit))
+        assert rng.getstate() == oracle_rng.getstate()
+    for n in (-unit, 0, unit - 1, unit + 1):
+        new = _outcome(lambda: random_cycle_lengths(random.Random(0), n, unit))
+        assert new == _outcome(lambda: random_cycle_lengths_oracle(random.Random(0), n, unit, unit))
+
+
+# level-20 sets are inside MAX_RESOLUTION; a per-bit loop over their 2^20-bit
+# int is quadratic and takes tens of seconds there
+
+
+def test_level_20_dyadic_round_trip_is_fast():
+    s = DyadicSet(20, random.Random(0).getrandbits(1 << 20))
+    start = time.perf_counter()
+    back = load_dyadic(dump_dyadic(s))
+    assert time.perf_counter() - start < 2
+    assert back == s
+
+
+def test_factor_defect_on_a_level_20_target_is_fast(tmp_path):
+    files = {
+        "action.json": {"d": 1, "n": 2, "generators": [[1, 0]]},
+        "piece.json": {"level": 1, "mask": "10"},
+        "target.json": {"level": 20, "mask": format(random.Random(0).getrandbits(1 << 20), f"0{1 << 20}b")},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    argv = ["factor-defect", str(tmp_path / "action.json"), "--piece", str(tmp_path / "piece.json")]
+    start = time.perf_counter()
+    code = main(argv + ["--target", str(tmp_path / "target.json"), "--w", "2"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
 
 
 # -- measures ------------------------------------------------------------------------

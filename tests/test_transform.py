@@ -95,6 +95,16 @@ def test_dyadic_set_algebra():
     assert b.refine(3).indices() == [4, 5, 6, 7]
 
 
+def test_mask_reads_cell_i_at_character_i():
+    s = DyadicSet.from_indices(2, [0, 3])
+    assert s.mask() == "1001"
+    assert DyadicSet.from_mask("1101") == DyadicSet.from_indices(2, [0, 1, 3])
+    assert DyadicSet.from_mask("0") == DyadicSet.empty(0)
+    for bad in ["", "011", "0x", "1_01", " 01"]:
+        with pytest.raises(ValueError, match="mask must be 2\\^level characters of 0/1"):
+            DyadicSet.from_mask(bad)
+
+
 def test_preimage_needs_power_of_two():
     with pytest.raises(ValueError):
         preimage(shuffled(6, 0), DyadicSet.full(1))
