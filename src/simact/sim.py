@@ -452,6 +452,13 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     The subset sums of the row masses are built once per matrix; in a
     joining the column sums equal the row sums, so they are also the
     masses of the sets B.
+
+    A greedy miss (diameter >= epsilon) falls back to the exact search only
+    when it could raise the worst: the greedy A is one of the unions the
+    exact search ranges over, so the exact diameter is at most the greedy
+    one, and a B whose greedy diameter is at most the running worst cannot
+    replace it.  A B that can still raise it is compared by its exact
+    diameter, so a failing verdict reports the exact diameter of its B.
     """
     budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
     nums, den, rows = _joining(matrix)
@@ -462,7 +469,7 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     for b_mask, into_b in enumerate(_into_b_walk(nums)):
         prelude = (rows, a_sums, into_b, a_sums[b_mask])
         a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
-        if d * scale >= bound:
+        if d > worst and d * scale >= bound:
             a_mask, d = graph_witness_exact(nums, b_mask, rows=prelude)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
@@ -473,9 +480,10 @@ def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:
     """Exact two-time graph test: for every union B of pieces some union A
     must make {mass(A x Y), mass(A x B), mass(Y x B)} have diameter < epsilon.
 
-    Greedy witnesses are tried first; any miss falls back to exhaustive
-    enumeration, so the verdict is exact.  The reported worst B carries its
-    exact best diameter whenever the verdict is false.
+    Greedy witnesses are tried first; any miss that could raise the worst
+    diameter so far falls back to exhaustive enumeration, so the verdict is
+    exact.  The reported worst B carries its exact best diameter whenever
+    the verdict is false.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:

@@ -182,10 +182,14 @@ class DyadicSet:
 
     @classmethod
     def from_indices(cls, level: int, indices) -> "DyadicSet":
-        bits = 0
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        mask = bytearray(b"0") * (1 << level)
         for i in indices:
-            bits |= 1 << i
-        return cls(level, bits)
+            if not 0 <= i < len(mask):
+                raise ValueError("bitmask out of range for level")
+            mask[i] = ord("1")
+        return cls.from_mask(mask.decode())
 
     @classmethod
     def full(cls, level: int) -> "DyadicSet":

@@ -67,12 +67,24 @@ RUNS = [
         ["wrp-demo", "--seed", "1", "--trials", "2", "--n", "96", "--min-cycle", "48", "--terms", "6", "--depth", "5"],
         "expected_wrp_demo_tail.csv",
     ),
+    # fails on a B the greedy shortcut misses; most greedy misses cannot
+    # raise the worst diameter and skip the exact search
+    (["graph-test", gold("mixed7_table.json"), "--epsilon", "1/8"], "expected_graph_test_mixed7.csv"),
 ]
 
 
 def write_json(name: str, obj) -> None:
     with open(gold(name), "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def mixed_joining(p: int, lam: Fraction):
+    """A random graph joining on p pieces, mixed at weight lam toward the iid
+    table of its marginal."""
+    joining = random_graph_joining(random.Random(0), p)
+    single = marginalize_to(joining, [(0,)])
+    iid = iid_table(joining.partition, [single[(j,)] for j in range(p)], 2)
+    return average_sims(joining, iid, lam)
 
 
 def main_fixtures():
@@ -90,10 +102,9 @@ def main_fixtures():
     # a graph joining at lambda = 1/4 toward the iid table of its marginal:
     # passes, and every worst-B witness comes from the greedy shortcut
     # (here the exact search would pick the same A)
-    joining = random_graph_joining(random.Random(0), 6)
-    single = marginalize_to(joining, [(0,)])
-    iid = iid_table(joining.partition, [single[(j,)] for j in range(6)], 2)
-    write_json("mixed6_table.json", ser.dump_table(average_sims(joining, iid, F(1, 4))))
+    write_json("mixed6_table.json", ser.dump_table(mixed_joining(6, F(1, 4))))
+    # the same at p = 7 and lambda = 3/4: greedy misses on most B
+    write_json("mixed7_table.json", ser.dump_table(mixed_joining(7, F(3, 4))))
     write_json("half_dyadic.json", ser.dump_dyadic(DyadicSet(1, 0b01)))
     write_json("middle_dyadic.json", ser.dump_dyadic(DyadicSet(2, 0b0110)))
     for argv, expected in RUNS:

@@ -10,7 +10,9 @@ interval-set operation that the endpoint sweep replaced.
 `Fraction` arithmetic, before it moved to integer numerators;
 `graph_test_matrix_int_oracle`, its witnesses and `into_b_int_oracle` are
 the integer graph test before the work that does not depend on B moved to
-one prelude per matrix.
+one prelude per matrix, and `graph_test_matrix_every_miss_oracle` is the
+graph test with one prelude per matrix before it skipped the exact search
+on a greedy miss that cannot raise the worst diameter.
 `CylinderTableOracle`, `relabel_oracle`, `marginalize_to_oracle`,
 `fixed_mass_bound_oracle` and `average_sims_oracle` are the table code with
 `Fraction` masses, before tables moved to integer numerators over one
@@ -41,15 +43,19 @@ and write a dyadic set one bit at a time, before `DyadicSet.mask` and
 2^level-bit int makes them quadratic.  `matched_tower_map_oracle` matches
 the tower leftovers through sets of used cells, and
 `random_cycle_lengths_oracle` takes a minimum length and a granularity
-where one unit now serves.
+where one unit now serves.  `from_indices_oracle` builds a dyadic set with
+one shift per index, which is quadratic for the same reason.
 """
 
 import json
+import os
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -108,6 +114,7 @@ from simact.sim import (
     fixed_mass_bound,
     graph_witness_exact,
     greedy_graph_witness,
+    is_graph_sim,
     marginalize_to,
     marginalize_window,
     pair_matrix,
@@ -115,7 +122,7 @@ from simact.sim import (
     relabel,
     sim_dist,
 )
-from simact.serialize import _need, dump_dyadic, load_dyadic, load_permutation
+from simact.serialize import _need, dump_dyadic, load_dyadic, load_permutation, load_table, read_json_file
 from simact.transform import (
     DyadicSet,
     IntervalPermutation,
@@ -123,6 +130,7 @@ from simact.transform import (
     coarse_dist,
     identity,
     preimage,
+    rohlin_tower,
     tower_base_indices,
 )
 
@@ -465,6 +473,31 @@ def graph_test_matrix_int_oracle(matrix, epsilon: Fraction) -> GraphTest:
         a_mask, d = greedy_graph_witness_int_oracle(nums, b_mask, rows=rows)
         if d * scale >= bound:
             a_mask, d = graph_witness_exact_int_oracle(nums, b_mask, rows=rows)
+        if d > worst:
+            worst_b, worst_a, worst = b_mask, a_mask, d
+    return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
+
+
+def graph_test_matrix_every_miss_oracle(matrix, epsilon: Fraction) -> GraphTest:
+    """Worst B over all 2^p unions, on integer numerators over the lcm of
+    the entry denominators; each diameter is compared with epsilon by
+    cross-multiplication and divided once at the end.
+
+    The subset sums of the row masses are built once per matrix; in a
+    joining the column sums equal the row sums, so they are also the
+    masses of the sets B.
+    """
+    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
+    nums, den, rows = _joining(matrix)
+    a_sums = _subset_sums(rows)
+    # d / den >= epsilon exactly when d * epsilon.denominator >= bound
+    scale, bound = epsilon.denominator, epsilon.numerator * den
+    worst_b, worst_a, worst = 0, 0, 0
+    for b_mask, into_b in enumerate(_into_b_walk(nums)):
+        prelude = (rows, a_sums, into_b, a_sums[b_mask])
+        a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
+        if d * scale >= bound:
+            a_mask, d = graph_witness_exact(nums, b_mask, rows=prelude)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
@@ -850,6 +883,13 @@ def matched_tower_map_oracle(
     for s, d in zip(rest_src, rest_dst):
         phi[s] = d
     return IntervalPermutation(n, tuple(phi))
+
+
+def from_indices_oracle(level: int, indices) -> DyadicSet:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return DyadicSet(level, bits)
 
 
 def random_cycle_lengths_oracle(rng, n: int, min_len: int = 1, granularity: int = 1) -> list[int]:
@@ -1401,6 +1441,75 @@ def test_public_witnesses_match_int_oracle(m, data):
         assert graph_witness_exact(m, b_mask) == graph_witness_exact_int_oracle(m, b_mask)
 
 
+@contextmanager
+def exact_searches():
+    """Record (B, diameter numerator) for every `graph_witness_exact` call
+    made by `simact.sim` or by the oracles in this module while it is open."""
+    exact, calls = graph_witness_exact, []
+
+    def counted(matrix, b_mask, rows=None):
+        a_mask, d = exact(matrix, b_mask, rows=rows)
+        calls.append((b_mask, d))
+        return a_mask, d
+
+    with patch("simact.sim.graph_witness_exact", counted), patch.dict(globals(), graph_witness_exact=counted):
+        yield calls
+
+
+def _greedy_diameters(m) -> list[Fraction]:
+    return [greedy_graph_witness(m, b_mask)[1] for b_mask in range(1 << len(m))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_matrices())
+def test_graph_test_matches_every_miss_oracle_at_each_greedy_diameter(m):
+    # every greedy diameter is a threshold of `d >= epsilon` and of the bound
+    # `d > worst`; all diameters are multiples of 1/den, so d + 1/(2 den)
+    # lies strictly between d and the next attainable value
+    den = _joining(m)[1]
+    for d in set(_greedy_diameters(m)) - {0}:
+        for eps in (d, d + Fraction(1, 2 * den)):
+            assert _graph_test_matrix(m, eps) == graph_test_matrix_every_miss_oracle(m, eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_matrices(), st.fractions(0, 1, max_denominator=16).filter(bool), st.booleans())
+def test_exact_search_runs_only_where_it_can_raise_the_worst(m, epsilon, on_a_diameter):
+    greedy = _greedy_diameters(m)
+    if on_a_diameter and any(greedy):
+        epsilon = max(greedy)
+    den = _joining(m)[1]
+    with exact_searches() as calls:
+        res = _graph_test_matrix(m, epsilon)
+    with exact_searches() as oracle_calls:
+        assert res == graph_test_matrix_every_miss_oracle(m, epsilon)
+    assert set(calls) <= set(oracle_calls)
+    assert len(calls) <= len(oracle_calls)
+    # replay the loop: B gets the exact search exactly when its greedy
+    # diameter is a miss and above the worst so far
+    exact = dict(calls)
+    assert len(exact) == len(calls)
+    worst = Fraction(0)
+    for b_mask, d in enumerate(greedy):
+        assert (b_mask in exact) == (d >= epsilon and d > worst)
+        worst = max(worst, Fraction(exact.get(b_mask, d * den), den))
+    assert worst == res.diameter
+
+
+def test_exact_search_count_on_a_pruned_mixed_table():
+    # p = 7 at lambda = 3/4: most greedy misses lie at or below the worst
+    # diameter found so far
+    t = load_table(read_json_file(os.path.join(os.path.dirname(__file__), "golden", "mixed7_table.json")))
+    eps = Fraction(1, 8)
+    with exact_searches() as calls:
+        ok, results = is_graph_sim(t, eps)
+    with exact_searches() as oracle_calls:
+        oracle = [graph_test_matrix_every_miss_oracle(pair_matrix(t, a, b), eps) for a, b, _res in results]
+    assert (len(calls), len(oracle_calls)) == (92, 244)
+    assert not ok and [res for _a, _b, res in results] == oracle
+    assert [(r.worst_b, r.best_a, r.diameter) for r in oracle] == [(15, 46, Fraction(99, 529)), (15, 23, Fraction(99, 529))]
+
+
 def _subset_sums_low_bit(values: list[int]) -> list[int]:
     size = 1 << len(values)
     sums = [0] * size
@@ -1495,6 +1604,26 @@ def test_load_dyadic_raises_the_oracle_error(level, mask):
     assert _error(lambda: load_dyadic(obj)) == _error(lambda: load_dyadic_oracle(obj))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 6), st.data())
+def test_from_indices_matches_oracle(level, data):
+    cells = 1 << max(level, 0)
+    indices = data.draw(st.lists(st.integers(-2, cells + 1), max_size=2 * cells + 2))
+    new = _outcome(lambda: DyadicSet.from_indices(level, indices))
+    old = _outcome(lambda: from_indices_oracle(level, indices))
+    if min(indices, default=0) < 0:
+        # the oracle's shift refuses a negative index with its own text
+        assert isinstance(new, str) and isinstance(old, str)
+    else:
+        assert new == old
+
+
+def test_from_indices_refuses_a_negative_index_instead_of_wrapping():
+    with pytest.raises(ValueError, match="bitmask out of range for level"):
+        DyadicSet.from_indices(2, [0, -1])
+    assert DyadicSet.from_indices(2, iter([3, 0, 3])) == DyadicSet(2, 0b1001)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dyadic_sets())
 def test_dyadic_refine_matches_oracle_at_every_higher_level(s):
@@ -1541,6 +1670,15 @@ def test_level_20_dyadic_round_trip_is_fast():
     back = load_dyadic(dump_dyadic(s))
     assert time.perf_counter() - start < 2
     assert back == s
+
+
+def test_rohlin_tower_on_2_20_cells_is_fast():
+    n = 1 << 20
+    t = IntervalPermutation(n, tuple(range(1, n)) + (0,))
+    start = time.perf_counter()
+    base = rohlin_tower(t, 2, 0)
+    assert time.perf_counter() - start < 2.5
+    assert base.level == 20 and base.bits.bit_count() == n // 2
 
 
 def test_factor_defect_on_a_level_20_target_is_fast(tmp_path):
