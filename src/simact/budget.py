@@ -15,6 +15,12 @@ MAX_DEPTH = 12
 # The graph test enumerates the 2^p unions of pieces for each of 2^p unions.
 MAX_PIECES = 16
 
+# The graph test builds one pair matrix and tests it for each of the k(k-1)
+# ordered pairs of the k = w^d window times.  At p = 1 and rank 8 with w = 2
+# (65,280 pairs) `graph-test` took 4.6 to 11 s in six runs on a shared 2-vCPU
+# machine, and each more rank multiplies that by about 8.
+MAX_WINDOW_PAIRS = 1 << 16
+
 # The j-th lattice element of an action distance weighs 2^-j, so the terms
 # past 64 move it by at most 2^-64, far below the 12 decimals a distance
 # prints; each term still costs two evaluations and one coarse distance on
@@ -47,11 +53,16 @@ MAX_PATTERNS = 1 << 20
 MAX_DRAWS = 1000
 
 
+class BudgetError(ValueError):
+    """A size above its cap.  The CLI exits 4 on it, also where it is raised
+    while an input file is read."""
+
+
 def check(size: str, value: int, cap: int) -> int:
     """Return value, or refuse it above cap; `size` ends in its symbol: "depth", "pieces p =". """
     if value > cap:
         symbol = size.removesuffix(" =").rsplit(" ", 1)[-1]
         # a size read off a file can have more digits than CPython will print
         shown = value if value.bit_length() <= 64 else f"2^{value.bit_length() - 1} or more"
-        raise ValueError(f"{size} {shown} is above the cap of {cap}; {symbol} > {cap} refused")
+        raise BudgetError(f"{size} {shown} is above the cap of {cap}; {symbol} > {cap} refused")
     return value

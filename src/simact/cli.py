@@ -39,6 +39,7 @@ from .sampling import aperiodic_permutation, trial_rng
 from .sim import (
     Partition,
     Window,
+    check_patterns,
     convolve_sim,
     fixed_mass_report,
     is_graph_sim,
@@ -60,6 +61,8 @@ class CliError(Exception):
 def _load(path: str, loader, what: str):
     try:
         return loader(ser.read_json_file(path))
+    except budget.BudgetError:
+        raise
     except (OSError, ValueError) as e:
         raise CliError(2, f"cannot read {what} from {path}: {e}") from e
 
@@ -200,6 +203,8 @@ def cmd_smooth(args) -> int:
         raise CliError(4, f"delta must lie in (0, 1), got {delta}")
     _positive_arg(args.steps, "--steps")
     budget.check("steps", args.steps, budget.MAX_STEPS)
+    # the first rung would refuse them too, but only after the shifts below are listed
+    check_patterns(t.partition.p, t.window.size())
     ladder = [Fraction(0)] + [delta / 2 ** (args.steps - 1 - i) for i in range(args.steps)]
     # the positive differences of two window times, in ascending order
     d, w = t.window.d, t.window.w

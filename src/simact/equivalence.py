@@ -24,6 +24,7 @@ from .sim import (
     Partition,
     Window,
     marginalize_to,
+    overlap_rows,
     pair_matrix,
     relabel,
 )
@@ -100,15 +101,7 @@ def embed_action(
 def _box_weights(h: Adaptation, partition_in: Partition, partition_out: Partition):
     """rows[c]: (j, share of cell c of partition_in covered by h^-1 of piece
     j of partition_out), for each j that covers some of it."""
-    pulled = [h.preimage_interval(lo, hi) for lo, hi in partition_out.pieces()]
-    return [
-        [
-            (j, overlap / (chi - clo))
-            for j, (plo, phi) in enumerate(pulled)
-            if (overlap := min(phi, chi) - max(plo, clo)) > 0
-        ]
-        for clo, chi in partition_in.pieces()
-    ]
+    return overlap_rows(partition_in.pieces(), [h.preimage_interval(lo, hi) for lo, hi in partition_out.pieces()])
 
 
 def adapt_table(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import budget
 from .action import LatticeAction
 from .equivalence import GraphWitness
 from .measure import Adaptation, StepMeasure
@@ -181,6 +182,8 @@ def load_table(obj) -> CylinderTable:
     if w > 1 and d > longest.bit_length():
         raise ValueError(f"table: a window of {w}^{d} times is longer than every key")
     k = window.size()
+    # Window.elements() lists d * w^d coordinates, and nothing above bounds d when w = 1
+    budget.check("window coordinates d*w^d =", d * k, budget.MAX_RESOLUTION)
     masses = {}
     for key, value in raw.items():
         parts = key.split(",")

@@ -10,6 +10,7 @@ mass spreads uniformly inside each cell box, coordinate by coordinate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,8 @@ __all__ = [
     "marginalize_window",
     "marginalize_to",
     "relabel",
+    "overlap_rows",
+    "check_patterns",
 ]
 
 
@@ -81,10 +84,7 @@ class Partition:
         x = Fraction(x)
         if not 0 <= x < 1:
             raise ValueError(f"point {x} outside [0, 1)")
-        j = 0
-        while j + 1 < self.p and self.cuts[j + 1] <= x:
-            j += 1
-        return j
+        return bisect_right(self.cuts, x) - 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ class CylinderTable:
         if den is None:
             den = lcm(*(value.denominator for _key, value in entries))
             entries = [(key, value.numerator * (den // value.denominator)) for key, value in entries]
-        nums: dict[tuple[int, ...], int] = {}
-        for key, num in entries:
-            nums[key] = nums.get(key, 0) + num
+        nums = dict(entries)
         total = sum(nums.values())
         if total != den:
             raise ValueError(f"total mass {Fraction(total, den)} != 1")
@@ -223,12 +221,11 @@ def marginalize_to(t: CylinderTable, subset) -> dict[tuple[int, ...], Fraction]:
 
 def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
     """Mass of the cylinder fixing the given window times to pieces."""
-    fixed_at = list(zip(_positions(t.window, assignment), assignment.values()))
+    idx = _positions(t.window, assignment)
     for piece in assignment.values():
         if not 0 <= piece < t.partition.p:
             raise ValueError(f"piece index {piece} out of range")
-    total = sum(num for key, num in t.nums.items() if all(key[i] == v for i, v in fixed_at))
-    return Fraction(total, t.den)
+    return Fraction(_marginal_nums(t.nums, idx).get(tuple(assignment.values()), 0), t.den)
 
 
 def marginal(t: CylinderTable) -> StepMeasure:
@@ -281,16 +278,19 @@ def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
     return CylinderTable(t.window, partition, current, den=t.den * scale**k)
 
 
+def overlap_rows(cells, targets) -> list[list[tuple[int, Fraction]]]:
+    """Rows for `relabel`: (j, share of cells[c] that targets[j] covers) for each j covering some of it."""
+    return [
+        [(j, cover / (hi - lo)) for j, (a, b) in enumerate(targets) if (cover := min(b, hi) - max(a, lo)) > 0]
+        for lo, hi in cells
+    ]
+
+
 def refine_partition(t: CylinderTable, new_cuts) -> CylinderTable:
     """Re-express over a finer partition, splitting cell masses by length
     (the cell-uniform convention makes this exact)."""
     fine = Partition(tuple(sorted(set(t.partition.cuts) | {Fraction(c) for c in new_cuts})))
-    kids = list(enumerate(fine.pieces()))
-    rows = [
-        [(jj, (fhi - flo) / (hi - lo)) for jj, (flo, fhi) in kids if lo <= flo and fhi <= hi]
-        for lo, hi in t.partition.pieces()
-    ]
-    return relabel(t, rows, fine)
+    return relabel(t, overlap_rows(t.partition.pieces(), fine.pieces()), fine)
 
 
 def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
@@ -302,6 +302,12 @@ def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
     sub = Window(t.window.d, w2)
     nums = _marginal_nums(t.nums, _positions(t.window, sub.elements()))
     return CylinderTable(sub, t.partition, nums, den=t.den)
+
+
+def check_patterns(p: int, k: int) -> None:
+    """Refuse the (p+1)^k cylinder patterns of p pieces on k window times
+    above budget.MAX_PATTERNS."""
+    budget.check("cylinder patterns (p+1)^(w^d) =", (p + 1) ** k, budget.MAX_PATTERNS)
 
 
 def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
@@ -321,8 +327,7 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     if t1.window.d != t2.window.d:
         raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
     w = min(t1.window.w, t2.window.w)
-    p = len(set(t1.partition.cuts) | set(t2.partition.cuts))
-    budget.check("cylinder patterns (p+1)^(w^d) =", (p + 1) ** (w ** t1.window.d), budget.MAX_PATTERNS)
+    check_patterns(len(set(t1.partition.cuts) | set(t2.partition.cuts)), w ** t1.window.d)
     t1, t2 = marginalize_window(t1, w), marginalize_window(t2, w)
     if t1.partition != t2.partition:
         t1 = refine_partition(t1, t2.partition.cuts)
@@ -460,7 +465,6 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     replace it.  A B that can still raise it is compared by its exact
     diameter, so a failing verdict reports the exact diameter of its B.
     """
-    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
     nums, den, rows = _joining(matrix)
     a_sums = _subset_sums(rows)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
@@ -476,6 +480,25 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
 
 
+def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
+    """(alpha, beta, GraphTest) for each ordered pair of distinct window times,
+    lazily; every argument and size is checked before the first pair matrix."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    k = t.window.size()
+    if two_times and k != 2:
+        raise ValueError("graph joining test needs a two-time window")
+    if k > 1:
+        budget.check("pieces p =", t.partition.p, budget.MAX_PIECES)
+        budget.check("window pairs k(k-1) =", k * (k - 1), budget.MAX_WINDOW_PAIRS)
+    elems = t.window.elements()
+    for alpha in elems:
+        for beta in elems:
+            if alpha != beta:
+                yield alpha, beta, _graph_test_matrix(pair_matrix(t, alpha, beta), epsilon)
+
+
 def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:
     """Exact two-time graph test: for every union B of pieces some union A
     must make {mass(A x Y), mass(A x B), mass(Y x B)} have diameter < epsilon.
@@ -485,31 +508,13 @@ def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:
     exact.  The reported worst B carries its exact best diameter whenever
     the verdict is false.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    if t.window.size() != 2:
-        raise ValueError("graph joining test needs a two-time window")
-    e0, e1 = t.window.elements()
-    return _graph_test_matrix(pair_matrix(t, e0, e1), epsilon)
+    return next(_graph_tests(t, epsilon, two_times=True))[2]
 
 
 def is_graph_sim(t: CylinderTable, epsilon) -> tuple[bool, list]:
     """Run the graph test on every ordered pair of distinct window times."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    elems = t.window.elements()
-    results = []
-    ok = True
-    for alpha in elems:
-        for beta in elems:
-            if alpha == beta:
-                continue
-            res = _graph_test_matrix(pair_matrix(t, alpha, beta), epsilon)
-            results.append((alpha, beta, res))
-            ok = ok and res.ok
-    return ok, results
+    results = list(_graph_tests(t, epsilon))
+    return all(res.ok for _alpha, _beta, res in results), results
 
 
 # -- smoothing ---------------------------------------------------------------
@@ -549,7 +554,7 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
         return t
     if not 0 < delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    budget.check("cylinder patterns (p+1)^(w^d) =", (t.partition.p + 1) ** t.window.size(), budget.MAX_PATTERNS)
+    check_patterns(t.partition.p, t.window.size())
     pieces = t.partition.pieces()
     rows = [
         [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]

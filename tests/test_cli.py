@@ -291,6 +291,11 @@ def diagonal_table(w, q):
     return {"d": 1, "w": w, "cuts": ["0", "1/2"], "masses": {",".join("0" * w): f"1/{q}", ",".join("1" * w): f"{q - 1}/{q}"}}
 
 
+def one_piece_table(d, w):
+    """The one-piece table of rank d and width w: its one key lists w^d zeros."""
+    return {"d": d, "w": w, "cuts": ["0"], "masses": {",".join("0" * w**d): "1"}}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -315,6 +320,12 @@ def diagonal_table(w, q):
         "wrp_demo_work",
         # 1000 rungs, each a full blur and table distance
         "smooth_steps",
+        # a 59-byte table whose window lists 2^21 times of one coordinate each
+        "table_rank",
+        # 2^8192 patterns: refused before the 3^13 shifts of the header are listed
+        "smooth_shifts",
+        # 512 * 511 pair matrices, each tested
+        "graph_test_pairs",
     ],
 )
 def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
@@ -363,6 +374,18 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
         "smooth_steps": (
             ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "1000"],
             "steps 1000", 40,
+        ),
+        "table_rank": (
+            ["graph-test", write(tmp_path / "rank2m.json", one_piece_table(2**21, 1)), "--epsilon", "1/8"],
+            "d*w^d = 2097152", 2**20,
+        ),
+        "smooth_shifts": (
+            ["smooth", write(tmp_path / "rank13.json", one_piece_table(13, 2)), "--delta", "1/4", "--steps", "1"],
+            "(p+1)^(w^d) = 2^8192 or more", 2**20,
+        ),
+        "graph_test_pairs": (
+            ["graph-test", write(tmp_path / "rank9.json", one_piece_table(9, 2)), "--epsilon", "1/8"],
+            "k(k-1) = 261632", 2**16,
         ),
     }[case]
     out = tmp_path / "out"

@@ -14,7 +14,7 @@ import os
 import tempfile
 from datetime import timedelta
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS
@@ -49,6 +49,9 @@ OVERSIZED = [
     {"level": 10, "mask": "0" * 512 + "1" * 512},
     {"d": 2**64, "w": 2, "cuts": ["0"], "masses": {"0,0": "1"}},
     {"level": 2**64, "mask": "01"},
+    {"d": 2**21, "w": 1, "cuts": ["0"], "masses": {"0": "1"}},  # 2^21 window coordinates
+    {"d": 13, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**13): "1"}},  # 3^13 smooth shifts
+    {"d": 9, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**9): "1"}},  # graph-test window pairs
 ]
 
 json_leaf = st.one_of(
@@ -141,6 +144,10 @@ def run(argv):
 
 @settings(max_examples=200, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(file_texts, min_size=3, max_size=3), argvs)
+# the last three oversized tables, each on the command that would build it out
+@example([json.dumps(OVERSIZED[-3])] * 3, (["graph-test"], [0], ["--epsilon", "1/8"]))
+@example([json.dumps(OVERSIZED[-2])] * 3, (["smooth"], [0], ["--delta", "1/4"], ["--steps", "1"]))
+@example([json.dumps(OVERSIZED[-1])] * 3, (["graph-test"], [0], ["--epsilon", "1/8"]))
 def test_every_command_line_keeps_the_exit_code_contract(texts, parts):
     name, slots, *flags = parts
     with tempfile.TemporaryDirectory() as tmp:

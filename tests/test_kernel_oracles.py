@@ -45,6 +45,11 @@ the tower leftovers through sets of used cells, and
 `random_cycle_lengths_oracle` takes a minimum length and a granularity
 where one unit now serves.  `from_indices_oracle` builds a dyadic set with
 one shift per index, which is quadratic for the same reason.
+`piece_of_point_oracle` walks the cuts one by one, `cylinder_mass_oracle`
+scans every key against the fixed labels instead of reading one marginal,
+and `is_graph_joining_oracle` and `is_graph_sim_oracle` are the two
+graph-test entries before they shared one body, with the piece cap checked
+on each pair matrix after it was built.
 """
 
 import json
@@ -105,15 +110,18 @@ from simact.sim import (
     Window,
     _applicable_pairs,
     _graph_test_matrix,
+    _positions,
     _into_b_walk,
     _joining,
     _smear_weight,
     _subset_sums,
     average_sims,
     convolve_sim,
+    cylinder_mass,
     fixed_mass_bound,
     graph_witness_exact,
     greedy_graph_witness,
+    is_graph_joining,
     is_graph_sim,
     marginalize_to,
     marginalize_window,
@@ -501,6 +509,57 @@ def graph_test_matrix_every_miss_oracle(matrix, epsilon: Fraction) -> GraphTest:
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
+
+
+def graph_test_matrix_capped_oracle(matrix, epsilon: Fraction) -> GraphTest:
+    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
+    return _graph_test_matrix(matrix, epsilon)
+
+
+def is_graph_joining_oracle(t: CylinderTable, epsilon) -> GraphTest:
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    if t.window.size() != 2:
+        raise ValueError("graph joining test needs a two-time window")
+    e0, e1 = t.window.elements()
+    return graph_test_matrix_capped_oracle(pair_matrix(t, e0, e1), epsilon)
+
+
+def is_graph_sim_oracle(t: CylinderTable, epsilon) -> tuple[bool, list]:
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    elems = t.window.elements()
+    results = []
+    ok = True
+    for alpha in elems:
+        for beta in elems:
+            if alpha == beta:
+                continue
+            res = graph_test_matrix_capped_oracle(pair_matrix(t, alpha, beta), epsilon)
+            results.append((alpha, beta, res))
+            ok = ok and res.ok
+    return ok, results
+
+
+def piece_of_point_oracle(partition: Partition, x) -> int:
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise ValueError(f"point {x} outside [0, 1)")
+    j = 0
+    while j + 1 < partition.p and partition.cuts[j + 1] <= x:
+        j += 1
+    return j
+
+
+def cylinder_mass_oracle(t: CylinderTable, assignment: dict) -> Fraction:
+    fixed_at = list(zip(_positions(t.window, assignment), assignment.values()))
+    for piece in assignment.values():
+        if not 0 <= piece < t.partition.p:
+            raise ValueError(f"piece index {piece} out of range")
+    total = sum(num for key, num in t.nums.items() if all(key[i] == v for i, v in fixed_at))
+    return Fraction(total, t.den)
 
 
 class CylinderTableOracle:
@@ -1331,6 +1390,27 @@ def test_shift_failure_along_one_axis_raises_the_oracle_error(case):
 # -- interval-set operations ------------------------------------------------------
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(grid_points, max_size=5), st.data())
+def test_piece_of_point_matches_oracle(cuts, data):
+    partition = Partition(tuple(sorted(set(cuts) | {Fraction(0)})))
+    x = data.draw(st.one_of(st.sampled_from(partition.cuts), grid_points, st.fractions(-1, 2, max_denominator=12)))
+    assert _outcome(lambda: partition.piece_of_point(x)) == _outcome(lambda: piece_of_point_oracle(partition, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_cylinder_mass_matches_oracle(t, data):
+    p, elems = t.partition.p, t.window.elements()
+    # now and then a time outside the window or a piece one past either end
+    times = st.sampled_from(elems * 4 + [(t.window.w,) * t.window.d])
+    pieces = st.sampled_from(list(range(p)) * 4 + [-1, p])
+    assignment = data.draw(st.dictionaries(times, pieces, max_size=len(elems)))
+    mass = _outcome(lambda: cylinder_mass(t, assignment))
+    assert mass == _outcome(lambda: cylinder_mass_oracle(t, assignment))
+    assert cylinder_mass(t, {}) == 1
+
+
 @st.composite
 def canonical_sets(draw):
     # endpoints on a coarse grid, so pieces of two draws often touch or
@@ -1508,6 +1588,29 @@ def test_exact_search_count_on_a_pruned_mixed_table():
     assert (len(calls), len(oracle_calls)) == (92, 244)
     assert not ok and [res for _a, _b, res in results] == oracle
     assert [(r.worst_b, r.best_a, r.diameter) for r in oracle] == [(15, 46, Fraction(99, 529)), (15, 23, Fraction(99, 529))]
+
+
+@st.composite
+def graph_test_tables(draw):
+    """Tables of one to nine window times, or a diagonal table on 17 pieces,
+    one above the cap."""
+    if draw(st.booleans()):
+        return draw(tables())
+    seventeen = Partition(tuple(Fraction(j, 17) for j in range(17)))
+    return diagonal_table(seventeen, [Fraction(1, 17)] * 17, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_test_tables(), st.sampled_from(["1/8", "1/3", "0", "-1/4", "x", Fraction(1, 64), 1]))
+def test_graph_test_entries_match_oracle(t, epsilon):
+    expected = _outcome(lambda: is_graph_sim_oracle(t, epsilon))
+    assert _outcome(lambda: is_graph_sim(t, epsilon)) == expected
+    assert _outcome(lambda: is_graph_joining(t, epsilon)) == _outcome(lambda: is_graph_joining_oracle(t, epsilon))
+    if isinstance(expected, tuple):
+        # an attained diameter is the boundary of a pair's verdict
+        for eps in {res.diameter for _a, _b, res in expected[1]} - {0}:
+            assert is_graph_sim(t, eps) == is_graph_sim_oracle(t, eps)
+            assert _outcome(lambda: is_graph_joining(t, eps)) == _outcome(lambda: is_graph_joining_oracle(t, eps))
 
 
 def _subset_sums_low_bit(values: list[int]) -> list[int]:

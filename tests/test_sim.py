@@ -245,12 +245,29 @@ def test_is_graph_joining_refuses_p17_before_enumerating(monkeypatch):
     def enumerate_unions(*_args):
         raise AssertionError("witness search started")
 
+    def build_pair_matrix(*_args):
+        raise AssertionError("pair matrix built")
+
     monkeypatch.setattr(sim, "greedy_graph_witness", enumerate_unions)
     monkeypatch.setattr(sim, "graph_witness_exact", enumerate_unions)
+    monkeypatch.setattr(sim, "pair_matrix", build_pair_matrix)
     seventeen = Partition(tuple(F(i, 17) for i in range(17)))
-    t = diagonal_table(seventeen, [F(1, 17)] * 17, 2)
-    with pytest.raises(ValueError, match="p > 16 refused"):
-        is_graph_joining(t, F(1, 2))
+    for w in (2, 3):
+        t = diagonal_table(seventeen, [F(1, 17)] * 17, w)
+        # is_graph_joining takes two-time windows only
+        for graph_test in [is_graph_sim] + [is_graph_joining] * (w == 2):
+            with pytest.raises(ValueError, match="pieces p = 17 is above the cap of 16; p > 16 refused"):
+                graph_test(t, F(1, 2))
+
+
+def test_is_graph_sim_refuses_window_pairs_above_cap_before_any_pair_matrix(monkeypatch):
+    def build_pair_matrix(*_args):
+        raise AssertionError("pair matrix built")
+
+    monkeypatch.setattr(sim, "pair_matrix", build_pair_matrix)
+    t = diagonal_table(Partition((F(0),)), [F(1)], 2, d=9)
+    with pytest.raises(ValueError, match=r"window pairs k\(k-1\) = 261632 is above the cap of 65536"):
+        is_graph_sim(t, F(1, 2))
 
 
 def test_table_kernels_refuse_patterns_above_cap_before_any_pass(monkeypatch):
