@@ -101,9 +101,15 @@ def group_enumeration(d: int, count: int) -> list[GroupElement]:
     return out
 
 
-def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> Fraction:
+def action_dist(
+    a: LatticeAction, b: LatticeAction, terms: int, depth: int, *, bound: Fraction | None = None
+) -> Fraction:
     """Sum over the first `terms` lattice elements of 2^-j times the coarse
-    distance of the two time-gamma_j maps.  Tail bound: action_dist_tail(terms)."""
+    distance of the two time-gamma_j maps.  Tail bound: action_dist_tail(terms).
+
+    With `bound` given, the partial sum is returned as soon as it is strictly
+    above it: the result is the distance when that is <= bound, and
+    otherwise some value above bound and at most the distance."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     action_dist_grid(a.n, b.n, terms, depth)
@@ -113,6 +119,8 @@ def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> F
         c = coarse_dist(ta, tb, depth)
         if c:
             total += c / 2**j
+            if bound is not None and total > bound:
+                break
     return total
 
 
@@ -124,8 +132,9 @@ def action_dist_grid(n_a: int, n_b: int, terms: int, depth: int) -> int:
         raise ValueError("terms must be >= 1")
     budget.check("terms", terms, budget.MAX_TERMS)
     n = coarse_grid(lcm(n_a, n_b), depth)
-    # each term refines both maps to the grid and walks it once per level
-    budget.check("work terms*n*depth =", terms * n * depth, budget.MAX_WORK)
+    # each term pays O(n) to build and refine its two maps, then walks the grid once per level
+    work = terms * n * (depth + budget.TERM_LEVELS)
+    budget.check(f"work terms*n*(depth+{budget.TERM_LEVELS}) =", work, budget.MAX_WORK)
     return n
 
 
@@ -210,11 +219,13 @@ def wrp_conjugacy_search(
     """Search for phi with action_dist(phi a phi^-1, b) < epsilon (rank 1).
 
     Candidate tower heights start at the smallest h with 2^(2-h) < epsilon/2
-    and double up to the shorter minimum cycle length; the whole ladder is
-    tried and the best verified distance wins, so exactly conjugate pairs
-    come back with distance 0.  The returned distance is recomputed from
-    scratch, so the certificate never depends on the construction being
-    right.
+    and double up to the shorter minimum cycle length.  Every height of the
+    ladder is built and measured, tallest first, and the least distance wins,
+    ties going to the smaller height, so exactly conjugate pairs come back
+    with distance 0.  A height stops summing its distance once the partial
+    sum is above the best complete one, since it can no longer win.  The
+    returned distance is computed from scratch, so the certificate never
+    depends on the construction being right.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -240,13 +251,12 @@ def wrp_conjugacy_search(
     if heights[-1] != min_cycle:
         heights.append(min_cycle)
     best: WrpResult | None = None
-    for height in heights:
+    for height in reversed(heights):
         phi = _matched_tower_map(t, r, height)
-        achieved = action_dist(conjugate(phi, aa), bb, terms, depth)
-        if best is None or achieved < best.achieved:
+        bound = None if best is None else best.achieved
+        achieved = action_dist(conjugate(phi, aa), bb, terms, depth, bound=bound)
+        if bound is None or achieved <= bound:
             best = WrpResult(phi, achieved, height)
-        if achieved == 0:
-            break
     assert best is not None
     if best.achieved < epsilon:
         return best

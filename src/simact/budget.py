@@ -27,11 +27,16 @@ MAX_WINDOW_PAIRS = 1 << 16
 # the full grid, and widens the exact sum's denominator by one bit.
 MAX_TERMS = 64
 
-# An action distance refines both maps of each term to the grid
-# n = lcm(n_A, n_B, 2^depth) and walks it once per dyadic level, so its cost
-# grows with terms * n * depth, a product each cap above bounds only in part.
-# At 64 terms and depth 12 one unit took about 0.5 us (n = 2^12 and 2^14, one
-# core of a shared 2-vCPU machine), so the cap is about 4.5 s.
+# Each term of an action distance evaluates both actions, refines the two
+# maps to the grid n = lcm(n_A, n_B, 2^depth) and reads the finest dyadic
+# interval of each image, all O(n) whatever the depth, then walks the cells
+# that two maps send apart once per dyadic level; so its cost grows with
+# terms * n * (depth + TERM_LEVELS), a product each cap above bounds only in
+# part.  On one core of a shared 2-vCPU machine a level took about 0.3 us per
+# cell, and the O(n) part of a term as much as 1 (n = 2^12) to 7 (n = 2^18)
+# levels.  Runs at 0.94 of the cap took 2.4 s (depth 8) to 3.9 s (depth 1,
+# n = 2^18), so the cap is about 4 s.
+TERM_LEVELS = 4
 MAX_WORK = 1 << 23
 
 # `smooth` runs a full blur, table distance and fixed-mass report on every

@@ -102,6 +102,12 @@ class Window:
     def elements(self) -> list[tuple[int, ...]]:
         return list(product(range(self.w), repeat=self.d))
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        """{time: position in elements()}, built on first use; the window is
+        frozen, so it never goes stale."""
+        return {e: i for i, e in enumerate(self.elements())}
+
     def size(self) -> int:
         return self.w**self.d
 
@@ -190,7 +196,7 @@ class CylinderTable:
 
 def _positions(window: Window, times) -> list[int]:
     """Positions in window.elements() of the given times."""
-    pos = {e: i for i, e in enumerate(window.elements())}
+    pos = window._index
     idx = []
     for e in times:
         if tuple(e) not in pos:
@@ -586,9 +592,9 @@ def _applicable_pairs(window: Window, beta) -> list[tuple[tuple[int, ...], tuple
         raise ValueError("shift has wrong rank")
     if all(b == 0 for b in beta):
         raise ValueError("shift must be nonzero")
-    elems = set(window.elements())
+    elems = window._index
     out = []
-    for gamma in sorted(elems):
+    for gamma in elems:
         target = tuple(g + b for g, b in zip(gamma, beta))
         if target in elems:
             out.append((gamma, target))
@@ -602,7 +608,7 @@ def fixed_mass_bound(t: CylinderTable, beta) -> Fraction:
     pairs = _applicable_pairs(t.window, beta)
     if not pairs:
         raise ValueError(f"no window time pairs at shift {tuple(beta)}")
-    pos = {e: i for i, e in enumerate(t.window.elements())}
+    pos = t.window._index
     idx = [(pos[g], pos[h]) for g, h in pairs]
     total = sum(num for key, num in t.nums.items() if all(key[i] == key[j] for i, j in idx))
     return Fraction(total, t.den)

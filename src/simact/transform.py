@@ -294,6 +294,8 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     """
     n = coarse_grid(lcm(t.n, r.n), depth)
     tt, rr = t.refine(n), r.refine(n)
+    if tt.perm == rr.perm:
+        return Fraction(0)
     top = coarse_term_count(depth)
     span = n >> depth
     # level-`depth` intervals of the cells the two maps send apart; halving

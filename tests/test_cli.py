@@ -314,7 +314,7 @@ def one_piece_table(d, w):
         "embed_itineraries",
         # 5000 lattice elements, each a coarse distance
         "dist_terms",
-        # every size inside its cap, but 64 terms * 2^14 cells * 12 levels of work
+        # every size inside its cap, but 64 terms * 2^14 cells * (12 + 4) levels of work
         "dist_work",
         # the same joint work on a 2^18-cell sampled pair, refused before sampling
         "wrp_demo_work",
@@ -365,11 +365,11 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
         "dist_work": (
             ["dist", write(tmp_path / "rot16k.json", rotation_action(2**14)),
              write(tmp_path / "rot16k_b.json", rotation_action(2**14)), "--terms", "64", "--depth", "12"],
-            f"terms*n*depth = {64 * 2**14 * 12}", 2**23,
+            f"terms*n*(depth+4) = {64 * 2**14 * 16}", 2**23,
         ),
         "wrp_demo_work": (
             ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "262144", "--min-cycle", "131072", "--terms", "64", "--depth", "12"],
-            f"terms*n*depth = {64 * 2**18 * 12}", 2**23,
+            f"terms*n*(depth+4) = {64 * 2**18 * 16}", 2**23,
         ),
         "smooth_steps": (
             ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "1000"],

@@ -11,13 +11,15 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+import time
 from datetime import timedelta
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS
+from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS, MAX_WORK
 from simact.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -163,3 +165,23 @@ def test_every_command_line_keeps_the_exit_code_contract(texts, parts):
         code, err = run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+def test_depth_1_work_counts_the_per_term_pass(tmp_path):
+    # 64 terms * 2^17 cells * depth 1 is exactly the work cap when the depth
+    # alone is charged; each term's O(n) evaluations and refinements took the
+    # whole distance to about 17 s
+    n = 2**17
+    assert 64 * n * 1 == MAX_WORK
+    rng = random.Random(0)
+    paths = []
+    for name in ("a.json", "b.json"):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump({"d": 1, "n": n, "generators": [rng.sample(range(n), n)]}, fh)
+    started = time.perf_counter()
+    code, err = run(["dist", *paths, "--terms", "64", "--depth", "1", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1
+    assert code == 4 and "Traceback" not in err
+    assert f"terms*n*(depth+4) = {64 * n * 5} is above the cap of {MAX_WORK}" in err
+    assert not (tmp_path / "out").exists()

@@ -49,7 +49,8 @@ one shift per index, which is quadratic for the same reason.
 scans every key against the fixed labels instead of reading one marginal,
 and `is_graph_joining_oracle` and `is_graph_sim_oracle` are the two
 graph-test entries before they shared one body, with the piece cap checked
-on each pair matrix after it was built.
+on each pair matrix after it was built.  `wrp_conjugacy_search_oracle` runs
+the tower heights shortest first and sums every distance in full.
 """
 
 import json
@@ -59,7 +60,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from unittest.mock import patch
 
 import pytest
@@ -69,7 +70,15 @@ from hypothesis import strategies as st
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
-from simact.action import LatticeAction, _matched_tower_map
+from simact.action import (
+    InfeasibleError,
+    LatticeAction,
+    WrpResult,
+    _matched_tower_map,
+    action_dist,
+    conjugate,
+    wrp_conjugacy_search,
+)
 from simact.cli import main
 from simact.equivalence import (
     _block_permutation,
@@ -94,6 +103,7 @@ from simact.measure import (
 )
 from simact.sampling import (
     _solve_stationary,
+    aperiodic_permutation,
     diagonal_table,
     iid_table,
     markov_table,
@@ -139,6 +149,7 @@ from simact.transform import (
     identity,
     preimage,
     rohlin_tower,
+    rotation,
     tower_base_indices,
 )
 
@@ -942,6 +953,48 @@ def matched_tower_map_oracle(
     for s, d in zip(rest_src, rest_dst):
         phi[s] = d
     return IntervalPermutation(n, tuple(phi))
+
+
+def wrp_conjugacy_search_oracle(
+    a: LatticeAction, b: LatticeAction, epsilon, terms: int, depth: int
+) -> WrpResult:
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    if a.d != 1 or b.d != 1:
+        raise ValueError("conjugacy search is rank-1 only")
+    n = lcm(a.n, b.n)
+    aa, bb = a.refine(n), b.refine(n)
+    t, r = aa.generators[0], bb.generators[0]
+    h0 = 1
+    while Fraction(4, 2**h0) >= epsilon / 2:
+        h0 += 1
+    min_cycle = min(min(t.cycle_lengths()), min(r.cycle_lengths()))
+    if min_cycle < h0:
+        raise InfeasibleError(
+            f"aperiodicity precondition fails: cycle of length {min_cycle} < height {h0}"
+        )
+    heights = []
+    h = h0
+    while h <= min_cycle:
+        heights.append(h)
+        h *= 2
+    if heights[-1] != min_cycle:
+        heights.append(min_cycle)
+    best: WrpResult | None = None
+    for height in heights:
+        phi = _matched_tower_map(t, r, height)
+        achieved = action_dist(conjugate(phi, aa), bb, terms, depth)
+        if best is None or achieved < best.achieved:
+            best = WrpResult(phi, achieved, height)
+        if achieved == 0:
+            break
+    assert best is not None
+    if best.achieved < epsilon:
+        return best
+    raise ValueError(
+        f"search failed: best achieved {best.achieved} at height {best.height}, want < {epsilon}"
+    )
 
 
 def from_indices_oracle(level: int, indices) -> DyadicSet:
@@ -1748,6 +1801,90 @@ def test_matched_tower_map_matches_oracle(n, height, seed):
     rng = random.Random(seed)
     t, r = (IntervalPermutation(n, tuple(rng.sample(range(n), n))) for _ in range(2))
     assert _outcome(lambda: _matched_tower_map(t, r, height)) == _outcome(lambda: matched_tower_map_oracle(t, r, height))
+
+
+def _typed_outcome(build):
+    """What build returns, or the type and text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def wrp_pair(kind: str, unit: int, n: int, seed: int) -> tuple[LatticeAction, LatticeAction]:
+    """Two rank-1 actions on n cells: independent maps whose cycles are
+    multiples of unit long, one such map twice, or two rotations by units,
+    which are single n-cycles and so exactly conjugate at every tower
+    height that divides n."""
+    rng = random.Random(seed)
+    if kind == "rotation":
+        steps = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        t, r = rotation(n, rng.choice(steps)), rotation(n, rng.choice(steps))
+    else:
+        t = aperiodic_permutation(rng, n, unit)
+        r = t if kind == "identical" else aperiodic_permutation(rng, n, unit)
+    return LatticeAction(1, (t,)), LatticeAction(1, (r,))
+
+
+@st.composite
+def wrp_pairs(draw):
+    unit = draw(st.sampled_from([1, 8, 16, 32]))
+    n = unit * draw(st.sampled_from([1, 2, 3, 4, 8]))
+    kind = draw(st.sampled_from(["independent", "identical", "rotation"]))
+    return wrp_pair(kind, unit, n, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wrp_pairs(),
+    st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 1000), 0]),
+    st.sampled_from([0, 1, 2, 4, 6]),
+    st.sampled_from([0, 1, 3, 6]),
+)
+# a search that fails: the best of heights 13 and 16 is 841/262144
+@example(wrp_pair("independent", 16, 48, 0), Fraction(1, 1000), 4, 3)
+# heights 4, 8, 16 and 32, at distance 0 from height 16 up
+@example(wrp_pair("rotation", 32, 32, 0), Fraction(1), 4, 3)
+def test_wrp_search_matches_oracle(pair, epsilon, terms, depth):
+    a, b = pair
+    expected = _typed_outcome(lambda: wrp_conjugacy_search_oracle(a, b, epsilon, terms, depth))
+    assert _typed_outcome(lambda: wrp_conjugacy_search(a, b, epsilon, terms, depth)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 16]),
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.fractions(0, 1, max_denominator=64),
+)
+def test_bounded_action_dist_is_exact_up_to_the_bound(d, n, seed, terms, depth, bound):
+    rng = random.Random(seed)
+    a, b = random_action(rng, d, n), random_action(rng, d, n)
+    full = action_dist(a, b, terms, depth)
+    # the partial sums are bounds that the sum meets exactly before its end
+    partial_sums = [action_dist(a, b, k, depth) for k in range(1, terms)]
+    for x in [bound, *partial_sums]:
+        cut = action_dist(a, b, terms, depth, bound=x)
+        if full <= x:
+            assert cut == full
+        else:
+            assert x < cut <= full
+
+
+def test_wrp_search_stops_summing_heights_that_cannot_win():
+    # the wrp workload's sizes; the tallest of the three heights (8, 16, 32) wins
+    rng = random.Random(0)
+    t, r = (aperiodic_permutation(rng, 512, 32) for _ in range(2))
+    a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
+    terms, depth = 6, 6
+    with patch("simact.action.coarse_dist", wraps=coarse_dist) as calls:
+        res = wrp_conjugacy_search(a, b, Fraction(1, 16), terms, depth)
+    assert res == wrp_conjugacy_search_oracle(a, b, Fraction(1, 16), terms, depth)
+    assert res.height == 32
+    assert calls.call_count < 3 * terms
 
 
 @pytest.mark.parametrize("unit", [-2, 0, *range(1, 33)])

@@ -241,6 +241,26 @@ def test_is_graph_sim_checks_every_pair():
         is_graph_sim(big, F(1, 2))
 
 
+def test_is_graph_sim_lists_the_window_times_a_fixed_number_of_times(monkeypatch):
+    listed = []
+    elements = Window.elements
+
+    def counted(window):
+        listed.append(window)
+        return elements(window)
+
+    monkeypatch.setattr(Window, "elements", counted)
+    counts = []
+    for d in (1, 2, 3):
+        # the one-piece table of rank d and width 2: 2^d times, 2^d (2^d - 1) pairs
+        t = diagonal_table(Partition((F(0),)), [F(1)], 2, d=d)
+        listed.clear()
+        ok, results = is_graph_sim(t, F(1, 2))
+        assert ok and len(results) == 2**d * (2**d - 1)
+        counts.append(len(listed))
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_is_graph_joining_refuses_p17_before_enumerating(monkeypatch):
     def enumerate_unions(*_args):
         raise AssertionError("witness search started")
