@@ -31,6 +31,7 @@ __all__ = [
     "action_dist_grid",
     "action_dist_tail",
     "conjugate",
+    "tower_heights",
     "free_defect",
     "identity_action",
     "wrp_conjugacy_search",
@@ -213,6 +214,24 @@ def _matched_tower_map(
     return IntervalPermutation(n, tuple(phi))
 
 
+def tower_heights(epsilon: Fraction, min_cycle: int) -> list[int]:
+    """The tower heights of a conjugacy search: from the smallest h with
+    2^(2-h) < epsilon/2, doubling, up to the shortest cycle length, which is
+    always the last; InfeasibleError if that cycle is shorter than h."""
+    h = 1
+    while Fraction(4, 2**h) >= epsilon / 2:
+        h += 1
+    if min_cycle < h:
+        raise InfeasibleError(f"aperiodicity precondition fails: cycle of length {min_cycle} < height {h}")
+    heights = []
+    while h <= min_cycle:
+        heights.append(h)
+        h *= 2
+    if heights[-1] != min_cycle:
+        heights.append(min_cycle)
+    return heights
+
+
 def wrp_conjugacy_search(
     a: LatticeAction, b: LatticeAction, epsilon, terms: int, depth: int
 ) -> WrpResult:
@@ -235,23 +254,9 @@ def wrp_conjugacy_search(
     n = lcm(a.n, b.n)
     aa, bb = a.refine(n), b.refine(n)
     t, r = aa.generators[0], bb.generators[0]
-    h0 = 1
-    while Fraction(4, 2**h0) >= epsilon / 2:
-        h0 += 1
     min_cycle = min(min(t.cycle_lengths()), min(r.cycle_lengths()))
-    if min_cycle < h0:
-        raise InfeasibleError(
-            f"aperiodicity precondition fails: cycle of length {min_cycle} < height {h0}"
-        )
-    heights = []
-    h = h0
-    while h <= min_cycle:
-        heights.append(h)
-        h *= 2
-    if heights[-1] != min_cycle:
-        heights.append(min_cycle)
     best: WrpResult | None = None
-    for height in reversed(heights):
+    for height in reversed(tower_heights(epsilon, min_cycle)):
         phi = _matched_tower_map(t, r, height)
         bound = None if best is None else best.achieved
         achieved = action_dist(conjugate(phi, aa), bb, terms, depth, bound=bound)

@@ -25,6 +25,7 @@ from .action import (
     action_dist_grid,
     action_dist_tail,
     conjugate,
+    tower_heights,
     wrp_conjugacy_search,
 )
 from .equivalence import (
@@ -230,7 +231,15 @@ def cmd_wrp_demo(args) -> int:
         raise CliError(4, "tolerance must be > 0")
     _dist_args(args)
     # a refusal inside the search would be reported as a failed trial
-    action_dist_grid(args.n, args.n, args.terms, args.depth)
+    n = action_dist_grid(args.n, args.n, args.terms, args.depth)
+    # each sampled map's shortest cycle is exactly --min-cycle, so a trial
+    # measures one distance per height of this ladder and verifies one more
+    try:
+        heights = len(tower_heights(epsilon, args.min_cycle))
+    except InfeasibleError:
+        heights = 0  # every trial is refused before its first distance
+    work = (heights + 1) * args.terms * n * (args.depth + budget.TERM_LEVELS)
+    budget.check(f"work (heights+1)*terms*n*(depth+{budget.TERM_LEVELS}) =", work, budget.MAX_WORK)
     header = [
         "trial",
         "requested",

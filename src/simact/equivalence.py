@@ -98,12 +98,6 @@ def embed_action(
     return CylinderTable(window, partition, base.nums, den=base.den)
 
 
-def _box_weights(h: Adaptation, partition_in: Partition, partition_out: Partition):
-    """rows[c]: (j, share of cell c of partition_in covered by h^-1 of piece
-    j of partition_out), for each j that covers some of it."""
-    return overlap_rows(partition_in.pieces(), [h.preimage_interval(lo, hi) for lo, hi in partition_out.pieces()])
-
-
 def adapt_table(
     h: Adaptation, t: CylinderTable, partition_out: Partition | None = None
 ) -> CylinderTable:
@@ -116,7 +110,9 @@ def adapt_table(
     partition_out refined by the pullback of the outer adaptation's cuts.
     """
     p_out = partition_out if partition_out is not None else t.partition
-    return relabel(t, _box_weights(h, t.partition, p_out), p_out)
+    # cell c of t sends to piece j the share of it that h^-1 of piece j covers
+    rows = overlap_rows(t.partition.pieces(), [h.preimage_interval(lo, hi) for lo, hi in p_out.pieces()])
+    return relabel(t, rows, p_out)
 
 
 def _eval_boxes(t: CylinderTable, boxes: list) -> Fraction:

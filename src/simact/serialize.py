@@ -38,11 +38,16 @@ def read_json_file(path: str):
             raise ValueError(f"{path}: not valid JSON ({e})") from e
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return type(value) is int
+
+
 def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where}: missing field '{key}'")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ValueError(f"{where}: field '{key}' has the wrong type")
     return value
 
@@ -110,7 +115,7 @@ def load_permutation(obj) -> IntervalPermutation:
     """{"n": 8, "perm": [1, 0, 3, 2, ...]}"""
     n = _need(obj, "n", int, "permutation")
     perm = _need(obj, "perm", list, "permutation")
-    if not all(isinstance(i, int) for i in perm):
+    if not all(_is_int(i) for i in perm):
         raise ValueError("permutation: perm entries must be integers")
     return IntervalPermutation(n, tuple(perm))
 
@@ -147,7 +152,7 @@ def load_action(obj) -> LatticeAction:
         raise ValueError(f"action: expected {d} generators, got {len(gens)}")
     parsed = []
     for i, perm in enumerate(gens):
-        if not isinstance(perm, list) or not all(isinstance(j, int) for j in perm):
+        if not isinstance(perm, list) or not all(_is_int(j) for j in perm):
             raise ValueError(f"action generator {i}: expected a list of integers")
         if len(perm) != n:
             raise ValueError(f"action generator {i}: length {len(perm)} != n {n}")

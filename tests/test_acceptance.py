@@ -12,6 +12,9 @@ import time
 from fractions import Fraction
 from math import lcm
 
+from make_fixtures import gold
+from oracles import factor_defect_unions_oracle
+
 from simact import serialize as ser
 from simact.action import (
     LatticeAction,
@@ -69,12 +72,6 @@ from simact.sim import (
 from simact.transform import DyadicSet, coarse_dist, compose, halmos_dist, identity
 
 F = Fraction
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-
-def gold(name: str) -> str:
-    return os.path.join(GOLDEN, name)
 
 
 def read_bytes(path: str) -> bytes:
@@ -331,23 +328,7 @@ def test_halmos_distance_is_conjugacy_invariant():
         assert halmos_dist(identity(m), conj) == halmos_dist(identity(t.n), t)
 
 
-def brute_defect(n2: int, labels_fine, target: DyadicSet) -> Fraction:
-    atoms = sorted(set(labels_fine))
-    best = None
-    for mask in range(1 << len(atoms)):
-        chosen = {atoms[i] for i in range(len(atoms)) if mask >> i & 1}
-        sym = 0
-        for cell in range(n2):
-            inside_union = labels_fine[cell] in chosen
-            inside_target = bool(target.bits >> (cell * target.cells // n2) & 1)
-            sym += inside_union != inside_target
-        if best is None or sym < best:
-            best = sym
-    return F(best, n2)
-
-
 def test_factor_defect_matches_union_enumeration():
-    checked = 0
     for trial in range(100):
         r = trial_rng(211, trial)
         n = r.choice((4, 8, 16))
@@ -356,13 +337,8 @@ def test_factor_defect_matches_union_enumeration():
         piece = DyadicSet(2, r.randrange(1, 15))
         target = DyadicSet(3, r.randrange(1, 255))
         n1, labels = cylinder_atoms(act, piece, w)
-        n2 = lcm(n1, target.cells)
-        f = n2 // n1
-        fine = [labels[cell // f] for cell in range(n2)]
-        assert len(set(fine)) <= 12
-        assert factor_defect(act, piece, target, w) == brute_defect(n2, fine, target)
-        checked += 1
-    assert checked >= 100
+        assert len(set(labels)) <= 12
+        assert factor_defect(act, piece, target, w) == factor_defect_unions_oracle(n1, labels, target)
 
 
 def run_cli(argv, out_path: str) -> bytes:

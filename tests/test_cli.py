@@ -1,19 +1,15 @@
 import filecmp
 import json
-import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from make_fixtures import RUNS, gold
 
 from simact import cli
 from simact.cli import build_parser, main
-
-# the golden commands and fixture paths live with the script that writes them
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
-from make_fixtures import RUNS, gold  # noqa: E402
 
 
 def read(path):
@@ -93,6 +89,10 @@ def test_exit_2_unreadable_inputs(tmp_path):
     assert main(["recover", gold("diag_halves_table.json"), "--epsilon", "0.5"]) == 2
     assert main(["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "2", "--cuts", "1/4,1/2"]) == 2
     assert main(["embed", gold("quarter_shift.json"), gold("rot3_action.json"), "--w", "0", "--cuts", "0,1/2"]) == 2
+    # JSON true is not the integer 1
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text('{"d": true, "n": 4, "generators": [[1, 2, 3, 0]]}', encoding="utf-8")
+    assert main(["embed", gold("quarter_shift.json"), str(boolean), "--w", "2", "--cuts", "0,1/2"]) == 2
 
 
 def test_exit_3_shape_mismatch(tmp_path):
@@ -318,6 +318,9 @@ def one_piece_table(d, w):
         "dist_work",
         # the same joint work on a 2^18-cell sampled pair, refused before sampling
         "wrp_demo_work",
+        # one distance fits, but a trial measures one per height of 8, 16, ...,
+        # 4096 and verifies one more: 11 distances of 24 * 2^16 * (1 + 4) work
+        "wrp_demo_ladder",
         # 1000 rungs, each a full blur and table distance
         "smooth_steps",
         # a 59-byte table whose window lists 2^21 times of one coordinate each
@@ -370,6 +373,10 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
         "wrp_demo_work": (
             ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "262144", "--min-cycle", "131072", "--terms", "64", "--depth", "12"],
             f"terms*n*(depth+4) = {64 * 2**18 * 16}", 2**23,
+        ),
+        "wrp_demo_ladder": (
+            ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "65536", "--min-cycle", "4096", "--terms", "24", "--depth", "1", "--epsilon", "1/16"],
+            f"(heights+1)*terms*n*(depth+4) = {11 * 24 * 2**16 * 5}", 2**23,
         ),
         "smooth_steps": (
             ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "1000"],

@@ -18,15 +18,14 @@ from datetime import timedelta
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from make_fixtures import gold
 
 from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS, MAX_WORK
 from simact.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
 
 def golden(name):
-    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+    with open(gold(name), encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -91,7 +90,7 @@ documents = st.one_of(
     json_value,
 )
 file_texts = st.one_of(
-    st.sampled_from([golden(name) for name in sorted(os.listdir(GOLDEN)) if name.endswith(".json")]),
+    st.sampled_from([golden(name) for name in sorted(os.listdir(gold("."))) if name.endswith(".json")]),
     st.sampled_from(OVERSIZED).map(json.dumps),
     documents.map(json.dumps),
     st.text(max_size=12),  # mostly not JSON at all

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import factor_defect_unions_oracle
 
 from simact.action import LatticeAction, identity_action
 from simact.equivalence import (
@@ -229,21 +230,6 @@ def test_cylinder_atoms_label_by_itinerary():
     assert labels == [labels[0]] * (n // 2) + [labels[n - 1]] * (n // 2)
 
 
-def brute_force_defect(n2, labels_fine, target):
-    atoms = sorted(set(labels_fine))
-    best = None
-    for mask in range(1 << len(atoms)):
-        chosen = {atoms[i] for i in range(len(atoms)) if mask >> i & 1}
-        sym = 0
-        for cell in range(n2):
-            inside_union = labels_fine[cell] in chosen
-            inside_target = bool(target.bits >> (cell * target.cells // n2) & 1)
-            sym += inside_union != inside_target
-        if best is None or sym < best:
-            best = sym
-    return F(best, n2)
-
-
 def test_factor_defect_matches_enumeration():
     for trial in range(8):
         rng = trial_rng(6, trial)
@@ -251,16 +237,8 @@ def test_factor_defect_matches_enumeration():
         piece = DyadicSet(2, rng.randrange(1, 15))
         target = DyadicSet(3, rng.randrange(1, 255))
         w = Window(1, 2)
-        got = factor_defect(act, piece, target, w)
         n, labels = cylinder_atoms(act, piece, w)
-        from math import lcm
-
-        n2 = lcm(n, target.cells)
-        f = n2 // n
-        labels_fine = [labels[c // f] for c in range(n2)]
-        if len(set(labels_fine)) > 10:
-            continue
-        assert got == brute_force_defect(n2, labels_fine, target)
+        assert factor_defect(act, piece, target, w) == factor_defect_unions_oracle(n, labels, target)
 
 
 # -- inverse continuity ---------------------------------------------------------------

@@ -87,6 +87,26 @@ def test_loaders_reject_malformed_input(loader, broken):
         loader(broken)
 
 
+# JSON true and false load as Python bools, which are ints
+@pytest.mark.parametrize(
+    "loader,doc,message",
+    [
+        (ser.load_permutation, {"n": True, "perm": [0]}, "permutation: field 'n' has the wrong type"),
+        (ser.load_permutation, {"n": 2, "perm": [True, False]}, "permutation: perm entries must be integers"),
+        (ser.load_dyadic, {"level": True, "mask": "01"}, "dyadic set: field 'level' has the wrong type"),
+        (ser.load_action, {"d": True, "n": 2, "generators": [[1, 0]]}, "action: field 'd' has the wrong type"),
+        (ser.load_action, {"d": 1, "n": True, "generators": [[0]]}, "action: field 'n' has the wrong type"),
+        (ser.load_action, {"d": 1, "n": 2, "generators": [[True, False]]}, "action generator 0: expected a list of integers"),
+        (ser.load_table, {"d": True, "w": 2, "cuts": ["0"], "masses": {"0,0": "1"}}, "table: field 'd' has the wrong type"),
+        (ser.load_table, {"d": 1, "w": True, "cuts": ["0"], "masses": {"0": "1"}}, "table: field 'w' has the wrong type"),
+    ],
+)
+def test_loaders_refuse_booleans_as_integers(loader, doc, message):
+    with pytest.raises(ValueError) as e:
+        loader(doc)
+    assert str(e.value) == message
+
+
 def test_read_json_file_wraps_decode_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
