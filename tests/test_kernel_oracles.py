@@ -414,30 +414,61 @@ def test_interval_ops_match_oracle(a, b):
 @given(pair_matrices(), st.fractions(0, 1, max_denominator=16).filter(bool))
 def test_graph_test_matches_oracle(m, epsilon):
     den, witnesses = graph_witnesses_oracle(m)
-    # every greedy diameter d is a threshold of `d >= epsilon` and of the
-    # bound `d > worst`; all diameters are multiples of 1/den, so
-    # d + 1/(2 den) lies strictly between d and the next attainable value
-    greedy = {Fraction(g[1], den) for g, _best in witnesses} - {0}
     worst = graph_verdict_oracle(den, witnesses, epsilon).diameter
-    for eps in ({epsilon, worst} - {0}) | greedy | {d + Fraction(1, 2 * den) for d in greedy}:
+    # epsilon on an attained diameter is the boundary of `d >= epsilon`
+    for eps in {epsilon, worst} - {0}:
         res = _graph_test_matrix(m, eps)
         assert res == graph_verdict_oracle(den, witnesses, eps)
         assert isinstance(res.diameter, Fraction)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pair_matrices(), st.integers(0, 255))
+def test_graph_test_matches_int_oracle(m, b_pick):
+    den, witnesses = graph_witnesses_oracle(m)
+    # B's best diameter d is where its verdict turns; all diameters are
+    # multiples of 1/den, so d + 1/(2 den) lies strictly between d and the
+    # next attainable value
+    d = Fraction(witnesses[b_pick % len(witnesses)][1][1], den)
+    for eps in {d, d + Fraction(1, 2 * den)} - {0}:
+        assert _graph_test_matrix(m, eps) == graph_verdict_oracle(den, witnesses, eps)
+
+
 @settings(max_examples=60, deadline=None)
-@given(pair_matrices(), st.data())
-def test_graph_witnesses_match_oracle_for_every_b(m, data):
+@given(pair_matrices())
+def test_graph_test_matches_every_miss_oracle_at_each_greedy_diameter(m):
+    # every greedy diameter d is a threshold of `d >= epsilon` and of the
+    # bound `d > worst`; d + 1/(2 den) lies strictly between d and the next
+    # attainable value
+    den, witnesses = graph_witnesses_oracle(m)
+    greedy = {Fraction(g[1], den) for g, _best in witnesses} - {0}
+    for d in greedy:
+        for eps in (d, d + Fraction(1, 2 * den)):
+            assert _graph_test_matrix(m, eps) == graph_verdict_oracle(den, witnesses, eps)
+
+
+def _witnesses_match(m, masks):
     den, witnesses = graph_witnesses_oracle(m)
     size = len(witnesses)
-    # masks outside 0..2^p - 1 read only their low p bits
-    masks = list(range(size)) + [data.draw(st.integers(-(1 << 10), 1 << 10)) for _ in range(4)]
     for b_mask in masks:
         greedy, best = witnesses[b_mask % size]
         for witness, (a_mask, d) in ((greedy_graph_witness, greedy), (graph_witness_exact, best)):
             out = witness(m, b_mask)
             assert out == (a_mask, Fraction(d, den))
             assert isinstance(out[1], Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_matrices())
+def test_graph_witnesses_match_oracle_for_every_b(m):
+    _witnesses_match(m, range(1 << len(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_matrices(), st.lists(st.integers(-(1 << 10), 1 << 10), min_size=8, max_size=8))
+def test_public_witnesses_match_int_oracle(m, masks):
+    # masks outside 0..2^p - 1 read only their low p bits
+    _witnesses_match(m, masks)
 
 
 @settings(max_examples=60, deadline=None)
