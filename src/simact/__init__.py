@@ -68,7 +68,6 @@ from .sim import (
 from .transform import (
     DyadicSet,
     IntervalPermutation,
-    aperiodicity_scale,
     coarse_dist,
     coarse_dist_tail,
     halmos_dist,

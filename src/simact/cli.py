@@ -230,6 +230,8 @@ def cmd_wrp_demo(args) -> int:
     if epsilon <= 0:
         raise CliError(4, "tolerance must be > 0")
     _dist_args(args)
+    _positive_arg(args.trials, "--trials")
+    _positive_arg(args.min_cycle, "--min-cycle")
     # a refusal inside the search would be reported as a failed trial
     n = action_dist_grid(args.n, args.n, args.terms, args.depth)
     # each sampled map's shortest cycle is exactly --min-cycle, so a trial

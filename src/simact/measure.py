@@ -392,34 +392,6 @@ def pushforward(h: Adaptation, mu: StepMeasure) -> StepMeasure:
 # -- weak-star distance ----------------------------------------------------
 
 
-def _grid_cdf(mu: StepMeasure, n: int) -> list[Fraction]:
-    """mu.cdf(k / n) for k = 0..n in one sweep over the pieces and atoms:
-    a running mass of the finished pieces and of the atoms left of the
-    point, plus the part of the current piece, from one antiderivative per
-    piece."""
-    pieces = list(mu._pieces())
-    atoms = mu.atoms
-    i = a = 0
-    lo, hi, d = pieces[0]
-    anti = P.p_antider(d)
-    start = P.p_eval(anti, lo)
-    done = Fraction(0)
-    out = []
-    for k in range(n + 1):
-        x = Fraction(k, n)
-        while hi <= x and i + 1 < len(pieces):
-            done += P.p_eval(anti, hi) - start
-            i += 1
-            lo, hi, d = pieces[i]
-            anti = P.p_antider(d)
-            start = P.p_eval(anti, lo)
-        while a < len(atoms) and atoms[a][0] < x:
-            done += atoms[a][1]
-            a += 1
-        out.append(done + P.p_eval(anti, min(x, hi)) - start)
-    return out
-
-
 def weak_star_distance(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction:
     """Sum over levels l <= depth of 2^-l times the worst dyadic-interval gap.
 
@@ -430,7 +402,7 @@ def weak_star_distance(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction
         raise ValueError("depth must be >= 1")
     n = 2**depth
     # the gap on [a, b) is the change of the cdf difference from a to b
-    diff = [a - b for a, b in zip(_grid_cdf(mu, n), _grid_cdf(nu, n))]
+    diff = [mu.cdf(Fraction(k, n)) - nu.cdf(Fraction(k, n)) for k in range(n + 1)]
     total = Fraction(0)
     for level in range(1, depth + 1):
         stride = n >> level

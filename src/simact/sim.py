@@ -436,25 +436,6 @@ def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]
     return a_mask, d if den is None else Fraction(d, den)
 
 
-def _into_b_walk(nums: list[list[int]]):
-    """The mass each piece sends into B, for B = 0, 1, ..., 2^p - 1 in turn.
-
-    B runs as a binary counter: going from B - 1 to B sets bit k and clears
-    bits 0..k-1, so the list changes by column k minus columns 0..k-1.
-    Those p step lists are built once, and each B costs one list update.
-    """
-    steps, below = [], [0] * len(nums)
-    for col in zip(*nums):
-        steps.append([c - b for c, b in zip(col, below)])
-        below = [c + b for c, b in zip(col, below)]
-    into_b = [0] * len(nums)
-    yield into_b
-    for b_mask in range(1, 1 << len(nums)):
-        step = steps[(b_mask & -b_mask).bit_length() - 1]
-        into_b = [x + s for x, s in zip(into_b, step)]
-        yield into_b
-
-
 def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     """Worst B over all 2^p unions, on integer numerators over the lcm of
     the entry denominators; each diameter is compared with epsilon by
@@ -462,7 +443,8 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
 
     The subset sums of the row masses are built once per matrix; in a
     joining the column sums equal the row sums, so they are also the
-    masses of the sets B.
+    masses of the sets B.  The subset sums of each row over its columns
+    give, for every B at once, the mass that row sends into B.
 
     A greedy miss (diameter >= epsilon) falls back to the exact search only
     when it could raise the worst: the greedy A is one of the unions the
@@ -476,7 +458,7 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
     worst_b, worst_a, worst = 0, 0, 0
-    for b_mask, into_b in enumerate(_into_b_walk(nums)):
+    for b_mask, into_b in enumerate(zip(*map(_subset_sums, nums))):
         prelude = (rows, a_sums, into_b, a_sums[b_mask])
         a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
         if d > worst and d * scale >= bound:

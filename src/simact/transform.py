@@ -24,7 +24,6 @@ __all__ = [
     "rotation",
     "swap_halves",
     "common_resolution",
-    "compose",
     "preimage",
     "coarse_dist",
     "coarse_dist_tail",
@@ -33,7 +32,6 @@ __all__ = [
     "halmos_dist",
     "rohlin_tower",
     "tower_base_indices",
-    "aperiodicity_scale",
 ]
 
 
@@ -151,10 +149,6 @@ def swap_halves() -> IntervalPermutation:
 def common_resolution(*ts: IntervalPermutation) -> tuple[IntervalPermutation, ...]:
     n = lcm(*(t.n for t in ts))
     return tuple(t.refine(n) for t in ts)
-
-
-def compose(t: IntervalPermutation, r: IntervalPermutation) -> IntervalPermutation:
-    return t.compose(r)
 
 
 # -- dyadic sets -------------------------------------------------------------
@@ -379,16 +373,4 @@ def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
         count += len(level)
         level = [t.perm[c] for c in level]
     assert Fraction(count, t.n) >= 1 - epsilon
-    return out
-
-
-def aperiodicity_scale(t: IntervalPermutation, k_max: int) -> list[tuple[int, Fraction]]:
-    """Mass fixed by each iterate T^k for k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    out = []
-    cycle_lens = t.cycle_lengths()
-    for k in range(1, k_max + 1):
-        fixed = sum(ln for ln in cycle_lens if k % ln == 0)
-        out.append((k, Fraction(fixed, t.n)))
     return out

@@ -17,10 +17,14 @@ Cylinder tables
 - `CylinderTableOracle`: the table constructor's checks on `Fraction`
   masses, with `marginalize_to_oracle` for its shift consistency and the
   table readers.
-- `sim_dist_oracle`: `sim.sim_dist` as every key against every wildcard mask.
+- `sim_dist_oracle`: `sim.sim_dist` as every key against every wildcard
+  mask, after restricting both tables to the common window through
+  `marginalize_to_oracle` and to the common partition through
+  `refine_partition_oracle`.
 - `refine_partition_oracle`, `convolve_sim_oracle`, `adapt_table_oracle`:
   the per-coordinate kernels on `Fraction` masses, relabelling every key
-  one window position at a time.
+  one window position at a time.  `convolve_sim_oracle` takes its weights
+  from `smear_weight_oracle`, the overlap integral in closed form.
 - `fixed_mass_bound_oracle`, `average_sims_oracle`, `cylinder_mass_oracle`
   and `piece_of_point_oracle` scan every key, term or cut.
 - `markov_table_oracle`: `sampling.markov_table` building all masses of a
@@ -42,10 +46,12 @@ Interval sets
 Bridges between actions and tables
 - `realize_sim_as_action_oracle` and `block_permutation_oracle` lay out
   blocks and transitions slot by slot.
-- `cylinder_atoms_oracle` numbers the itineraries in first-seen order.
+- `cylinder_atoms_oracle` reads each grid cell's itinerary off
+  `a.evaluate(gamma).perm` and numbers the itineraries in first-seen order.
 - `factor_defect_unions_oracle` is the factor defect by enumerating every
-  union of atoms.  `factor_defect_oracle` counts each atom's cells inside
-  and outside the target; it covers atom counts too large to enumerate.
+  union of atoms.  `factor_defect_oracle` counts each atom of
+  `cylinder_atoms_oracle` inside and outside the target; it covers atom
+  counts too large to enumerate.
 
 Dyadic sets and towers
 - `load_dyadic_oracle`, `dump_dyadic_oracle`, `indices_oracle`,
@@ -86,7 +92,7 @@ from simact.action import (
     action_dist,
     conjugate,
 )
-from simact.equivalence import _itineraries, _levels, action_to_sim, cylinder_atoms
+from simact.equivalence import _levels, action_to_sim
 from simact.measure import Adaptation, StepMeasure
 from simact.sampling import (
     _solve_stationary,
@@ -105,14 +111,11 @@ from simact.sim import (
     Window,
     _applicable_pairs,
     _positions,
-    _smear_weight,
     average_sims,
     convolve_sim,
     graph_witness_exact,
     marginalize_to,
-    marginalize_window,
     pair_matrix,
-    refine_partition,
 )
 from simact.transform import DyadicSet, IntervalPermutation, _dyadic_level, identity, tower_base_indices
 
@@ -238,12 +241,12 @@ def identity_oracle(n: int) -> IntervalPermutation:
 def sim_dist_oracle(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     if t1.window.d != t2.window.d:
         raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
-    w = min(t1.window.w, t2.window.w)
-    t1, t2 = marginalize_window(t1, w), marginalize_window(t2, w)
+    sub = Window(t1.window.d, min(t1.window.w, t2.window.w))
+    t1, t2 = (CylinderTable(sub, t.partition, marginalize_to_oracle(t, sub.elements())) for t in (t1, t2))
     if t1.partition != t2.partition:
-        t1 = refine_partition(t1, t2.partition.cuts)
-        t2 = refine_partition(t2, t1.partition.cuts)
-    k = t1.window.size()
+        t1 = refine_partition_oracle(t1, t2.partition.cuts)
+        t2 = refine_partition_oracle(t2, t1.partition.cuts)
+    k = sub.size()
     diffs: dict[tuple, Fraction] = {}
     for table, sign in ((t1, 1), (t2, -1)):
         for key, mass in table.masses.items():
@@ -276,6 +279,22 @@ def refine_partition_oracle(t: CylinderTable, new_cuts) -> CylinderTable:
     return CylinderTable(t.window, fine, out)
 
 
+def smear_weight_oracle(piece, cell, delta: Fraction) -> Fraction:
+    """The chance that a uniform point of `cell` plus a uniform [0, delta)
+    shift lands in `piece` (mod 1), in closed form.  On the line
+    |[a, b) & [c, d)| = r(b - c) - r(b - d) - r(a - c) + r(a - d) with
+    r(x) = max(x, 0), and the integral of r(s - y) over y in [0, delta) is
+    g(s) = q(s) - q(s - delta) with q(x) = r(x)^2 / 2; the circle adds the
+    copies of the piece shifted by -1 and 1."""
+    (a, b), (c, d) = piece, cell
+
+    def g(s):
+        return (Fraction(max(s, 0)) ** 2 - Fraction(max(s - delta, 0)) ** 2) / 2
+
+    total = sum(g(b + k - c) - g(b + k - d) - g(a + k - c) + g(a + k - d) for k in (-1, 0, 1))
+    return total / (delta * (d - c))
+
+
 def convolve_sim_oracle(t: CylinderTable, delta) -> CylinderTable:
     delta = Fraction(delta)
     if delta == 0:
@@ -284,7 +303,7 @@ def convolve_sim_oracle(t: CylinderTable, delta) -> CylinderTable:
         raise ValueError("delta must lie in [0, 1)")
     p = t.partition.p
     pieces = t.partition.pieces()
-    weight = [[_smear_weight(pieces[i], pieces[c], delta) for c in range(p)] for i in range(p)]
+    weight = [[smear_weight_oracle(pieces[i], pieces[c], delta) for c in range(p)] for i in range(p)]
     k = t.window.size()
     current = dict(t.masses)
     for pos in range(k):
@@ -659,7 +678,7 @@ def factor_defect_oracle(
     a: LatticeAction, piece: DyadicSet, target: DyadicSet, window: Window
 ) -> Fraction:
     budget.check("grid resolution n =", lcm(a.n, piece.cells, target.cells), budget.MAX_RESOLUTION)
-    n, labels = cylinder_atoms(a, piece, window)
+    n, labels = cylinder_atoms_oracle(a, piece, window)
     n2 = lcm(n, target.cells)
     f = n2 // n
     span = n2 // target.cells
@@ -694,10 +713,20 @@ def factor_defect_unions_oracle(n: int, labels, target: DyadicSet) -> Fraction:
 
 
 def cylinder_atoms_oracle(a: LatticeAction, piece: DyadicSet, window: Window) -> tuple[int, list[int]]:
-    budget.check("grid resolution n =", lcm(a.n, piece.cells), budget.MAX_RESOLUTION)
-    n, signatures = _itineraries(a, window, [piece.bits >> i & 1 for i in range(piece.cells)])
+    """The atoms in first-seen order: cell i of the n-cell grid, n = lcm(a.n,
+    piece cells), is in the piece at time gamma when its time-gamma image is;
+    an n-cell moves with the a.n-cell that holds it."""
+    n = lcm(a.n, piece.cells)
+    budget.check("grid resolution n =", n, budget.MAX_RESOLUTION)
+    perms = [a.evaluate(gamma).perm for gamma in window.elements()]
+    f = n // a.n
     atoms: dict[tuple[int, ...], int] = {}
-    return n, [atoms.setdefault(sig, len(atoms)) for sig in signatures]
+    labels = []
+    for cell in range(n):
+        images = [perm[cell // f] * f + cell % f for perm in perms]
+        signature = tuple(piece.bits >> (image * piece.cells // n) & 1 for image in images)
+        labels.append(atoms.setdefault(signature, len(atoms)))
+    return n, labels
 
 
 # -- dyadic sets and towers ----------------------------------------------------

@@ -69,7 +69,7 @@ from simact.sim import (
     pair_matrix,
     sim_dist,
 )
-from simact.transform import DyadicSet, coarse_dist, compose, halmos_dist, identity
+from simact.transform import DyadicSet, coarse_dist, halmos_dist, identity
 
 F = Fraction
 
@@ -324,7 +324,7 @@ def test_halmos_distance_is_conjugacy_invariant():
         phi = random_permutation(r, n if trial % 3 else 2 * n)
         m = lcm(t.n, phi.n)
         p = phi.refine(m)
-        conj = compose(compose(p, t.refine(m)), p.inverse())
+        conj = p.compose(t.refine(m)).compose(p.inverse())
         assert halmos_dist(identity(m), conj) == halmos_dist(identity(t.n), t)
 
 

@@ -199,6 +199,10 @@ def test_exit_2_nonpositive_terms_and_depth(capsys):
         assert main(["dist", ids, swap, flag, "0"]) == 2
         assert main(["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", flag, "0"]) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
+    for flag in ("--trials", "--min-cycle"):
+        for value in ("0", "-1"):
+            assert main(["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", flag, value]) == 2
+            assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_exit_4_unsatisfiable_sampler_request(capsys):

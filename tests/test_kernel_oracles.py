@@ -86,7 +86,7 @@ from simact import budget
 from simact.action import LatticeAction, _matched_tower_map, action_dist, wrp_conjugacy_search
 from simact.cli import main
 from simact.equivalence import _block_permutation, adapt_table, cylinder_atoms, factor_defect, realize_sim_as_action
-from simact.measure import _grid_cdf, _line_convolve, convolve, pushforward, uniform_on, weak_star_distance
+from simact.measure import _line_convolve, convolve, pushforward, uniform_on, weak_star_distance
 from simact.sampling import (
     aperiodic_permutation,
     diagonal_table,
@@ -103,7 +103,6 @@ from simact.sim import (
     Partition,
     Window,
     _graph_test_matrix,
-    _into_b_walk,
     _subset_sums,
     average_sims,
     convolve_sim,
@@ -474,12 +473,20 @@ def test_public_witnesses_match_int_oracle(m, masks):
 @settings(max_examples=60, deadline=None)
 @given(pair_matrices())
 def test_into_b_walk_matches_into_b_for_every_b(m):
+    # the prelude the graph loop hands the greedy witness, recorded for every B
+    preludes = []
+
+    def recorded(matrix, b_mask, rows=None):
+        row_sums, a_sums, into_b, b_total = rows
+        preludes.append((row_sums, a_sums, b_total, list(into_b)))
+        return greedy_graph_witness(matrix, b_mask, rows=rows)
+
+    with patch("simact.sim.greedy_graph_witness", recorded):
+        _graph_test_matrix(m, Fraction(1))
     nums, _den = pair_numerators_oracle(m)
-    walk = list(_into_b_walk(nums))
-    # in a joining the subset sums of the row masses are the masses of the sets B
-    a_sums = _subset_sums([sum(r) for r in nums])
-    assert [(a_sums[b_mask], into_b) for b_mask, into_b in enumerate(walk)] == [
-        into_b_oracle(nums, b_mask) for b_mask in range(1 << len(m))
+    rows = [sum(r) for r in nums]
+    assert preludes == [
+        (rows, subset_sums_oracle(rows), *into_b_oracle(nums, b_mask)) for b_mask in range(1 << len(m))
     ]
 
 
@@ -819,9 +826,6 @@ def test_weak_star_distance_matches_oracle(plain, atomic, both_atomic, depth):
     mu = atomic if both_atomic else plain
     for a, b in ((mu, atomic), (plain, mu), (plain, plain)):
         assert weak_star_distance(a, b, depth) == weak_star_distance_oracle(a, b, depth)
-    n = 2**depth
-    for a in (plain, atomic):
-        assert _grid_cdf(a, n) == [a.cdf(Fraction(k, n)) for k in range(n + 1)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import runpy
 
 import simact
 
@@ -14,4 +15,18 @@ def test_every_package_export_is_in_its_modules_all():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             module = importlib.import_module(f"simact.{node.module}")
             missing += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in module.__all__]
+    assert missing == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks each target up with vars(owner)[attr]; a
+    # deleted or renamed name would stop it with a KeyError
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    missing = []
+    for name, module, attr, cls, _extra in runpy.run_path(path)["TARGETS"]:
+        owner = vars(importlib.import_module(module))
+        if cls:
+            owner = vars(owner[cls]) if cls in owner else {}
+        if attr not in owner:
+            missing.append(name)
     assert missing == []

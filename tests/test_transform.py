@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
+from simact.action import LatticeAction, free_defect
 from simact.budget import MAX_DEPTH
 from simact.transform import (
     DyadicSet,
     IntervalPermutation,
-    aperiodicity_scale,
     coarse_dist,
     coarse_dist_tail,
     coarse_term_count,
@@ -213,9 +213,9 @@ def test_rohlin_tower_levels_are_disjoint(height, seed):
 
 
 def test_aperiodicity_scale():
+    # T^k and T^-k fix the cycles whose length divides k
     t = IntervalPermutation(5, (1, 2, 0, 4, 3))  # cycles of length 3 and 2
-    got = aperiodicity_scale(t, 6)
-    assert got == [
+    expected = [
         (1, F(0)),
         (2, F(2, 5)),
         (3, F(3, 5)),
@@ -223,3 +223,5 @@ def test_aperiodicity_scale():
         (5, F(0)),
         (6, F(1)),
     ]
+    got = free_defect(LatticeAction(1, (t,)), 6)
+    assert got == [((sign * k,), mass) for k, mass in expected for sign in (1, -1)]
