@@ -12,7 +12,9 @@ MAX_RESOLUTION = 1 << 20
 # prints under CPython's default 4300-digit limit on int-to-str conversion.
 MAX_DEPTH = 12
 
-# The graph test enumerates the 2^p unions of pieces for each of 2^p unions.
+# The graph test enumerates the 2^p unions A of pieces for each of at most
+# 2^(p-1) unions B, since a union and its complement have the same best
+# diameter; each of the 2^p unions B costs one O(p) greedy call besides.
 MAX_PIECES = 16
 
 # The graph test builds one pair matrix and tests it for each of the k(k-1)

@@ -452,16 +452,35 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     one, and a B whose greedy diameter is at most the running worst cannot
     replace it.  A B that can still raise it is compared by its exact
     diameter, so a failing verdict reports the exact diameter of its B.
+
+    Complements halve the scan.  With a = mass(A), b = mass(B), x =
+    mass(A x B) and total T, the complements A', B' have mass(A' x B') =
+    T - a - b + x, so their diameter max(T - a, T - b) - (T - a - b + x) is
+    max(a, b) - x again, and B' has the best diameter of B.  The B below
+    2^(p-1), which leave out the last piece, come first and run as above.
+    A B from 2^(p-1) up never gets the exact search: its exact diameter is
+    its complement's, already at most the worst.  If the worst is a miss
+    when the lower half ends, nothing above can replace it and the loop
+    stops there; otherwise each upper B still gets its greedy call, since
+    a passing greedy diameter can raise the worst (the greedy is not
+    complement-symmetric where a row is zero or sends exactly half of
+    itself into B).  So a pair matrix costs at most 2^(p-1) exact searches,
+    and 2^(p-1) greedy calls when the verdict fails, 2^p when it passes.
     """
     nums, den, rows = _joining(matrix)
     a_sums = _subset_sums(rows)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
     worst_b, worst_a, worst = 0, 0, 0
+    half = len(a_sums) // 2
     for b_mask, into_b in enumerate(zip(*map(_subset_sums, nums))):
+        if b_mask == half and worst * scale >= bound:
+            break
         prelude = (rows, a_sums, into_b, a_sums[b_mask])
         a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
         if d > worst and d * scale >= bound:
+            if b_mask >= half:
+                continue
             a_mask, d = graph_witness_exact(nums, b_mask, rows=prelude)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d

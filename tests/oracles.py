@@ -59,15 +59,18 @@ Dyadic sets and towers
   and write a dyadic set one bit at a time.
 - `matched_tower_map_oracle` matches the tower leftovers through sets of
   used cells.
-- `wrp_conjugacy_search_oracle` runs the tower heights shortest first and
-  sums every distance in full.
+- `wrp_conjugacy_search_oracle` runs the tower heights shortest first,
+  conjugates through `compose_oracle` and `inverse_oracle`, and sums every
+  distance in full through `_rank1_action_dist_oracle`, the coarse
+  distances of `power_oracle` maps.
 - `random_cycle_lengths_oracle` draws parts of a minimum length on a
   granularity.
 
 Measures
 - `line_convolve_oracle` integrates on two-variable polynomials in (y, t).
 - `weak_star_distance_oracle` integrates both measures afresh on every
-  dyadic interval at every level.
+  dyadic interval at every level, through `_interval_mass_oracle`, which
+  reads the breakpoints, densities and atoms itself.
 - `uniform_on_oracle` and `pushforward_oracle` lay out their pieces by hand.
 """
 
@@ -84,14 +87,7 @@ from hypothesis import strategies as st
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
-from simact.action import (
-    InfeasibleError,
-    LatticeAction,
-    WrpResult,
-    _matched_tower_map,
-    action_dist,
-    conjugate,
-)
+from simact.action import InfeasibleError, LatticeAction, WrpResult
 from simact.equivalence import _levels, action_to_sim
 from simact.measure import Adaptation, StepMeasure
 from simact.sampling import (
@@ -805,6 +801,19 @@ def matched_tower_map_oracle(
     return IntervalPermutation(n, tuple(phi))
 
 
+def _rank1_action_dist_oracle(t: IntervalPermutation, r: IntervalPermutation, terms: int, depth: int) -> Fraction:
+    """The action distance of the rank-1 actions of t and r: the j-th of the
+    lattice elements 0, 1, -1, 2, -2, ... weighs 2^-j times the coarse
+    distance of the two time-k maps."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    total = Fraction(0)
+    for j in range(terms):
+        k = (j + 1) // 2 if j % 2 else -(j // 2)
+        total += coarse_dist_oracle(power_oracle(t, k), power_oracle(r, k), depth) / 2 ** (j + 1)
+    return total
+
+
 def wrp_conjugacy_search_oracle(
     a: LatticeAction, b: LatticeAction, epsilon, terms: int, depth: int
 ) -> WrpResult:
@@ -833,8 +842,9 @@ def wrp_conjugacy_search_oracle(
         heights.append(min_cycle)
     best: WrpResult | None = None
     for height in heights:
-        phi = _matched_tower_map(t, r, height)
-        achieved = action_dist(conjugate(phi, aa), bb, terms, depth)
+        phi = matched_tower_map_oracle(t, r, height)
+        conjugated = compose_oracle(compose_oracle(phi, t), inverse_oracle(phi))
+        achieved = _rank1_action_dist_oracle(conjugated, r, terms, depth)
         if best is None or achieved < best.achieved:
             best = WrpResult(phi, achieved, height)
         if achieved == 0:
@@ -951,6 +961,19 @@ def line_convolve_oracle(f, g):
     return out
 
 
+def _interval_mass_oracle(mu: StepMeasure, lo: Fraction, hi: Fraction) -> Fraction:
+    """mu([lo, hi)) from the breakpoints, densities and atoms of mu: each
+    piece's polynomial integrated term by term over its overlap with
+    [lo, hi), plus the atoms at lo and inside."""
+    total = sum((m for x, m in mu.atoms if lo <= x < hi), Fraction(0))
+    ends = mu.breakpoints[1:] + (Fraction(1),)
+    for plo, phi, density in zip(mu.breakpoints, ends, mu.densities):
+        a, b = max(lo, plo), min(hi, phi)
+        if a < b:
+            total += sum(c * (b ** (i + 1) - a ** (i + 1)) / (i + 1) for i, c in enumerate(density))
+    return total
+
+
 def weak_star_distance_oracle(mu: StepMeasure, nu: StepMeasure, depth: int) -> Fraction:
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -960,7 +983,7 @@ def weak_star_distance_oracle(mu: StepMeasure, nu: StepMeasure, depth: int) -> F
         worst = Fraction(0)
         for k in range(cells):
             lo, hi = Fraction(k, cells), Fraction(k + 1, cells)
-            worst = max(worst, abs(mu.mass(lo, hi) - nu.mass(lo, hi)))
+            worst = max(worst, abs(_interval_mass_oracle(mu, lo, hi) - _interval_mass_oracle(nu, lo, hi)))
         total += Fraction(1, cells) * worst
     return total
 

@@ -100,6 +100,7 @@ from simact.sampling import (
 )
 from simact.sim import (
     CylinderTable,
+    GraphTest,
     Partition,
     Window,
     _graph_test_matrix,
@@ -497,35 +498,63 @@ def test_exact_search_runs_only_where_it_can_raise_the_worst(m, epsilon, on_a_di
     greedy = [Fraction(g[1], den) for g, _best in witnesses]
     if on_a_diameter and any(greedy):
         epsilon = max(greedy)
-    with exact_searches() as calls:
+    with exact_searches() as calls, patch("simact.sim.greedy_graph_witness", wraps=greedy_graph_witness) as greedy_calls:
         res = _graph_test_matrix(m, epsilon)
     assert res == graph_verdict_oracle(den, witnesses, epsilon)
-    # replay the loop: B gets the exact search exactly when its greedy
-    # diameter is a miss and above the worst so far, and the search finds
-    # the best diameter of B
+    # replay the loop: a B below 2^(p-1) gets the exact search exactly when
+    # its greedy diameter is a miss and above the worst so far, and the
+    # search finds the best diameter of B; a B from 2^(p-1) up never does,
+    # since its complement has its best diameter, and the loop ends at
+    # 2^(p-1) when the worst is a miss by then
     exact = dict(calls)
     assert len(exact) == len(calls)
     assert exact == {b_mask: witnesses[b_mask][1][1] for b_mask in exact}
-    worst = Fraction(0)
+    half = len(greedy) // 2
+    worst, scanned = Fraction(0), len(greedy)
     for b_mask, d in enumerate(greedy):
-        assert (b_mask in exact) == (d >= epsilon and d > worst)
-        worst = max(worst, Fraction(exact.get(b_mask, d * den), den))
+        if b_mask == half and worst >= epsilon:
+            scanned = half
+            break
+        assert (b_mask in exact) == (b_mask < half and d >= epsilon and d > worst)
+        if b_mask in exact:
+            worst = max(worst, Fraction(exact[b_mask], den))
+        elif d < epsilon:
+            worst = max(worst, d)
+    assert [c.args[1] for c in greedy_calls.call_args_list] == list(range(scanned))
     assert worst == res.diameter
 
 
 def test_exact_search_count_on_a_pruned_mixed_table():
     # p = 7 at lambda = 3/4: most greedy misses lie at or below the worst
-    # diameter found so far
+    # diameter found so far, and the misses among the upper 64 unions B,
+    # the complements of the lower ones, are never searched
     t = load_table(read_json_file(gold("mixed7_table.json")))
     eps = Fraction(1, 8)
     with exact_searches() as calls:
         ok, results = is_graph_sim(t, eps)
     oracles = [graph_witnesses_oracle(pair_matrix(t, a, b)) for a, b, _res in results]
     misses = sum(Fraction(g[1], den) >= eps for den, witnesses in oracles for g, _best in witnesses)
-    assert (len(calls), misses) == (92, 244)
+    assert (len(calls), misses) == (50, 244)
     expected = [graph_verdict_oracle(den, witnesses, eps) for den, witnesses in oracles]
     assert not ok and [res for _a, _b, res in results] == expected
     assert [(r.worst_b, r.best_a, r.diameter) for r in expected] == [(15, 46, Fraction(99, 529)), (15, 23, Fraction(99, 529))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_matrices())
+def test_a_union_and_its_complement_have_the_same_best_diameter(m):
+    # mass(A' x B') = T - a - b + x, so (A', B') has the diameter of (A, B)
+    _den, witnesses = graph_witnesses_oracle(m)
+    full = len(witnesses) - 1
+    assert all(best[1] == witnesses[b_mask ^ full][1][1] for b_mask, (_greedy, best) in enumerate(witnesses))
+
+
+def test_passing_worst_from_a_tied_greedy_in_the_upper_half():
+    # B = {1}: row 1 sends exactly half of itself into B, so the greedy
+    # leaves it out and reads 1/5, where B's complement {0} reads 1/10;
+    # only the upper half's greedy call finds the printed worst
+    m = [[Fraction(7, 10), Fraction(1, 10)], [Fraction(1, 10), Fraction(1, 10)]]
+    assert _graph_test_matrix(m, Fraction(1, 4)) == GraphTest(True, 2, 0, Fraction(1, 5))
 
 
 @st.composite
