@@ -17,7 +17,6 @@ from . import budget
 from .transform import (
     IntervalPermutation,
     coarse_dist,
-    coarse_grid,
     common_resolution,
     identity,
     tower_base_indices,
@@ -28,7 +27,6 @@ __all__ = [
     "LatticeAction",
     "group_enumeration",
     "action_dist",
-    "action_dist_grid",
     "action_dist_tail",
     "conjugate",
     "tower_heights",
@@ -113,7 +111,7 @@ def action_dist(
     otherwise some value above bound and at most the distance."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
-    action_dist_grid(a.n, b.n, terms, depth)
+    budget.action_dist(a.n, b.n, terms, depth)
     total = Fraction(0)
     for j, gamma in enumerate(group_enumeration(a.d, terms), start=1):
         ta, tb = a.evaluate(gamma), b.evaluate(gamma)
@@ -123,20 +121,6 @@ def action_dist(
             if bound is not None and total > bound:
                 break
     return total
-
-
-def action_dist_grid(n_a: int, n_b: int, terms: int, depth: int) -> int:
-    """The grid of an action distance between resolutions n_a and n_b, with
-    the terms, the depth, the grid and their joint work refused above their
-    caps before any work; the grid is checked before the work."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    budget.check("terms", terms, budget.MAX_TERMS)
-    n = coarse_grid(lcm(n_a, n_b), depth)
-    # each term pays O(n) to build and refine its two maps, then walks the grid once per level
-    work = terms * n * (depth + budget.TERM_LEVELS)
-    budget.check(f"work terms*n*(depth+{budget.TERM_LEVELS}) =", work, budget.MAX_WORK)
-    return n
 
 
 def action_dist_tail(terms: int) -> Fraction:

@@ -1,6 +1,8 @@
-"""Size caps.  simact computes exactly, so a small input can ask for an
-lcm-sized grid or an exponential enumeration; each size is checked against
-its cap before any work, and a breach raises ValueError (exit 4 in the CLI)."""
+"""Size caps and the work formulas they bound.  simact computes exactly, so a
+small input can ask for an lcm-sized grid or an exponential enumeration; each
+size is checked before any work, and a breach raises ValueError (exit 4 in the CLI)."""
+
+from math import lcm
 
 # The largest grid simact builds.  Resolutions are lcms of denominators read
 # from input files (the table's masses; the action's resolution and the cuts
@@ -73,3 +75,38 @@ def check(size: str, value: int, cap: int) -> int:
         shown = value if value.bit_length() <= 64 else f"2^{value.bit_length() - 1} or more"
         raise BudgetError(f"{size} {shown} is above the cap of {cap}; {symbol} > {cap} refused")
     return value
+
+
+def coarse_grid(m: int, depth: int) -> int:
+    """The grid lcm(m, 2^depth) of a coarse distance at resolution m, with
+    the depth and the grid refused above their caps."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    check("depth", depth, MAX_DEPTH)
+    return check("grid resolution n =", lcm(m, 2**depth), MAX_RESOLUTION)
+
+
+def action_dist(n_a: int, n_b: int, terms: int, depth: int, distances: int = 1) -> None:
+    """Refuse an action distance between resolutions n_a and n_b above its
+    caps: the terms, the depth, the grid, the work of one distance and then
+    of `distances` of them (a `wrp-demo` trial's heights+1), in that order."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    check("terms", terms, MAX_TERMS)
+    n = coarse_grid(lcm(n_a, n_b), depth)
+    # each term pays O(n) to build and refine its two maps, then walks the grid once per level
+    work = terms * n * (depth + TERM_LEVELS)
+    check(f"work terms*n*(depth+{TERM_LEVELS}) =", work, MAX_WORK)
+    check(f"work (heights+1)*terms*n*(depth+{TERM_LEVELS}) =", distances * work, MAX_WORK)
+
+
+def patterns(p: int, k: int) -> int:
+    """The (p+1)^k cylinder patterns of p pieces on k window times, refused above MAX_PATTERNS."""
+    return check("cylinder patterns (p+1)^(w^d) =", (p + 1) ** k, MAX_PATTERNS)
+
+
+def graph_test(p: int, k: int) -> None:
+    """Refuse a graph test of p pieces on k window times above its caps."""
+    if k > 1:
+        check("pieces p =", p, MAX_PIECES)
+        check("window pairs k(k-1) =", k * (k - 1), MAX_WINDOW_PAIRS)

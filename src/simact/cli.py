@@ -22,7 +22,6 @@ from .action import (
     InfeasibleError,
     LatticeAction,
     action_dist,
-    action_dist_grid,
     action_dist_tail,
     conjugate,
     tower_heights,
@@ -40,7 +39,6 @@ from .sampling import aperiodic_permutation, trial_rng
 from .sim import (
     Partition,
     Window,
-    check_patterns,
     convolve_sim,
     fixed_mass_report,
     is_graph_sim,
@@ -205,7 +203,7 @@ def cmd_smooth(args) -> int:
     _positive_arg(args.steps, "--steps")
     budget.check("steps", args.steps, budget.MAX_STEPS)
     # the first rung would refuse them too, but only after the shifts below are listed
-    check_patterns(t.partition.p, t.window.size())
+    budget.patterns(t.partition.p, t.window.size())
     ladder = [Fraction(0)] + [delta / 2 ** (args.steps - 1 - i) for i in range(args.steps)]
     # the positive differences of two window times, in ascending order
     d, w = t.window.d, t.window.w
@@ -232,16 +230,14 @@ def cmd_wrp_demo(args) -> int:
     _dist_args(args)
     _positive_arg(args.trials, "--trials")
     _positive_arg(args.min_cycle, "--min-cycle")
-    # a refusal inside the search would be reported as a failed trial
-    n = action_dist_grid(args.n, args.n, args.terms, args.depth)
     # each sampled map's shortest cycle is exactly --min-cycle, so a trial
     # measures one distance per height of this ladder and verifies one more
     try:
         heights = len(tower_heights(epsilon, args.min_cycle))
     except InfeasibleError:
         heights = 0  # every trial is refused before its first distance
-    work = (heights + 1) * args.terms * n * (args.depth + budget.TERM_LEVELS)
-    budget.check(f"work (heights+1)*terms*n*(depth+{budget.TERM_LEVELS}) =", work, budget.MAX_WORK)
+    # a refusal inside the search would be reported as a failed trial
+    budget.action_dist(args.n, args.n, args.terms, args.depth, heights + 1)
     header = [
         "trial",
         "requested",

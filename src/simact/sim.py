@@ -46,7 +46,6 @@ __all__ = [
     "marginalize_to",
     "relabel",
     "overlap_rows",
-    "check_patterns",
 ]
 
 
@@ -310,12 +309,6 @@ def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
     return CylinderTable(sub, t.partition, nums, den=t.den)
 
 
-def check_patterns(p: int, k: int) -> None:
-    """Refuse the (p+1)^k cylinder patterns of p pieces on k window times
-    above budget.MAX_PATTERNS."""
-    budget.check("cylinder patterns (p+1)^(w^d) =", (p + 1) ** k, budget.MAX_PATTERNS)
-
-
 def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     """Max over all sub-window cylinders of the mass gap |t1(C) - t2(C)|.
 
@@ -333,7 +326,7 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     if t1.window.d != t2.window.d:
         raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
     w = min(t1.window.w, t2.window.w)
-    check_patterns(len(set(t1.partition.cuts) | set(t2.partition.cuts)), w ** t1.window.d)
+    budget.patterns(len(set(t1.partition.cuts) | set(t2.partition.cuts)), w ** t1.window.d)
     t1, t2 = marginalize_window(t1, w), marginalize_window(t2, w)
     if t1.partition != t2.partition:
         t1 = refine_partition(t1, t2.partition.cuts)
@@ -496,9 +489,7 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
     k = t.window.size()
     if two_times and k != 2:
         raise ValueError("graph joining test needs a two-time window")
-    if k > 1:
-        budget.check("pieces p =", t.partition.p, budget.MAX_PIECES)
-        budget.check("window pairs k(k-1) =", k * (k - 1), budget.MAX_WINDOW_PAIRS)
+    budget.graph_test(t.partition.p, k)
     elems = t.window.elements()
     for alpha in elems:
         for beta in elems:
@@ -561,7 +552,7 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
         return t
     if not 0 < delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    check_patterns(t.partition.p, t.window.size())
+    budget.patterns(t.partition.p, t.window.size())
     pieces = t.partition.pieces()
     rows = [
         [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]

@@ -27,7 +27,6 @@ __all__ = [
     "preimage",
     "coarse_dist",
     "coarse_dist_tail",
-    "coarse_grid",
     "coarse_term_count",
     "halmos_dist",
     "rohlin_tower",
@@ -262,15 +261,6 @@ def coarse_term_count(depth: int) -> int:
     return 2 ** (depth + 1) - 2
 
 
-def coarse_grid(m: int, depth: int) -> int:
-    """The grid lcm(m, 2^depth) of a coarse distance at resolution m, with
-    the depth and the grid refused above their caps before any work."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    budget.check("depth", depth, budget.MAX_DEPTH)
-    return budget.check("grid resolution n =", lcm(m, 2**depth), budget.MAX_RESOLUTION)
-
-
 def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> Fraction:
     """Weighted preimage disagreement over dyadic intervals.
 
@@ -286,7 +276,7 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     With K = coarse_term_count(depth) the sum is (sum_k diff_k 2^(K-k)) /
     (n 2^K), built as one integer numerator.
     """
-    n = coarse_grid(lcm(t.n, r.n), depth)
+    n = budget.coarse_grid(lcm(t.n, r.n), depth)
     tt, rr = t.refine(n), r.refine(n)
     if tt.perm == rr.perm:
         return Fraction(0)
