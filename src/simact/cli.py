@@ -201,9 +201,8 @@ def cmd_smooth(args) -> int:
     if not 0 < delta < 1:
         raise CliError(4, f"delta must lie in (0, 1), got {delta}")
     _positive_arg(args.steps, "--steps")
-    budget.check("steps", args.steps, budget.MAX_STEPS)
-    # the first rung would refuse them too, but only after the shifts below are listed
-    budget.patterns(t.partition.p, t.window.size())
+    # the first rung would refuse the patterns too, but only after the shifts below are listed
+    budget.smooth(t.partition.p, t.window.size(), args.steps)
     ladder = [Fraction(0)] + [delta / 2 ** (args.steps - 1 - i) for i in range(args.steps)]
     # the positive differences of two window times, in ascending order
     d, w = t.window.d, t.window.w

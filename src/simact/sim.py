@@ -489,7 +489,7 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
     k = t.window.size()
     if two_times and k != 2:
         raise ValueError("graph joining test needs a two-time window")
-    budget.graph_test(t.partition.p, k)
+    budget.graph_test(t.partition.p, k, len(t.nums))
     elems = t.window.elements()
     for alpha in elems:
         for beta in elems:

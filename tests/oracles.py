@@ -38,14 +38,15 @@ Graph test
   the verdict at any epsilon off that list: greedy first, the best witness
   on every miss.  `graph_test_oracle` runs the two on one pair matrix, and
   `is_graph_joining_oracle` and `is_graph_sim_oracle` are the two entries,
-  with their argument checks and the piece cap on each pair matrix.
+  with their argument checks and the table's work cap.
 
 Interval sets
 - `combine_oracle`: an interval-set operation decided cell by cell.
 
 Bridges between actions and tables
 - `realize_sim_as_action_oracle` and `block_permutation_oracle` lay out
-  blocks and transitions slot by slot.
+  blocks and transitions slot by slot; the realized cuts sum the time-0
+  marginal of `marginalize_to_oracle`.
 - `cylinder_atoms_oracle` reads each grid cell's itinerary off
   `a.evaluate(gamma).perm` and numbers the itineraries in first-seen order.
 - `factor_defect_unions_oracle` is the factor defect by enumerating every
@@ -57,8 +58,9 @@ Dyadic sets and towers
 - `load_dyadic_oracle`, `dump_dyadic_oracle`, `indices_oracle`,
   `dyadic_refine_oracle`, `preimage_oracle` and `from_indices_oracle` read
   and write a dyadic set one bit at a time.
-- `matched_tower_map_oracle` matches the tower leftovers through sets of
-  used cells.
+- `matched_tower_map_oracle` takes each tower base off `cycles_oracle`,
+  every height-th cell of a cycle, and matches the tower leftovers through
+  sets of used cells.
 - `wrp_conjugacy_search_oracle` runs the tower heights shortest first,
   conjugates through `compose_oracle` and `inverse_oracle`, and sums every
   distance in full through `_rank1_action_dist_oracle`, the coarse
@@ -88,7 +90,7 @@ import simact.intervals as iv
 import simact.poly as P
 from simact import budget
 from simact.action import InfeasibleError, LatticeAction, WrpResult
-from simact.equivalence import _levels, action_to_sim
+from simact.equivalence import action_to_sim
 from simact.measure import Adaptation, StepMeasure
 from simact.sampling import (
     _solve_stationary,
@@ -113,7 +115,7 @@ from simact.sim import (
     marginalize_to,
     pair_matrix,
 )
-from simact.transform import DyadicSet, IntervalPermutation, _dyadic_level, identity, tower_base_indices
+from simact.transform import DyadicSet, IntervalPermutation, _dyadic_level, identity
 
 # -- helpers -------------------------------------------------------------------
 
@@ -517,7 +519,6 @@ def graph_witnesses_oracle(matrix) -> tuple[int, list[tuple[tuple[int, int], tup
     half of it into B.  The best A has the least diameter over all 2^p
     unions, ties going to the smallest mask.
     """
-    budget.check("pieces p =", len(matrix), budget.MAX_PIECES)
     nums, den = pair_numerators_oracle(matrix)
     rows = [sum(r) for r in nums]
     if rows != [sum(col) for col in zip(*nums)]:
@@ -554,6 +555,7 @@ def is_graph_joining_oracle(t: CylinderTable, epsilon) -> GraphTest:
         raise ValueError("epsilon must be > 0")
     if t.window.size() != 2:
         raise ValueError("graph joining test needs a two-time window")
+    budget.graph_test(t.partition.p, 2, len(t.nums))
     e0, e1 = t.window.elements()
     return graph_test_oracle(pair_matrix(t, e0, e1), epsilon)
 
@@ -562,6 +564,7 @@ def is_graph_sim_oracle(t: CylinderTable, epsilon) -> tuple[bool, list]:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
+    budget.graph_test(t.partition.p, t.window.size(), len(t.nums))
     elems = t.window.elements()
     results = [(a, b, graph_test_oracle(pair_matrix(t, a, b), epsilon)) for a in elems for b in elems if a != b]
     return all(res.ok for _a, _b, res in results), results
@@ -610,7 +613,12 @@ def realize_sim_as_action_oracle(t: CylinderTable) -> tuple[LatticeAction, Parti
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
     w, p = t.window.w, t.partition.p
-    partition_out = Partition(tuple(_levels(t)[:-1]))
+    # the cuts sum the single-time marginal, the mass of each label at time 0
+    single = marginalize_to_oracle(t, [(0,)])
+    empty = [j for j in range(p) if (j,) not in single]
+    if empty:
+        raise ValueError(f"marginal vanishes on pieces {empty}; drop them first")
+    partition_out = Partition(tuple(sum((single[(i,)] for i in range(j)), Fraction(0)) for j in range(p)))
     # one grid cell per 1/den: every mass, and so every level, sits on the grid
     n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
     if w == 1:
@@ -778,8 +786,11 @@ def matched_tower_map_oracle(
     t: IntervalPermutation, r: IntervalPermutation, height: int
 ) -> IntervalPermutation:
     n = t.n
-    base_t = tower_base_indices(t, height)
-    base_r = tower_base_indices(r, height)
+    # every height-th cell of each cycle from its smallest, in whole columns only
+    base_t, base_r = (
+        sorted(c for cycle in cycles_oracle(m) for c in cycle[: height * (len(cycle) // height) : height])
+        for m in (t, r)
+    )
     keep = min(len(base_t), len(base_r))
     if keep == 0:
         raise ValueError(f"no full column of height {height} fits either map")

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import random
 import subprocess
 import sys
 import time
@@ -300,6 +301,16 @@ def one_piece_table(d, w):
     return {"d": d, "w": w, "cuts": ["0"], "masses": {",".join("0" * w**d): "1"}}
 
 
+def iid_pair_table(p):
+    """The two-time iid table on the cuts j/p, piece j weighing the j-th draw
+    of randint(1, 9) from Random(1)."""
+    rng = random.Random(1)
+    weights = [rng.randint(1, 9) for _ in range(p)]
+    square = sum(weights) ** 2
+    masses = {f"{i},{j}": f"{a * b}/{square}" for i, a in enumerate(weights) for j, b in enumerate(weights)}
+    return {"d": 1, "w": 2, "cuts": [f"{j}/{p}" for j in range(p)], "masses": masses}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -333,6 +344,10 @@ def one_piece_table(d, w):
         "smooth_shifts",
         # 512 * 511 pair matrices, each tested
         "graph_test_pairs",
+        # 13 pieces: 2^25 search steps for each of the two pairs
+        "graph_test_pieces",
+        # 2^18 patterns walked by each of 41 table distances
+        "smooth_rungs",
     ],
 )
 def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
@@ -396,7 +411,15 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
         ),
         "graph_test_pairs": (
             ["graph-test", write(tmp_path / "rank9.json", one_piece_table(9, 2)), "--epsilon", "1/8"],
-            "k(k-1) = 261632", 2**16,
+            "k(k-1)*(448+4*keys+2^(2p-1)) = 118780928", 2**25,
+        ),
+        "graph_test_pieces": (
+            ["graph-test", write(tmp_path / "iid13.json", iid_pair_table(13)), "--epsilon", "1/64"],
+            "k(k-1)*(448+4*keys+2^(2p-1)) = 67111112", 2**25,
+        ),
+        "smooth_rungs": (
+            ["smooth", write(tmp_path / "one18.json", one_piece_table(1, 18)), "--delta", "1/4", "--steps", "40"],
+            "(steps+1)*(p+1)^(w^d) = 10747904", 2**21,
         ),
     }[case]
     out = tmp_path / "out"

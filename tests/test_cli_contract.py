@@ -16,11 +16,22 @@ import tempfile
 import time
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from make_fixtures import gold
 
-from simact.budget import MAX_DEPTH, MAX_PIECES, MAX_RESOLUTION, MAX_TERMS, MAX_WORK
+from simact.budget import (
+    KEY_STEPS,
+    MAX_DEPTH,
+    MAX_GRAPH_WORK,
+    MAX_RESOLUTION,
+    MAX_SMOOTH_WORK,
+    MAX_TERMS,
+    MAX_WORK,
+    PAIR_STEPS,
+    TERM_LEVELS,
+)
 from simact.cli import main
 
 
@@ -46,7 +57,7 @@ OVERSIZED = [
     rotation(1025),  # against level-10 dyadic sets: lcm(1025, 1024) cells
     diagonal(2, 2, ["1/1048583", "1048582/1048583"]),  # realize and recover grids
     diagonal(2, 13, ["1/2", "1/2"]),  # 3^13 cylinder patterns
-    diagonal(MAX_PIECES + 1, 2, [f"1/{MAX_PIECES + 1}"] * (MAX_PIECES + 1)),  # graph test pieces
+    diagonal(17, 2, ["1/17"] * 17),  # graph test work: 2^33 search steps a pair
     {"level": 10, "mask": "0" * 512 + "1" * 512},
     {"d": 2**64, "w": 2, "cuts": ["0"], "masses": {"0,0": "1"}},
     {"level": 2**64, "mask": "01"},
@@ -184,3 +195,40 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
     assert code == 4 and "Traceback" not in err
     assert f"terms*n*(depth+4) = {64 * n * 5} is above the cap of {MAX_WORK}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, work, cap",
+    [
+        # 12 terms on a 2^17-cell grid at depth 1: 4.1 to 4.2 s
+        ("dist", 12 * 2**17 * (1 + TERM_LEVELS), MAX_WORK),
+        # 7 table distances of 2^18 patterns: 4.0 s
+        ("smooth", 7 * 2**18, MAX_SMOOTH_WORK),
+        # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
+        ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
+    ],
+    ids=["dist", "smooth", "graph-test"],
+)
+def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case, work, cap):
+    # each work cap stands for about 5 s on one core of a shared 2-vCPU
+    # machine; a run at 0.875 to 0.94 of it must finish well inside 10 s
+    assert 0.85 * cap < work <= cap
+    if case == "dist":
+        rng, n = random.Random(0), 2**17
+        paths = []
+        for name in ("a.json", "b.json"):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump({"d": 1, "n": n, "generators": [rng.sample(range(n), n)]}, fh)
+        argv = ["dist", *paths, "--terms", "12", "--depth", "1"]
+    else:
+        table = str(tmp_path / "table.json")
+        d, w = (1, 18) if case == "smooth" else (8, 2)
+        with open(table, "w", encoding="utf-8") as fh:
+            json.dump({"d": d, "w": w, "cuts": ["0"], "masses": {",".join("0" * w**d): "1"}}, fh)
+        flags = ["--delta", "1/4", "--steps", "6"] if case == "smooth" else ["--epsilon", "1/8"]
+        argv = [case, table, *flags]
+    started = time.perf_counter()
+    code, err = run(argv + ["--out", str(tmp_path / "out")])
+    assert code == 0, err
+    assert time.perf_counter() - started < 10

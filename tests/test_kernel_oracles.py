@@ -560,7 +560,7 @@ def test_passing_worst_from_a_tied_greedy_in_the_upper_half():
 @st.composite
 def graph_test_tables(draw):
     """Tables of one to nine window times, or a diagonal table on 17 pieces,
-    one above the cap."""
+    far above the work cap at two or more times."""
     if draw(st.booleans()):
         return draw(tables())
     seventeen = Partition(tuple(Fraction(j, 17) for j in range(17)))

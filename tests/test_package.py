@@ -30,3 +30,29 @@ def test_every_traced_name_resolves():
         if attr not in owner:
             missing.append(name)
     assert missing == []
+
+
+# the constants of the work formulas in simact.budget
+WORK_CONSTANTS = {"MAX_WORK", "TERM_LEVELS", "MAX_PATTERNS", "MAX_SMOOTH_WORK", "MAX_GRAPH_WORK", "PAIR_STEPS", "KEY_STEPS"}
+
+
+def test_only_budget_reads_the_work_constants():
+    # a work formula copied back out of simact.budget would read them
+    package = os.path.dirname(simact.__file__)
+    readers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "budget.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            readers += [f"{name}:{node.lineno} {n}" for n in names if n in WORK_CONSTANTS]
+    assert readers == []

@@ -272,11 +272,12 @@ def test_is_graph_joining_refuses_p17_before_enumerating(monkeypatch):
     monkeypatch.setattr(sim, "graph_witness_exact", enumerate_unions)
     monkeypatch.setattr(sim, "pair_matrix", build_pair_matrix)
     seventeen = Partition(tuple(F(i, 17) for i in range(17)))
-    for w in (2, 3):
+    # 17 keys and 2^33 search steps for each of the k(k-1) pairs
+    for w, work in ((2, 17179870216), (3, 51539610648)):
         t = diagonal_table(seventeen, [F(1, 17)] * 17, w)
         # is_graph_joining takes two-time windows only
         for graph_test in [is_graph_sim] + [is_graph_joining] * (w == 2):
-            with pytest.raises(ValueError, match="pieces p = 17 is above the cap of 16; p > 16 refused"):
+            with pytest.raises(ValueError, match=rf"\(2p-1\)\) = {work} is above the cap of 33554432; k\(k-1\)"):
                 graph_test(t, F(1, 2))
 
 
@@ -286,7 +287,8 @@ def test_is_graph_sim_refuses_window_pairs_above_cap_before_any_pair_matrix(monk
 
     monkeypatch.setattr(sim, "pair_matrix", build_pair_matrix)
     t = diagonal_table(Partition((F(0),)), [F(1)], 2, d=9)
-    with pytest.raises(ValueError, match=r"window pairs k\(k-1\) = 261632 is above the cap of 65536"):
+    # 261,632 pairs of one key
+    with pytest.raises(ValueError, match=r"k\(k-1\)\*\(448\+4\*keys\+2\^\(2p-1\)\) = 118780928 is above the cap of 33554432"):
         is_graph_sim(t, F(1, 2))
 
 
