@@ -8,6 +8,7 @@ is checked exactly on construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -112,9 +113,9 @@ def action_dist(
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     budget.action_dist(a.n, b.n, terms, depth)
+    gammas = group_enumeration(a.d, terms)
     total = Fraction(0)
-    for j, gamma in enumerate(group_enumeration(a.d, terms), start=1):
-        ta, tb = a.evaluate(gamma), b.evaluate(gamma)
+    for j, (ta, tb) in enumerate(zip(_elements(a, gammas), _elements(b, gammas)), start=1):
         c = coarse_dist(ta, tb, depth)
         if c:
             total += c / 2**j
@@ -123,17 +124,50 @@ def action_dist(
     return total
 
 
+def _elements(a: LatticeAction, gammas: list[GroupElement]) -> Iterator[IntervalPermutation]:
+    """a(gamma) for each gamma of a group_enumeration prefix, built on demand.
+
+    Shells 0 and 1 go through evaluate.  A later gamma is a(nu) after
+    a(delta): nu steps each max-norm coordinate of gamma once toward 0, so it
+    lies in the previous shell, and delta = gamma - nu lies in shell 1; the
+    generators commute, so the product is exact.  Only shell 1, the previous
+    shell and the current one are held.
+    """
+    unit: dict[GroupElement, IntervalPermutation] = {}
+    prev: dict[GroupElement, IntervalPermutation] = {}
+    cur: dict[GroupElement, IntervalPermutation] = {}
+    shell = 0
+    for gamma in gammas:
+        s = max(map(abs, gamma))
+        if s != shell:
+            if shell == 1:
+                unit = cur
+            prev, cur, shell = cur, {}, s
+        if s <= 1:
+            out = a.evaluate(gamma)
+        else:
+            nu = tuple(c - (c > 0) + (c < 0) if abs(c) == s else c for c in gamma)
+            out = prev[nu].compose(unit[tuple(g - v for g, v in zip(gamma, nu))])
+        cur[gamma] = out
+        yield out
+
+
 def action_dist_tail(terms: int) -> Fraction:
     return Fraction(1, 2**terms)
 
 
 def conjugate(phi: IntervalPermutation, a: LatticeAction) -> LatticeAction:
-    """The action with generators phi g phi^-1."""
+    """The action with generators phi g phi^-1, each built in one pass:
+    phi g phi^-1 sends phi(i) to phi(g(i))."""
     n = lcm(phi.n, a.n)
-    p = phi.refine(n)
-    pinv = p.inverse()
-    gens = tuple(p.compose(g.refine(n)).compose(pinv) for g in a.generators)
-    return LatticeAction(a.d, gens)
+    p = phi.refine(n).perm
+    gens = []
+    for g in a.generators:
+        out = [0] * n
+        for pi, pgi in zip(p, map(p.__getitem__, g.refine(n).perm)):
+            out[pi] = pgi
+        gens.append(IntervalPermutation._trusted(n, tuple(out)))
+    return LatticeAction(a.d, tuple(gens))
 
 
 def free_defect(a: LatticeAction, k_max: int) -> list[tuple[GroupElement, Fraction]]:
@@ -141,12 +175,12 @@ def free_defect(a: LatticeAction, k_max: int) -> list[tuple[GroupElement, Fracti
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     count = (2 * k_max + 1) ** a.d
+    gammas = group_enumeration(a.d, count)
     out = []
-    for gamma in group_enumeration(a.d, count):
+    for gamma, t in zip(gammas, _elements(a, gammas)):
         if all(c == 0 for c in gamma):
             continue
-        perm = a.evaluate(gamma).perm
-        fixed = sum(1 for i, pi in enumerate(perm) if pi == i)
+        fixed = sum(1 for i, pi in enumerate(t.perm) if pi == i)
         out.append((gamma, Fraction(fixed, a.n)))
     return out
 

@@ -33,20 +33,22 @@ MAX_GRAPH_WORK = 1 << 25
 
 # The j-th lattice element of an action distance weighs 2^-j, so the terms
 # past 64 move it by at most 2^-64, far below the 12 decimals a distance
-# prints; each term still costs two evaluations and one coarse distance on
-# the full grid, and widens the exact sum's denominator by one bit.  `dist`
+# prints; each term still costs two maps and one coarse distance on the
+# full grid, and widens the exact sum's denominator by one bit.  `dist`
 # at 64 terms (depth 6, n = 64) took 0.29 to 0.32 s.
 MAX_TERMS = 64
 
-# Each term of an action distance evaluates both actions, refines the two
-# maps to the grid n = lcm(n_A, n_B, 2^depth) and reads the finest dyadic
-# interval of each image, all O(n) whatever the depth, then walks the cells
-# that two maps send apart once per dyadic level; so its cost grows with
-# terms * n * (depth + TERM_LEVELS), a product each cap above bounds only in
-# part.  On one core of a shared 2-vCPU machine a level took about 0.3 us per
-# cell, and the O(n) part of a term as much as 1 (n = 2^12) to 7 (n = 2^18)
-# levels.  Runs at 0.94 of the cap took 2.4 s (depth 8) to 3.9 s (depth 1,
-# n = 2^18), so the cap is about 4 s.
+# Each term of an action distance builds both actions' maps, one compose
+# each past the first shell, refines the two maps to the grid
+# n = lcm(n_A, n_B, 2^depth), reads the finest dyadic interval of each image
+# in one pass over the cells and sweeps the 2^(depth+1) nodes of the test-set
+# tree once, so a term takes O(n) steps and the whole distance O(terms * n),
+# a product each cap above bounds only in part.  The charge terms * n * (depth +
+# TERM_LEVELS) over-counts the deeper levels; it is kept so that every input
+# keeps its exit code.  On one core of a shared 2-vCPU machine, `dist` on two
+# random maps at 0.94 of the cap took 1.3 to 1.4 s at depth 1, n = 2^17 and
+# 12 terms, 1.5 to 1.6 s at depth 1, n = 2^18 and 6 terms, and 0.3 to 0.6 s
+# at depth 8, n = 2^14 and 40 terms, file reading included.
 TERM_LEVELS = 4
 MAX_WORK = 1 << 23
 
@@ -109,7 +111,7 @@ def action_dist(n_a: int, n_b: int, terms: int, depth: int, distances: int = 1) 
         raise ValueError("terms must be >= 1")
     check("terms", terms, MAX_TERMS)
     n = coarse_grid(lcm(n_a, n_b), depth)
-    # each term pays O(n) to build and refine its two maps, then walks the grid once per level
+    # each term is O(n); the charge per level over-counts it (see MAX_WORK)
     work = terms * n * (depth + TERM_LEVELS)
     check(f"work terms*n*(depth+{TERM_LEVELS}) =", work, MAX_WORK)
     check(f"work (heights+1)*terms*n*(depth+{TERM_LEVELS}) =", distances * work, MAX_WORK)

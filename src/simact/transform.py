@@ -77,7 +77,12 @@ class IntervalPermutation:
         return IntervalPermutation._trusted(a.n, tuple(map(a.perm.__getitem__, b.perm)))
 
     def power(self, k: int) -> "IntervalPermutation":
-        """k-th iterate for any integer k, via cycle rotation."""
+        """k-th iterate for any integer k, via cycle rotation; k = 1 and
+        k = -1 need no cycles."""
+        if k == 1:
+            return self  # frozen, with a tuple perm: safe to share
+        if k == -1:
+            return self.inverse()
         out = [0] * self.n
         for cycle in self._cycles:
             shift = k % len(cycle)
@@ -269,12 +274,16 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
     measure of T^-1(E) xor R^-1(E).  The truncation tail is bounded by
     coarse_dist_tail(depth).
 
-    Cost O(n * depth) at the common resolution n = lcm(t.n, r.n, 2^depth),
-    in exact integers.  Cell i lies in exactly one of T^-1(E), R^-1(E) iff
-    T and R send it to different level-l intervals, and then it adds one
-    to the disagreement of both; so one pass per level gives every summand.
-    With K = coarse_term_count(depth) the sum is (sum_k diff_k 2^(K-k)) /
-    (n 2^K), built as one integer numerator.
+    Cost O(n + 2^depth) at the common resolution n = lcm(t.n, r.n, 2^depth),
+    in exact integers.  The test sets form a binary heap: test set k is node
+    g = k + 1, node g has children 2g and 2g + 1, and the level-`depth`
+    interval x is the leaf 2^depth + x.  Cell i lies in exactly one of
+    T^-1(E), R^-1(E) iff E holds exactly one of its two images, that is iff
+    E's node lies above exactly one of the leaves x != y of those images.
+    So the cell adds +1 at both leaves and -2 at their lowest common node,
+    and one bottom-up sweep turns these into subtree sums, which are the
+    disagreement counts diff_g.  With K = coarse_term_count(depth) the sum
+    is (sum_g diff_g 2^(K+1-g)) / (n 2^K), built as one integer numerator.
     """
     n = budget.coarse_grid(lcm(t.n, r.n), depth)
     tt, rr = t.refine(n), r.refine(n)
@@ -282,22 +291,22 @@ def coarse_dist(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> F
         return Fraction(0)
     top = coarse_term_count(depth)
     span = n >> depth
-    # level-`depth` intervals of the cells the two maps send apart; halving
-    # both indices gives the next level up, where some pairs merge
-    moved = [(a // span, b // span) for a, b in zip(tt.perm, rr.perm) if a // span != b // span]
+    leaf = 1 << depth
+    count = [0] * (2 * leaf)
+    for a, b in zip(tt.perm, rr.perm):
+        if a != b:
+            x, y = a // span, b // span
+            if x != y:
+                count[leaf + x] += 1
+                count[leaf + y] += 1
+                count[(leaf + x) >> (x ^ y).bit_length()] -= 2
     num = 0
-    for level in range(depth, 0, -1):
-        cells = 1 << level
-        diff = [0] * cells
-        for a, b in moved:
-            diff[a] += 1
-            diff[b] += 1
-        # cell c of this level is test set k = cells - 1 + c
-        shift = top - cells + 1
-        for c, dc in enumerate(diff):
-            if dc:
-                num += dc << (shift - c)
-        moved = [(a >> 1, b >> 1) for a, b in moved if a >> 1 != b >> 1]
+    # children come after their parent, so each count is a whole subtree sum when read
+    for g in range(2 * leaf - 1, 1, -1):
+        c = count[g]
+        if c:
+            num += c << (top + 1 - g)
+            count[g >> 1] += c
     return Fraction(num, n << top)
 
 

@@ -7,11 +7,19 @@ exactly.  None of them is fast; each is fast enough for the input range its
 tests cover.
 
 Permutations and the coarse metric
-- `coarse_dist_oracle`: `transform.coarse_dist` as one preimage bitmask per
-  dyadic set at the common resolution.
+- `coarse_dist_oracle`: `transform.coarse_dist` as the measure of
+  T^-1(E) xor R^-1(E) for every dyadic set E, with the preimages of each
+  level's intervals gathered as cell sets at the common resolution.
 - `refine_oracle`, `inverse_oracle`, `compose_oracle`, `power_oracle`,
   `cycles_oracle`, `identity_oracle`: the permutation algebra cell by cell,
   each result built through the checked public constructor.
+
+Lattice actions
+- `lattice_elements_oracle` lists the lattice elements by max-norm shell,
+  descending lexicographically within a shell, each map built from
+  `power_oracle` and `compose_oracle`.  `action_dist_oracle` sums the
+  `coarse_dist_oracle` terms over them, at every rank and with the bound,
+  and `free_defect_oracle` counts their fixed cells.
 
 Cylinder tables
 - `CylinderTableOracle`: the table constructor's checks on `Fraction`
@@ -63,8 +71,7 @@ Dyadic sets and towers
   sets of used cells.
 - `wrp_conjugacy_search_oracle` runs the tower heights shortest first,
   conjugates through `compose_oracle` and `inverse_oracle`, and sums every
-  distance in full through `_rank1_action_dist_oracle`, the coarse
-  distances of `power_oracle` maps.
+  distance in full through `action_dist_oracle`.
 - `random_cycle_lengths_oracle` draws parts of a minimum length on a
   granularity.
 
@@ -144,15 +151,6 @@ def measure_parts(mu: StepMeasure):
 # -- permutations and the coarse metric ----------------------------------------
 
 
-def _preimage_mask(t: IntervalPermutation, cell_lo: int, cell_hi: int) -> int:
-    """Bits i with perm[i] in [cell_lo, cell_hi), at t's own resolution."""
-    bits = 0
-    for i, pi in enumerate(t.perm):
-        if cell_lo <= pi < cell_hi:
-            bits |= 1 << i
-    return bits
-
-
 def coarse_dist_oracle(t: IntervalPermutation, r: IntervalPermutation, depth: int) -> Fraction:
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -163,11 +161,15 @@ def coarse_dist_oracle(t: IntervalPermutation, r: IntervalPermutation, depth: in
     for level in range(1, depth + 1):
         cells = 2**level
         span = n // cells
+        # the preimage of every interval of this level under each map
+        pre_t = [set() for _ in range(cells)]
+        pre_r = [set() for _ in range(cells)]
+        for i in range(n):
+            pre_t[tt.perm[i] // span].add(i)
+            pre_r[rr.perm[i] // span].add(i)
         for c in range(cells):
             k += 1
-            mt = _preimage_mask(tt, c * span, (c + 1) * span)
-            mr = _preimage_mask(rr, c * span, (c + 1) * span)
-            diff = (mt ^ mr).bit_count()
+            diff = len(pre_t[c] ^ pre_r[c])
             if diff:
                 total += Fraction(diff, n) / 2**k
     return total
@@ -812,17 +814,47 @@ def matched_tower_map_oracle(
     return IntervalPermutation(n, tuple(phi))
 
 
-def _rank1_action_dist_oracle(t: IntervalPermutation, r: IntervalPermutation, terms: int, depth: int) -> Fraction:
-    """The action distance of the rank-1 actions of t and r: the j-th of the
-    lattice elements 0, 1, -1, 2, -2, ... weighs 2^-j times the coarse
-    distance of the two time-k maps."""
+def lattice_elements_oracle(a: LatticeAction, count: int) -> list[tuple[tuple[int, ...], IntervalPermutation]]:
+    """The first `count` lattice elements with their maps: max-norm shells
+    0, 1, 2, ..., each in descending lexicographic order, and the map of
+    (k_1, ..., k_d) the product of the power_oracle maps g_i^k_i."""
+    out = []
+    shell = 0
+    while len(out) < count:
+        ring = [g for g in product(range(-shell, shell + 1), repeat=a.d) if max(map(abs, g)) == shell]
+        for gamma in sorted(ring, reverse=True)[: count - len(out)]:
+            t = identity_oracle(a.n)
+            for g, k in zip(a.generators, gamma):
+                t = compose_oracle(t, power_oracle(g, k))
+            out.append((gamma, t))
+        shell += 1
+    return out
+
+
+def action_dist_oracle(a: LatticeAction, b: LatticeAction, terms: int, depth: int, bound=None) -> Fraction:
+    """The j-th lattice element weighs 2^-j times the coarse distance of the
+    two maps; with a bound, the first partial sum above it."""
+    if a.d != b.d:
+        raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     total = Fraction(0)
-    for j in range(terms):
-        k = (j + 1) // 2 if j % 2 else -(j // 2)
-        total += coarse_dist_oracle(power_oracle(t, k), power_oracle(r, k), depth) / 2 ** (j + 1)
+    pairs = zip(lattice_elements_oracle(a, terms), lattice_elements_oracle(b, terms))
+    for j, ((_, ta), (_, tb)) in enumerate(pairs, start=1):
+        total += coarse_dist_oracle(ta, tb, depth) / 2**j
+        if bound is not None and total > bound:
+            break
     return total
+
+
+def free_defect_oracle(a: LatticeAction, k_max: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return [
+        (gamma, Fraction(sum(1 for i, pi in enumerate(t.perm) if pi == i), a.n))
+        for gamma, t in lattice_elements_oracle(a, (2 * k_max + 1) ** a.d)
+        if any(gamma)
+    ]
 
 
 def wrp_conjugacy_search_oracle(
@@ -855,7 +887,7 @@ def wrp_conjugacy_search_oracle(
     for height in heights:
         phi = matched_tower_map_oracle(t, r, height)
         conjugated = compose_oracle(compose_oracle(phi, t), inverse_oracle(phi))
-        achieved = _rank1_action_dist_oracle(conjugated, r, terms, depth)
+        achieved = action_dist_oracle(LatticeAction(1, (conjugated,)), bb, terms, depth)
         if best is None or achieved < best.achieved:
             best = WrpResult(phi, achieved, height)
         if achieved == 0:

@@ -200,7 +200,7 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
 @pytest.mark.parametrize(
     "case, work, cap",
     [
-        # 12 terms on a 2^17-cell grid at depth 1: 4.1 to 4.2 s
+        # 12 terms on a 2^17-cell grid at depth 1: 1.3 to 1.4 s
         ("dist", 12 * 2**17 * (1 + TERM_LEVELS), MAX_WORK),
         # 7 table distances of 2^18 patterns: 4.0 s
         ("smooth", 7 * 2**18, MAX_SMOOTH_WORK),

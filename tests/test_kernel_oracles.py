@@ -10,6 +10,7 @@ search sums) or a wall-clock budget at a size the references cannot reach.
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from make_fixtures import gold
 from oracles import (
     CylinderTableOracle,
+    action_dist_oracle,
     adapt_table_oracle,
     average_sims_oracle,
     block_permutation_oracle,
@@ -39,6 +41,7 @@ from oracles import (
     exact_searches,
     factor_defect_oracle,
     fixed_mass_bound_oracle,
+    free_defect_oracle,
     from_indices_oracle,
     graph_verdict_oracle,
     graph_witnesses_oracle,
@@ -83,7 +86,7 @@ from oracles import (
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
-from simact.action import LatticeAction, _matched_tower_map, action_dist, wrp_conjugacy_search
+from simact.action import LatticeAction, _matched_tower_map, action_dist, conjugate, free_defect, wrp_conjugacy_search
 from simact.cli import main
 from simact.equivalence import _block_permutation, adapt_table, cylinder_atoms, factor_defect, realize_sim_as_action
 from simact.measure import _line_convolve, convolve, pushforward, uniform_on, weak_star_distance
@@ -134,6 +137,35 @@ def test_coarse_dist_matches_oracle(t, r, depth):
     assert coarse_dist(t, r, depth) == coarse_dist_oracle(t, r, depth)
 
 
+@st.composite
+def near_pairs(draw):
+    """A random map t on n = q 2^k cells, q in {1, 3, 5, 7}, and a map r that
+    differs from it by 1 to 3 transpositions of images or by one rotated
+    cycle of images, with a depth from 1 to 12.  These are the pairs a
+    conjugacy search compares, where most cells agree."""
+    depth = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, 3, 5, 7])) << draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    t = rng.sample(range(n), n)
+    r = list(t)
+    if n > 1 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = rng.sample(range(n), 2)
+            r[i], r[j] = r[j], r[i]
+    elif n > 1:
+        cells = rng.sample(range(n), rng.randint(2, min(n, 16)))
+        for c, d in zip(cells, cells[1:] + cells[:1]):
+            r[c] = t[d]
+    return IntervalPermutation(n, tuple(t)), IntervalPermutation(n, tuple(r)), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_pairs())
+def test_coarse_dist_matches_oracle_on_near_pairs(pair):
+    t, r, depth = pair
+    assert coarse_dist(t, r, depth) == coarse_dist_oracle(t, r, depth)
+
+
 @settings(max_examples=50, deadline=None)
 @given(perms(), st.integers(1, 8))
 def test_coarse_dist_matches_oracle_on_a_refined_copy(t, depth):
@@ -173,6 +205,16 @@ def test_inverse_and_refine_match_oracle(t, k):
     for out, oracle in ((t.inverse(), inverse_oracle(t)), (t.refine(k * t.n), refine_oracle(t, k * t.n))):
         assert out == oracle
         assert passes_public_check(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 6, 8, 12]), st.integers(0, 10**6))
+def test_conjugate_matches_oracle_at_mixed_resolutions(phi, d, n, seed):
+    a = random_action(random.Random(seed), d, n)
+    out = conjugate(phi, a)
+    expected = [compose_oracle(compose_oracle(phi, g), inverse_oracle(phi)) for g in a.generators]
+    assert list(out.generators) == expected
+    assert all(passes_public_check(g) for g in out.generators)
 
 
 @given(st.integers(1, 64))
@@ -765,6 +807,27 @@ def test_bounded_action_dist_is_exact_up_to_the_bound(d, n, seed, terms, depth, 
             assert x < cut <= full
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 3, 4, 6, 8]),
+    st.sampled_from([1, 2, 3, 4, 6, 8]),
+    st.integers(0, 10**6),
+    st.integers(1, 64),
+    st.integers(1, 4),
+    st.fractions(0, 1, max_denominator=64),
+    st.integers(1, 2),
+)
+def test_action_dist_and_free_defect_match_oracle(d, n_a, n_b, seed, terms, depth, bound, k_max):
+    # up to 64 terms reach shell 2 at rank 3 and shell 32 at rank 1, so
+    # the maps built from a neighbour are checked at every rank
+    rng = random.Random(seed)
+    a, b = random_action(rng, d, n_a), random_action(rng, d, n_b)
+    assert action_dist(a, b, terms, depth) == action_dist_oracle(a, b, terms, depth)
+    assert action_dist(a, b, terms, depth, bound=bound) == action_dist_oracle(a, b, terms, depth, bound=bound)
+    assert free_defect(a, k_max) == free_defect_oracle(a, k_max)
+
+
 def test_wrp_search_stops_summing_heights_that_cannot_win():
     # the wrp workload's sizes; the tallest of the three heights (8, 16, 32) wins
     rng = random.Random(0)
@@ -776,6 +839,44 @@ def test_wrp_search_stops_summing_heights_that_cannot_win():
     assert res == wrp_conjugacy_search_oracle(a, b, Fraction(1, 16), terms, depth)
     assert res.height == 32
     assert calls.call_count < 3 * terms
+
+
+def test_wrp_search_evaluates_only_shells_0_and_1():
+    # the pair above: every later lattice element is built from a neighbour,
+    # and the conjugated generators take their powers 1 and -1 without cycles
+    rng = random.Random(0)
+    t, r = (aperiodic_permutation(rng, 512, 32) for _ in range(2))
+    a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
+    conjugated = []
+
+    def record(phi, act):
+        conjugated.append(conjugate(phi, act))
+        return conjugated[-1]
+
+    evaluate = LatticeAction.evaluate
+    with patch("simact.action.conjugate", side_effect=record), patch.object(
+        LatticeAction, "evaluate", autospec=True, side_effect=evaluate
+    ) as calls:
+        wrp_conjugacy_search(a, b, Fraction(1, 16), 6, 6)
+    assert calls.call_count > 0 and len(conjugated) == 3
+    assert {gamma for _act, gamma in (c.args for c in calls.call_args_list)} <= {(0,), (1,), (-1,)}
+    assert not any("_cycles" in vars(g) for act in conjugated for g in act.generators)
+
+
+def test_action_dist_memory_does_not_grow_with_the_terms():
+    # a memo of every lattice element raised the memory of `dist` at the
+    # work cap from 54 to 677 MiB; the neighbour build holds three shells
+    rng = random.Random(0)
+    a, b = random_action(rng, 1, 2**12), random_action(rng, 1, 2**12)
+    peaks = []
+    for terms in (8, 64):
+        tracemalloc.start()
+        try:
+            action_dist(a, b, terms, 6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("unit", [-2, 0, *range(1, 33)])
