@@ -58,19 +58,37 @@ MAX_WORK = 1 << 23
 MAX_STEPS = 40
 
 # Table distances and smoothing walk the cylinder patterns of a window: a
-# label or a free slot at each of its w^d times, so up to (p+1)^(w^d) of
-# them, one integer each, held at once.  A one-rung `smooth` at the cap
-# (p = 1, w = 20) took 5.6 s and 340 MiB on one core of a shared 2-vCPU machine.
+# label or a free slot at each of its w^d times, so (p+1)^(w^d) of them, one
+# list slot each, held at once whatever the sparsity of the table.  A one-rung
+# blur and distance at the cap peaked at 20 MiB on the one-piece table of
+# w = 20, 76 MiB on an iid table of p = 3, w = 10 and 298 MiB at p = 15, w = 5,
+# where its 759,375 keys hold most of it.
 MAX_PATTERNS = 1 << 20
 
 # `smooth` runs a full blur, table distance and fixed-mass report on each of
-# its K+1 rungs, rung 0 (delta = 0) included, so it walks up to
-# (K+1)(p+1)^(w^d) patterns.  On the one-piece table of w = 18 (2^18 patterns)
-# it took 1.2 to 1.6 s at K = 1, 4.0 s at K = 6 (0.875 of the cap), 5.5 s at
-# K = 7 and 22.6 s at K = 40 on one core of a shared 2-vCPU machine, 2.2 to
-# 2.7 us a pattern and rung.  So the cap is about 5 s, and it still takes a
-# one-rung smooth at the pattern cap.
-MAX_SMOOTH_WORK = 1 << 21
+# its K+1 rungs, rung 0 (delta = 0) included.  A rung fills the (p+1)^k slots
+# of the dense distance, k = w^d, walks the up to p^k keys of the blurred
+# table, k labels each, in the blur, the table checks and the fixed-mass
+# report, and builds the p^2 smear weights of the blur, each an overlap
+# integral of interval sets.  A key label costs about KEY_SLOTS slots and a
+# smear weight about SMEAR_SLOTS (150 to 280 us at p = 31 to 300), so a rung
+# is charged (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a
+# shared 2-vCPU machine a slot took 0.057 us at p = 1, w = 20 and so did a
+# charged unit at p = 31, w = 4 (delta = 7/8, K = 1, file reading included);
+# every shape in between took 0.02 to 0.04 us a unit.  So the cap is about
+# 4 s: 17 rungs at p = 2, w = 12 (0.94 of it) took 2.6 s and 40 rungs at
+# p = 1, w = 18 (0.16 of it) 0.9 s.
+KEY_SLOTS = 64
+SMEAR_SLOTS = 5000
+MAX_SMOOTH_WORK = 1 << 26
+
+# Reading a table file splits each key into its k = w^d labels, reads its
+# mass and checks the table; it took 0.5 to 0.6 us a key label (4 to 12 MB
+# files of 59,049 to 275,807 keys), JSON parsing included, on one core of a
+# shared 2-vCPU machine.  The charge keys*k comes before any label or mass is
+# read, so a file above the cap is refused in about the time of its JSON
+# parse; one at 0.92 of the cap took 2.0 s to read.
+MAX_TABLE_WORK = 1 << 22
 
 # `markov_table` redraws until the lcm of a draw's mass denominators fits its
 # max_resolution: p = 4, w = 3 under 200 took 5539 draws (about 5 s) from
@@ -125,9 +143,17 @@ def patterns(p: int, k: int) -> int:
 def smooth(p: int, k: int, steps: int) -> None:
     """Refuse a `smooth` ladder of `steps` rungs above zero, on p pieces and
     k window times, above its caps: the rungs, the patterns of one pass and
-    then the patterns of all steps+1 distances, in that order."""
+    then the work of all steps+1 rungs, in that order."""
     check("steps", steps, MAX_STEPS)
-    check("work (steps+1)*(p+1)^(w^d) =", (steps + 1) * patterns(p, k), MAX_SMOOTH_WORK)
+    work = (steps + 1) * (patterns(p, k) + KEY_SLOTS * k * p**k + SMEAR_SLOTS * p * p)
+    formula = f"(steps+1)*((p+1)^(w^d)+{KEY_SLOTS}*w^d*p^(w^d)+{SMEAR_SLOTS}*p^2)"
+    check(f"work {formula} =", work, MAX_SMOOTH_WORK)
+
+
+def table(keys: int, k: int) -> None:
+    """Refuse a table file of `keys` mass keys on k window times above
+    MAX_TABLE_WORK, before any of its labels or masses is parsed."""
+    check("work keys*w^d =", keys * k, MAX_TABLE_WORK)
 
 
 def graph_test(p: int, k: int, keys: int) -> None:

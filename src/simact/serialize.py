@@ -8,7 +8,9 @@ plain dicts ready for json.dump.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import lcm
 
 from . import budget
 from .action import LatticeAction
@@ -174,7 +176,8 @@ def dump_action(a: LatticeAction) -> dict:
 def load_table(obj) -> CylinderTable:
     """{"d": 1, "w": 2, "cuts": ["0", "1/2"], "masses": {"0,1": "1/4", ...}}
 
-    Mass keys are comma-joined labels in the window's element order."""
+    Mass keys are comma-joined labels in the window's element order.  The
+    key labels, keys * w^d, are charged before any key or mass is read."""
     d = _need(obj, "d", int, "table")
     w = _need(obj, "w", int, "table")
     cuts = _need(obj, "cuts", list, "table")
@@ -189,17 +192,41 @@ def load_table(obj) -> CylinderTable:
     k = window.size()
     # Window.elements() lists d * w^d coordinates, and nothing above bounds d when w = 1
     budget.check("window coordinates d*w^d =", d * k, budget.MAX_RESOLUTION)
+    budget.table(len(raw), k)
     masses = {}
     for key, value in raw.items():
         parts = key.split(",")
         if len(parts) != k:
             raise ValueError(f"table: key '{key}' must have {k} labels")
         try:
-            labels = tuple(int(p) for p in parts)
+            labels = tuple(map(int, parts))
         except ValueError:
             raise ValueError(f"table: key '{key}' has non-integer labels") from None
-        masses[labels] = parse_rational(value if isinstance(value, str) else str(value))
-    return CylinderTable(window, partition, masses)
+        masses[labels] = _mass(value)
+    den = lcm(*(q for _num, q in masses.values()))
+    nums = {labels: num * (den // q) for labels, (num, q) in masses.items()}
+    return CylinderTable(window, partition, nums, den=den)
+
+
+# the canonical ASCII form of a nonnegative rational, which int() reads directly
+_PLAIN_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _mass(value) -> tuple[int, int]:
+    """A table mass as (numerator, denominator) ints.  A string in the plain
+    form "p" or "p/q" is read with int(); everything else, and a plain string
+    int() refuses or with a zero denominator, goes through parse_rational, so
+    what is accepted or refused, and with which message, is its decision."""
+    if isinstance(value, str) and (m := _PLAIN_RATIONAL.fullmatch(value)):
+        try:
+            num, q = int(m[1]), int(m[2] or 1)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if q:
+                return num, q
+    f = parse_rational(value if isinstance(value, str) else str(value))
+    return f.numerator, f.denominator
 
 
 def dump_table(t: CylinderTable) -> dict:

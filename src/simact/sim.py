@@ -15,9 +15,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
-from operator import index, itemgetter
+from operator import add, index, itemgetter, mul, sub
 from types import MappingProxyType
 
 from . import budget
@@ -118,7 +118,10 @@ class CylinderTable:
     `nums` maps each full label tuple (aligned with window.elements()) to a
     positive int and `den` is the least common denominator of the masses,
     so the mass of a key is nums[key] / den and sum(nums) == den.  Kernels
-    work on nums and den and divide only where a Fraction is read.
+    work on nums and den and divide only where a Fraction is read.  The
+    window kernels (`relabel`, `sim_dist`) lay nums out densely, one list
+    slot per label tuple, so they cost up to (p+1)^k slots for k = w^d
+    whatever the number of keys.
     `masses` is the same table as a read-only {key: Fraction} view, built
     on first use.
 
@@ -254,6 +257,56 @@ def pair_matrix(t: CylinderTable, alpha, beta) -> list[list[Fraction]]:
 # -- table metric ------------------------------------------------------------
 
 
+def _dense(t: CylinderTable) -> list[int]:
+    """t's numerators at all p^k label tuples, in the order of
+    product(range(p), repeat=k): big-endian mixed radix p over
+    window.elements(), zeros included."""
+    return list(map(t.nums.get, product(range(t.partition.p), repeat=t.window.size()), repeat(0)))
+
+
+def _apply_rows(arr: list[int], k: int, p: int, q: int, rows) -> list[int]:
+    """Push a dense table through integer weights at every window time.
+
+    arr lists p^k integers in big-endian mixed radix over window.elements()
+    (position 0 is the most significant digit).  One pass per position,
+    last first, sends run c of that position's radix-p digit to run j of a
+    radix-q digit, times w, for each (j, w) in rows[c]; the positions
+    already passed carry radix q, so the result lists q^k integers.  At
+    position pos a run is the s = q^(k-1-pos) entries under the digit, once
+    in each of the p^pos blocks above it.  The runs move as C-level maps
+    over slices, each target run written once: one contiguous slice per
+    block when s >= p^pos, one step slice per offset inside the run
+    otherwise, so a pass loops min(s, p^pos) times in Python.  Weight 1
+    skips the multiply.
+    """
+    into: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+    for c, row in enumerate(rows):
+        for j, w in row:
+            into[j].append((c, w))
+    for pos in reversed(range(k)):
+        s, blocks = q ** (k - 1 - pos), p**pos
+        out = [0] * (blocks * q * s)
+        if s >= blocks:
+            starts, n, step_in, step_out = [(b * p * s, b * q * s) for b in range(blocks)], s, 1, 1
+        else:
+            starts, n, step_in, step_out = [(i, i) for i in range(s)], blocks, p * s, q * s
+        for src, dst in starts:
+            for j, sources in enumerate(into):
+                acc = None
+                for c, w in sources:
+                    a = src + c * s
+                    run = arr[a : a + n * step_in : step_in]
+                    if w != 1:
+                        run = map(mul, run, repeat(w))
+                    # a list per sum keeps a wide fan-in from nesting maps
+                    acc = run if acc is None else list(map(add, acc, run))
+                if acc is not None:
+                    b = dst + j * s
+                    out[b : b + n * step_out : step_out] = acc
+        arr = out
+    return arr
+
+
 def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
     """Push t's masses through a per-label weight map, one window time at a
     time, and read the result over `partition`.
@@ -266,21 +319,18 @@ def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
 
     The weights become integers over the lcm of their denominators, so
     each pass multiplies the table's denominator by that lcm once; the
-    result is checked (and reduced) like any other table.
+    result is checked (and reduced) like any other table.  The passes run
+    on the dense table (`_apply_rows`), which holds up to max(p, q)^k list
+    slots for p labels in and q out, whatever the sparsity of t; so
+    (max(p, q)+1)^k above MAX_PATTERNS is refused before the first pass.
     """
+    k, p, q = t.window.size(), t.partition.p, partition.p
+    budget.patterns(max(p, q), k)
     scale = lcm(*(weight.denominator for row in rows for _j, weight in row))
     int_rows = [[(j, weight.numerator * (scale // weight.denominator)) for j, weight in row] for row in rows]
-    current = t.nums
-    k = t.window.size()
-    for pos in range(k):
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, num in current.items():
-            head, tail = key[:pos], key[pos + 1 :]
-            for j, weight in int_rows[key[pos]]:
-                new_key = head + (j,) + tail
-                nxt[new_key] = nxt.get(new_key, 0) + num * weight
-        current = nxt
-    return CylinderTable(t.window, partition, current, den=t.den * scale**k)
+    arr = _apply_rows(_dense(t), k, p, q, int_rows)
+    nums = {key: v for key, v in zip(product(range(q), repeat=k), arr) if v}
+    return CylinderTable(t.window, partition, nums, den=t.den * scale**k)
 
 
 def overlap_rows(cells, targets) -> list[list[tuple[int, Fraction]]]:
@@ -315,13 +365,14 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
     Tables are first brought to a common window (the smaller box) and a
     common partition (the union of cuts).
 
-    A cylinder is a key pattern with None at the free window times.  The
-    signed difference table goes to integer numerators over the lcm of the
-    two tables' denominators, and one pass per window time adds a copy of every
-    entry with that time freed (the subset-lattice zeta transform, Yates's
-    method).  Cost: k passes over at most the number of patterns that
-    occur, with k = w^d, instead of keys * 2^k tuples; one division at
-    the end.
+    A cylinder is a key pattern with a label or "free" at each window time.
+    The signed difference table goes to integer numerators over the lcm of
+    the two tables' denominators, laid out densely, and `_apply_rows` runs
+    it from radix p to radix p+1 with digit p meaning "free": label c goes
+    to c and to p at every time, so each pattern collects the gap of its
+    cylinder (the subset-lattice zeta transform, Yates's method).  Cost:
+    k = w^d passes over at most (p+1)^k list slots, whatever the sparsity
+    of the tables; one division at the end.
     """
     if t1.window.d != t2.window.d:
         raise ValueError(f"rank mismatch: {t1.window.d} vs {t2.window.d}")
@@ -333,14 +384,10 @@ def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
         t2 = refine_partition(t2, t1.partition.cuts)
     den = lcm(t1.den, t2.den)
     f1, f2 = den // t1.den, den // t2.den
-    diffs: dict[tuple, int] = {key: f1 * num for key, num in t1.nums.items()}
-    for key, num in t2.nums.items():
-        diffs[key] = diffs.get(key, 0) - f2 * num
-    for i in range(t1.window.size()):
-        for key, value in list(diffs.items()):
-            free = key[:i] + (None,) + key[i + 1 :]
-            diffs[free] = diffs.get(free, 0) + value
-    return Fraction(max(abs(v) for v in diffs.values()), den)
+    p = t1.partition.p
+    diffs = list(map(sub, map(mul, _dense(t1), repeat(f1)), map(mul, _dense(t2), repeat(f2))))
+    diffs = _apply_rows(diffs, t1.window.size(), p, p + 1, [[(c, 1), (p, 1)] for c in range(p)])
+    return Fraction(max(max(diffs), -min(diffs)), den)
 
 
 # -- graph tests -------------------------------------------------------------

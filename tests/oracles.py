@@ -37,6 +37,8 @@ Cylinder tables
   and `piece_of_point_oracle` scan every key, term or cut.
 - `markov_table_oracle`: `sampling.markov_table` building all masses of a
   draw before it checks their lcm.
+- `load_table_oracle`: `serialize.load_table` reading every mass with
+  `parse_rational` and building the table on `Fraction` masses.
 
 Graph test
 - `graph_witnesses_oracle`: for each union B of pieces, the greedy witness
@@ -108,6 +110,7 @@ from simact.sampling import (
     random_graph_joining,
     random_partition,
 )
+from simact.rationals import parse_rational
 from simact.serialize import _need
 from simact.sim import (
     CylinderTable,
@@ -435,6 +438,34 @@ def construction_outcomes(window: Window, partition: Partition, masses) -> tuple
         outcome(lambda: CylinderTable(window, partition, nums, den=den)),
         outcome(lambda: CylinderTableOracle(window, partition, masses)),
     )
+
+
+def load_table_oracle(obj) -> CylinderTable:
+    """`serialize.load_table` with every mass read by `parse_rational` into a
+    Fraction and the table built on Fraction masses."""
+    d = _need(obj, "d", int, "table")
+    w = _need(obj, "w", int, "table")
+    cuts = _need(obj, "cuts", list, "table")
+    raw = _need(obj, "masses", dict, "table")
+    window = Window(d, w)
+    partition = Partition(tuple(parse_rational(c) for c in cuts))
+    longest = max((key.count(",") + 1 for key in raw), default=0)
+    if w > 1 and d > longest.bit_length():
+        raise ValueError(f"table: a window of {w}^{d} times is longer than every key")
+    k = window.size()
+    budget.check("window coordinates d*w^d =", d * k, budget.MAX_RESOLUTION)
+    budget.table(len(raw), k)
+    masses = {}
+    for key, value in raw.items():
+        parts = key.split(",")
+        if len(parts) != k:
+            raise ValueError(f"table: key '{key}' must have {k} labels")
+        try:
+            labels = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"table: key '{key}' has non-integer labels") from None
+        masses[labels] = parse_rational(value if isinstance(value, str) else str(value))
+    return CylinderTable(window, partition, masses)
 
 
 def fixed_mass_bound_oracle(t, beta) -> Fraction:

@@ -346,8 +346,13 @@ def iid_pair_table(p):
         "graph_test_pairs",
         # 13 pieces: 2^25 search steps for each of the two pairs
         "graph_test_pieces",
-        # 2^18 patterns walked by each of 41 table distances
+        # 3^12 patterns, up to 12 * 2^12 key labels and 2^2 smear weights in each of 41 rungs
         "smooth_rungs",
+        # 200 pieces at one window time: 200^2 smear weights a rung
+        "smooth_smear",
+        # 1025 keys of 4096 labels each: refused before any key is split or
+        # mass read (neither would pass)
+        "table_read",
     ],
 )
 def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
@@ -418,8 +423,19 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
             "k(k-1)*(448+4*keys+2^(2p-1)) = 67111112", 2**25,
         ),
         "smooth_rungs": (
-            ["smooth", write(tmp_path / "one18.json", one_piece_table(1, 18)), "--delta", "1/4", "--steps", "40"],
-            "(steps+1)*(p+1)^(w^d) = 10747904", 2**21,
+            ["smooth", write(tmp_path / "diag12.json", diagonal_table(12, 2)), "--delta", "1/4", "--steps", "40"],
+            "(steps+1)*((p+1)^(w^d)+64*w^d*p^(w^d)+5000*p^2) = 151583929", 2**26,
+        ),
+        "smooth_smear": (
+            ["smooth", write(tmp_path / "p200.json", {"d": 1, "w": 1, "cuts": [f"{j}/200" for j in range(200)],
+                                                      "masses": {str(j): "1/200" for j in range(200)}}),
+             "--delta", "1/4", "--steps", "1"],
+            "+5000*p^2) = 400026002", 2**26,
+        ),
+        "table_read": (
+            ["graph-test", write(tmp_path / "long_keys.json", {"d": 1, "w": 4096, "cuts": ["0"], "masses": {str(i): "x" for i in range(1025)}}),
+             "--epsilon", "1/8"],
+            "keys*w^d = 4198400", 2**22,
         ),
     }[case]
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ import random
 import tempfile
 import time
 from datetime import timedelta
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,14 +23,17 @@ from hypothesis import strategies as st
 from make_fixtures import gold
 
 from simact.budget import (
+    KEY_SLOTS,
     KEY_STEPS,
     MAX_DEPTH,
     MAX_GRAPH_WORK,
     MAX_RESOLUTION,
     MAX_SMOOTH_WORK,
+    MAX_TABLE_WORK,
     MAX_TERMS,
     MAX_WORK,
     PAIR_STEPS,
+    SMEAR_SLOTS,
     TERM_LEVELS,
 )
 from simact.cli import main
@@ -202,8 +206,8 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
     [
         # 12 terms on a 2^17-cell grid at depth 1: 1.3 to 1.4 s
         ("dist", 12 * 2**17 * (1 + TERM_LEVELS), MAX_WORK),
-        # 7 table distances of 2^18 patterns: 4.0 s
-        ("smooth", 7 * 2**18, MAX_SMOOTH_WORK),
+        # 17 rungs on the uniform iid table of two pieces and w = 12: 2.6 s
+        ("smooth", 17 * (3**12 + KEY_SLOTS * 12 * 2**12 + SMEAR_SLOTS * 2**2), MAX_SMOOTH_WORK),
         # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
     ],
@@ -221,14 +225,44 @@ def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case,
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump({"d": 1, "n": n, "generators": [rng.sample(range(n), n)]}, fh)
         argv = ["dist", *paths, "--terms", "12", "--depth", "1"]
+    elif case == "smooth":
+        table = str(tmp_path / "table.json")
+        masses = {",".join(map(str, key)): f"1/{2**12}" for key in product(range(2), repeat=12)}
+        with open(table, "w", encoding="utf-8") as fh:
+            json.dump({"d": 1, "w": 12, "cuts": ["0", "1/2"], "masses": masses}, fh)
+        argv = [case, table, "--delta", "1/4", "--steps", "16"]
     else:
         table = str(tmp_path / "table.json")
-        d, w = (1, 18) if case == "smooth" else (8, 2)
         with open(table, "w", encoding="utf-8") as fh:
-            json.dump({"d": d, "w": w, "cuts": ["0"], "masses": {",".join("0" * w**d): "1"}}, fh)
-        flags = ["--delta", "1/4", "--steps", "6"] if case == "smooth" else ["--epsilon", "1/8"]
-        argv = [case, table, *flags]
+            json.dump({"d": 8, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**8): "1"}}, fh)
+        argv = [case, table, "--epsilon", "1/8"]
     started = time.perf_counter()
     code, err = run(argv + ["--out", str(tmp_path / "out")])
     assert code == 0, err
     assert time.perf_counter() - started < 10
+
+
+def test_a_table_near_its_read_cap_is_judged_within_the_deadline(tmp_path):
+    # the reversible walk on the graph with edges 0-2 and 1-2 and a loop at
+    # each vertex: P(i, j) = 1/deg(i) from the stationary law deg(i)/7, so a
+    # path x_0..x_13 weighs 1/(7 deg(x_1) ... deg(x_12)); 275,807 keys of 14
+    # labels (an 11.9 MB file) read in 2.0 s
+    adj = [[0, 2], [1, 2], [0, 1, 2]]
+    paths = [(i,) for i in range(3)]
+    for _ in range(13):
+        paths = [s + (j,) for s in paths for j in adj[s[-1]]]
+    assert 0.85 * MAX_TABLE_WORK < 14 * len(paths) <= MAX_TABLE_WORK
+    masses = {}
+    for s in paths:
+        den = 7
+        for x in s[1:-1]:
+            den *= len(adj[x])
+        masses[",".join(map(str, s))] = f"1/{den}"
+    table = str(tmp_path / "table.json")
+    with open(table, "w", encoding="utf-8") as fh:
+        json.dump({"d": 1, "w": 14, "cuts": ["0", "1/3", "2/3"], "masses": masses}, fh)
+    started = time.perf_counter()
+    code, err = run(["graph-test", table, "--epsilon", "1/8", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 10
+    # read in full, then refused by the graph test's own cap
+    assert code == 4 and "k(k-1)*(448+4*keys+2^(2p-1))" in err, err

@@ -55,6 +55,7 @@ from oracles import (
     is_graph_sim_oracle,
     line_convolve_oracle,
     load_dyadic_oracle,
+    load_table_oracle,
     marginalize_to_oracle,
     markov_table_oracle,
     matched_tower_map_oracle,
@@ -121,7 +122,7 @@ from simact.sim import (
     refine_partition,
     sim_dist,
 )
-from simact.serialize import dump_dyadic, load_dyadic, load_permutation, load_table, read_json_file
+from simact.serialize import dump_dyadic, dump_table, load_dyadic, load_permutation, load_table, read_json_file
 from simact.transform import DyadicSet, IntervalPermutation, coarse_dist, identity, preimage, rohlin_tower, rotation
 
 
@@ -328,6 +329,63 @@ def test_adapt_table_matches_oracle(t, seed, delta, out_kind):
     assert is_canonical(out)
 
 
+@st.composite
+def dense_kernel_tables(draw):
+    """Tables for the dense window kernel beyond `tables()`: one window time
+    (k = 1) with up to 6 pieces, iid tables that leave pieces out (few keys
+    among the p^k slots), and 4-piece Markov tables of width 3.  With k >= 2
+    and p >= 2, the pass of `_apply_rows` at the last position takes step
+    slices (s = 1 < p^(k-1) blocks) and the pass at position 0 contiguous
+    ones."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["one time", "sparse", "markov"]))
+    if kind == "markov":
+        return markov_table(rng, 4, 3)
+    if kind == "one time":
+        p, w, d = draw(st.integers(1, 6)), 1, draw(st.integers(1, 2))
+        weights = [rng.randint(1, 4) for _ in range(p)]
+    else:
+        p = draw(st.integers(3, 5))
+        weights = [0] * p
+        for j in rng.sample(range(p), draw(st.integers(1, 2))):
+            weights[j] = rng.randint(1, 4)
+        w, d = draw(st.sampled_from([(3, 1), (4, 1), (2, 2)]))
+    return iid_table(random_partition(rng, p), [Fraction(x, sum(weights)) for x in weights], w, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_kernel_tables(), st.one_of(dense_kernel_tables(), tables()), st.lists(grid_points, max_size=3))
+def test_dense_kernel_matches_the_oracles(t, other, cuts):
+    # new cuts and the other table's cuts make q differ from p
+    assert outcome(lambda: sim_dist(t, other)) == outcome(lambda: sim_dist_oracle(t, other))
+    assert refine_partition(t, cuts) == refine_partition_oracle(t, cuts)
+    assert convolve_sim(t, Fraction(1, 5)) == convolve_sim_oracle(t, Fraction(1, 5))
+    h = random_adaptation(random.Random(len(cuts)), Fraction(1, 8))
+    assert adapt_table(h, t, other.partition) == adapt_table_oracle(h, t, other.partition)
+
+
+@pytest.mark.parametrize("p", [1, 2, 40])
+def test_dense_kernel_sums_a_wide_fan_in(p):
+    # at one window time the free digit of `sim_dist` collects all p labels
+    t = iid_table(Partition(tuple(Fraction(j, p) for j in range(p))), [Fraction(1, p)] * p, 1)
+    u = iid_table(Partition((Fraction(0),)), [Fraction(1)], 1)
+    assert sim_dist(t, u) == sim_dist_oracle(t, u)
+
+
+def test_smooth_rung_memory_stays_flat_on_a_sparse_table():
+    # one key, 2^18 patterns: a rung holds a few lists of small ints, where a
+    # dict of pattern tuples took 64 MiB
+    t = CylinderTable(Window(1, 18), Partition((Fraction(0),)), {(0,) * 18: 1})
+    tracemalloc.start()
+    try:
+        smoothed = convolve_sim(t, Fraction(1, 4))
+        assert sim_dist(smoothed, t) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # -- integer-numerator tables ------------------------------------------------------
 
 
@@ -411,6 +469,39 @@ def one_axis_inconsistent(draw):
 def test_shift_failure_along_one_axis_raises_the_oracle_error(case):
     window, partition, masses, axis = case
     assert construction_outcomes(window, partition, masses) == ((ValueError, f"shift consistency fails along axis {axis}"),) * 3
+
+
+# -- table reader ------------------------------------------------------------------
+
+
+def _spellings(m: Fraction) -> list:
+    """JSON values for a mass m: spellings parse_rational reads as m, and
+    values it refuses or reads as another number."""
+    a, b = m.numerator, m.denominator
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    return [
+        f"{a}/{b}", f"{3 * a}/{3 * b}", f"0{a}/00{b}", f" {a}/{b}\n", f"+{a}/{b}", f"{a}_0/{b}_0",
+        f"{a}/{b}".translate(arabic), f"-{a}/{b}", f"{a} / {b}", f"{a}__0/{b}", f"{a}/{b}.0",
+        float(m), str(float(m)), f"{a}e0/{b}", a // b, True, False, None, "1/0", "1/00", "0/0", "-0", "",
+        "1" * 4301, f"{a}/{'0' * 4300}{b}", f"{'0' * 4300}{a}/{b}", f"{'9' * 4300}/{'9' * 4299}",
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_integer_table_reader_matches_its_reference(t, data):
+    # a CLI exit code follows from the exception type, so equal outcomes
+    # also mean equal exit codes
+    doc = dump_table(t)
+    masses = doc["masses"]
+    for key in data.draw(st.lists(st.sampled_from(sorted(masses)), max_size=3, unique=True)):
+        spellings = _spellings(Fraction(masses[key]))
+        masses[key] = data.draw(st.sampled_from(spellings))
+        if data.draw(st.booleans()):
+            # the same labels under a second key: the later key wins
+            alias = ",".join(data.draw(st.sampled_from([f" {x}", f"0{x}", f"{x} "])) for x in key.split(","))
+            masses[alias] = data.draw(st.sampled_from(spellings))
+    assert outcome(lambda: load_table(doc)) == outcome(lambda: load_table_oracle(doc))
 
 
 # -- interval-set operations ------------------------------------------------------

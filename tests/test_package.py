@@ -33,7 +33,10 @@ def test_every_traced_name_resolves():
 
 
 # the constants of the work formulas in simact.budget
-WORK_CONSTANTS = {"MAX_WORK", "TERM_LEVELS", "MAX_PATTERNS", "MAX_SMOOTH_WORK", "MAX_GRAPH_WORK", "PAIR_STEPS", "KEY_STEPS"}
+WORK_CONSTANTS = {
+    "MAX_WORK", "TERM_LEVELS", "MAX_PATTERNS", "MAX_SMOOTH_WORK", "KEY_SLOTS", "SMEAR_SLOTS", "MAX_GRAPH_WORK", "PAIR_STEPS", "KEY_STEPS",
+    "MAX_TABLE_WORK",
+}
 
 
 def test_only_budget_reads_the_work_constants():

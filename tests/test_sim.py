@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import simact.sim as sim
+from simact.budget import BudgetError
 from simact.measure import convolve, uniform_on
 from simact.sampling import (
     diagonal_table,
@@ -377,3 +378,11 @@ def test_fixed_mass_bad_shifts():
         fixed_mass_bound(t, (0,))
     with pytest.raises(ValueError):
         fixed_mass_bound(t, (5,))
+
+
+def test_refinement_refuses_the_dense_walk_of_a_sparse_table():
+    # one key, but the dense kernel walks all 2^20 label tuples of two pieces
+    # at 20 window times, and the patterns (2+1)^20 are above the cap
+    t = CylinderTable(Window(1, 20), Partition((Fraction(0),)), {(0,) * 20: 1})
+    with pytest.raises(BudgetError, match=r"\(p\+1\)\^\(w\^d\) = 3486784401 is above the cap"):
+        refine_partition(t, [Fraction(1, 2)])
