@@ -112,7 +112,7 @@ def action_dist(
     otherwise some value above bound and at most the distance."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
-    budget.action_dist(a.n, b.n, terms, depth)
+    budget.action_dist(a.n, b.n, terms, depth, rank=a.d)
     gammas = group_enumeration(a.d, terms)
     total = Fraction(0)
     for j, (ta, tb) in enumerate(zip(_elements(a, gammas), _elements(b, gammas)), start=1):

@@ -42,15 +42,15 @@ MAX_TERMS = 64
 # each past the first shell, refines the two maps to the grid
 # n = lcm(n_A, n_B, 2^depth), reads the finest dyadic interval of each image
 # in one pass over the cells and sweeps the 2^(depth+1) nodes of the test-set
-# tree once, so a term takes O(n) steps and the whole distance O(terms * n),
-# a product each cap above bounds only in part.  The charge terms * n * (depth +
-# TERM_LEVELS) over-counts the deeper levels; it is kept so that every input
-# keeps its exit code.  On one core of a shared 2-vCPU machine, `dist` on two
-# random maps at 0.94 of the cap took 1.3 to 1.4 s at depth 1, n = 2^17 and
-# 12 terms, 1.5 to 1.6 s at depth 1, n = 2^18 and 6 terms, and 0.3 to 0.6 s
-# at depth 8, n = 2^14 and 40 terms, file reading included.
-TERM_LEVELS = 4
-MAX_WORK = 1 << 23
+# tree once; reading two actions of rank d composes each pair of generators
+# both ways, d(d-1) composes apiece.  So a distance is charged
+# terms * (n + 2^(depth+1)) + d(d-1) * n, a sum each cap above bounds only in
+# part.  On one core of a shared 2-vCPU machine, `dist` on two random maps at
+# 0.94 of the cap took 2.3 to 3.4 s at depth 1, n = 5 * 2^17 and 3 terms, the
+# slowest shape found, and 0.7 s at depth 8, n = 2^15 and 58 terms, file
+# reading included, which is most of the largest grids' time.  So the cap is
+# about 3 s; at twice it the slowest shape took 3.8 to 6 s.
+MAX_WORK = 1 << 21
 
 # The rungs of `smooth` halve delta < 1, so past 40 rungs the narrowest
 # widths fall below 2^-40 and print as zero in the 12-decimal column.  40
@@ -76,8 +76,8 @@ MAX_PATTERNS = 1 << 20
 # shared 2-vCPU machine a slot took 0.057 us at p = 1, w = 20 and so did a
 # charged unit at p = 31, w = 4 (delta = 7/8, K = 1, file reading included);
 # every shape in between took 0.02 to 0.04 us a unit.  So the cap is about
-# 4 s: 17 rungs at p = 2, w = 12 (0.94 of it) took 2.6 s and 40 rungs at
-# p = 1, w = 18 (0.16 of it) 0.9 s.
+# 4 s: 17 rungs at p = 2, w = 12 (0.94 of it) took 1.3 to 1.5 s and 40
+# rungs at p = 1, w = 18 (0.16 of it) 0.9 s.
 KEY_SLOTS = 64
 SMEAR_SLOTS = 5000
 MAX_SMOOTH_WORK = 1 << 26
@@ -121,18 +121,19 @@ def coarse_grid(m: int, depth: int) -> int:
     return check("grid resolution n =", lcm(m, 2**depth), MAX_RESOLUTION)
 
 
-def action_dist(n_a: int, n_b: int, terms: int, depth: int, distances: int = 1) -> None:
-    """Refuse an action distance between resolutions n_a and n_b above its
-    caps: the terms, the depth, the grid, the work of one distance and then
-    of `distances` of them (a `wrp-demo` trial's heights+1), in that order."""
+def action_dist(n_a: int, n_b: int, terms: int, depth: int, distances: int = 1, rank: int = 1) -> None:
+    """Refuse an action distance between resolutions n_a and n_b of the given
+    rank above its caps: the terms, the depth, the grid, the work of one
+    distance and then of `distances` of them (a `wrp-demo` trial's
+    heights+1), in that order."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
     check("terms", terms, MAX_TERMS)
     n = coarse_grid(lcm(n_a, n_b), depth)
-    # each term is O(n); the charge per level over-counts it (see MAX_WORK)
-    work = terms * n * (depth + TERM_LEVELS)
-    check(f"work terms*n*(depth+{TERM_LEVELS}) =", work, MAX_WORK)
-    check(f"work (heights+1)*terms*n*(depth+{TERM_LEVELS}) =", distances * work, MAX_WORK)
+    work = terms * (n + 2 ** (depth + 1)) + rank * (rank - 1) * n
+    formula = "terms*(n+2^(depth+1))+d(d-1)*n"
+    check(f"work {formula} =", work, MAX_WORK)
+    check(f"work (heights+1)*({formula}) =", distances * work, MAX_WORK)
 
 
 def patterns(p: int, k: int) -> int:

@@ -89,7 +89,10 @@ class Partition:
 @dataclass(frozen=True)
 class Window:
     """The box {0, ..., w-1}^d of lattice times, listed in ascending
-    lexicographic order."""
+    lexicographic order, so a time's position in that list is its
+    big-endian radix-w value.  `_shift(beta)` gives the time pairs
+    (gamma, gamma + beta) with both times in the box, as two position lists.
+    """
 
     d: int
     w: int
@@ -101,14 +104,34 @@ class Window:
     def elements(self) -> list[tuple[int, ...]]:
         return list(product(range(self.w), repeat=self.d))
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        """{time: position in elements()}, built on first use; the window is
-        frozen, so it never goes stale."""
-        return {e: i for i, e in enumerate(self.elements())}
-
     def size(self) -> int:
         return self.w**self.d
+
+    def _positions(self, times) -> list[int]:
+        """Positions in elements() of the given times; a time equal to none of them is refused."""
+        digits = range(self.w)
+        out = []
+        for e in times:
+            if len(e) != self.d or not all(c in digits for c in e):
+                raise ValueError(f"time {e} outside the window")
+            out.append(sum(int(c) * self.w ** (self.d - 1 - a) for a, c in enumerate(e)))
+        return out
+
+    def _shift(self, beta) -> tuple[list[int], list[int]]:
+        """(low, high): the positions of every gamma and gamma + beta both in
+        the window, pair by pair in ascending order of gamma."""
+        beta = tuple(beta)
+        if len(beta) != self.d:
+            raise ValueError("shift has wrong rank")
+        if all(b == 0 for b in beta):
+            raise ValueError("shift must be nonzero")
+        digits = range(self.w)
+        low, high = [0], [0]
+        for b in beta:
+            moved = [(c, int(c + b)) for c in digits if c + b in digits]
+            low = [i * self.w + c for i in low for c, _h in moved]
+            high = [i * self.w + h for i in high for _c, h in moved]
+        return low, high
 
 
 class CylinderTable:
@@ -172,13 +195,9 @@ class CylinderTable:
     def _check_shift_consistency(self):
         """The labels on the box minus its last layer along an axis must be
         distributed like the labels on the box minus its first layer."""
-        d, w = self.window.d, self.window.w
-        if w == 1:
-            return
+        d = self.window.d
         for axis in range(d):
-            stride = w ** (d - 1 - axis)
-            low = [i for i in range(w**d) if i // stride % w < w - 1]
-            high = [i + stride for i in low]
+            low, high = self.window._shift([int(a == axis) for a in range(d)])
             if _marginal_nums(self.nums, low) != _marginal_nums(self.nums, high):
                 raise ValueError(f"shift consistency fails along axis {axis}")
 
@@ -196,24 +215,17 @@ class CylinderTable:
         )
 
 
-def _positions(window: Window, times) -> list[int]:
-    """Positions in window.elements() of the given times."""
-    pos = window._index
-    idx = []
-    for e in times:
-        if tuple(e) not in pos:
-            raise ValueError(f"time {e} outside the window")
-        idx.append(pos[tuple(e)])
-    return idx
+def _project(idx: list[int]):
+    """The map from a key to its labels at the window positions idx, as a tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    # itemgetter(i) would return the bare label; a slice keeps the tuple
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
 def _marginal_nums(nums: dict, idx: list[int]) -> dict[tuple[int, ...], int]:
     """Integer marginal of the numerators on the window positions idx."""
-    if len(idx) > 1:
-        project = itemgetter(*idx)
-    else:
-        # itemgetter(i) would return the bare label; a slice keeps the tuple
-        project = itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+    project = _project(idx)
     out: dict[tuple[int, ...], int] = {}
     for key, num in nums.items():
         sub = project(key)
@@ -223,13 +235,13 @@ def _marginal_nums(nums: dict, idx: list[int]) -> dict[tuple[int, ...], int]:
 
 def marginalize_to(t: CylinderTable, subset) -> dict[tuple[int, ...], Fraction]:
     """Joint masses of the labels at the given window times."""
-    nums = _marginal_nums(t.nums, _positions(t.window, subset))
+    nums = _marginal_nums(t.nums, t.window._positions(subset))
     return {sub: Fraction(num, t.den) for sub, num in nums.items()}
 
 
 def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
     """Mass of the cylinder fixing the given window times to pieces."""
-    idx = _positions(t.window, assignment)
+    idx = t.window._positions(assignment)
     for piece in assignment.values():
         if not 0 <= piece < t.partition.p:
             raise ValueError(f"piece index {piece} out of range")
@@ -355,7 +367,7 @@ def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
     if w2 == t.window.w:
         return t
     sub = Window(t.window.d, w2)
-    nums = _marginal_nums(t.nums, _positions(t.window, sub.elements()))
+    nums = _marginal_nums(t.nums, t.window._positions(sub.elements()))
     return CylinderTable(sub, t.partition, nums, den=t.den)
 
 
@@ -625,31 +637,17 @@ def average_sims(t1: CylinderTable, t2: CylinderTable, weight) -> CylinderTable:
     return CylinderTable(t1.window, t1.partition, out, den=b * den)
 
 
-def _applicable_pairs(window: Window, beta) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    beta = tuple(beta)
-    if len(beta) != window.d:
-        raise ValueError("shift has wrong rank")
-    if all(b == 0 for b in beta):
-        raise ValueError("shift must be nonzero")
-    elems = window._index
-    out = []
-    for gamma in elems:
-        target = tuple(g + b for g, b in zip(gamma, beta))
-        if target in elems:
-            out.append((gamma, target))
-    return out
-
-
 def fixed_mass_bound(t: CylinderTable, beta) -> Fraction:
     """Window upper bound for the mass of points their beta-shift fixes:
     total mass of assignments whose labels match at every time pair
-    (gamma, gamma + beta) inside the window."""
-    pairs = _applicable_pairs(t.window, beta)
-    if not pairs:
+    (gamma, gamma + beta) inside the window.  Cost: one pass over the keys,
+    each compared through two C-level projections, on the labels at every
+    gamma and at every gamma + beta."""
+    low, high = t.window._shift(beta)
+    if not low:
         raise ValueError(f"no window time pairs at shift {tuple(beta)}")
-    pos = t.window._index
-    idx = [(pos[g], pos[h]) for g, h in pairs]
-    total = sum(num for key, num in t.nums.items() if all(key[i] == key[j] for i, j in idx))
+    at, to = _project(low), _project(high)
+    total = sum(num for key, num in t.nums.items() if at(key) == to(key))
     return Fraction(total, t.den)
 
 

@@ -117,15 +117,13 @@ from simact.sim import (
     GraphTest,
     Partition,
     Window,
-    _applicable_pairs,
-    _positions,
     average_sims,
     convolve_sim,
     graph_witness_exact,
     marginalize_to,
     pair_matrix,
 )
-from simact.transform import DyadicSet, IntervalPermutation, _dyadic_level, identity
+from simact.transform import DyadicSet, IntervalPermutation, identity
 
 # -- helpers -------------------------------------------------------------------
 
@@ -369,7 +367,12 @@ def piece_of_point_oracle(partition: Partition, x) -> int:
 
 
 def cylinder_mass_oracle(t: CylinderTable, assignment: dict) -> Fraction:
-    fixed_at = list(zip(_positions(t.window, assignment), assignment.values()))
+    elems = t.window.elements()
+    fixed_at = []
+    for e, piece in assignment.items():
+        if e not in elems:
+            raise ValueError(f"time {e} outside the window")
+        fixed_at.append((elems.index(e), piece))
     for piece in assignment.values():
         if not 0 <= piece < t.partition.p:
             raise ValueError(f"piece index {piece} out of range")
@@ -469,11 +472,19 @@ def load_table_oracle(obj) -> CylinderTable:
 
 
 def fixed_mass_bound_oracle(t, beta) -> Fraction:
-    pairs = _applicable_pairs(t.window, beta)
-    if not pairs:
-        raise ValueError(f"no window time pairs at shift {tuple(beta)}")
-    pos = {e: i for i, e in enumerate(t.window.elements())}
-    idx = [(pos[g], pos[h]) for g, h in pairs]
+    beta = tuple(beta)
+    if len(beta) != t.window.d:
+        raise ValueError("shift has wrong rank")
+    if all(b == 0 for b in beta):
+        raise ValueError("shift must be nonzero")
+    elems = t.window.elements()
+    idx = []
+    for i, gamma in enumerate(elems):
+        target = tuple(g + b for g, b in zip(gamma, beta))
+        if target in elems:
+            idx.append((i, elems.index(target)))
+    if not idx:
+        raise ValueError(f"no window time pairs at shift {beta}")
     total = Fraction(0)
     for key, mass in t.masses.items():
         if all(key[i] == key[j] for i, j in idx):
@@ -805,7 +816,10 @@ def dyadic_refine_oracle(s: DyadicSet, level2: int) -> DyadicSet:
 
 
 def preimage_oracle(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
-    level = max(_dyadic_level(t.n, "no dyadic refinement"), s.level)
+    levels = [m for m in range(t.n.bit_length()) if 2**m == t.n]
+    if not levels:
+        raise ValueError(f"resolution {t.n} is not a power of two; no dyadic refinement")
+    level = max(levels[0], s.level)
     tt = t.refine(1 << level)
     ss = dyadic_refine_oracle(s, level)
     bits = 0

@@ -287,8 +287,9 @@ def write(path, obj):
     return str(path)
 
 
-def rotation_action(n):
-    return {"d": 1, "n": n, "generators": [[(i + 1) % n for i in range(n)]]}
+def rotation_action(n, d=1):
+    """The rank-d action whose k-th generator rotates the n cells by k."""
+    return {"d": d, "n": n, "generators": [[(i + k) % n for i in range(n)] for k in range(1, d + 1)]}
 
 
 def diagonal_table(w, q):
@@ -329,12 +330,13 @@ def iid_pair_table(p):
         "embed_itineraries",
         # 5000 lattice elements, each a coarse distance
         "dist_terms",
-        # every size inside its cap, but 64 terms * 2^14 cells * (12 + 4) levels of work
+        # every size inside its cap, but 64 terms of 2^16 cells and 2^13
+        # test-set nodes each
         "dist_work",
-        # the same joint work on a 2^18-cell sampled pair, refused before sampling
+        # the same terms and depth on a 2^18-cell sampled pair, refused before sampling
         "wrp_demo_work",
         # one distance fits, but a trial measures one per height of 8, 16, ...,
-        # 4096 and verifies one more: 11 distances of 24 * 2^16 * (1 + 4) work
+        # 4096 and verifies one more: 11 distances of 24 * (2^16 + 2^2) work
         "wrp_demo_ladder",
         # 1000 rungs, each a full blur and table distance
         "smooth_steps",
@@ -353,6 +355,9 @@ def iid_pair_table(p):
         # 1025 keys of 4096 labels each: refused before any key is split or
         # mass read (neither would pass)
         "table_read",
+        # 26 terms of 2^16 cells fit, but reading two rank-3 actions checks
+        # each of their generator pairs for commutation, 6 composes of 2^16 cells
+        "dist_rank_work",
     ],
 )
 def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
@@ -390,17 +395,22 @@ def test_exit_4_size_above_cap_is_refused_up_front(tmp_path, case, capsys):
             "terms 5000", 64,
         ),
         "dist_work": (
-            ["dist", write(tmp_path / "rot16k.json", rotation_action(2**14)),
-             write(tmp_path / "rot16k_b.json", rotation_action(2**14)), "--terms", "64", "--depth", "12"],
-            f"terms*n*(depth+4) = {64 * 2**14 * 16}", 2**23,
+            ["dist", write(tmp_path / "rot64k.json", rotation_action(2**16)),
+             write(tmp_path / "rot64k_b.json", rotation_action(2**16)), "--terms", "64", "--depth", "12"],
+            f"terms*(n+2^(depth+1))+d(d-1)*n = {64 * (2**16 + 2**13)}", 2**21,
+        ),
+        "dist_rank_work": (
+            ["dist", write(tmp_path / "rot3.json", rotation_action(2**16, 3)),
+             write(tmp_path / "rot3_b.json", rotation_action(2**16, 3)), "--terms", "26", "--depth", "1"],
+            f"terms*(n+2^(depth+1))+d(d-1)*n = {26 * (2**16 + 2**2) + 6 * 2**16}", 2**21,
         ),
         "wrp_demo_work": (
             ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "262144", "--min-cycle", "131072", "--terms", "64", "--depth", "12"],
-            f"terms*n*(depth+4) = {64 * 2**18 * 16}", 2**23,
+            f"terms*(n+2^(depth+1))+d(d-1)*n = {64 * (2**18 + 2**13)}", 2**21,
         ),
         "wrp_demo_ladder": (
             ["wrp-demo", "--seed", "1", "--trials", "1", "--n", "65536", "--min-cycle", "4096", "--terms", "24", "--depth", "1", "--epsilon", "1/16"],
-            f"(heights+1)*terms*n*(depth+4) = {11 * 24 * 2**16 * 5}", 2**23,
+            f"(heights+1)*(terms*(n+2^(depth+1))+d(d-1)*n) = {11 * 24 * (2**16 + 2**2)}", 2**21,
         ),
         "smooth_steps": (
             ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", "1000"],

@@ -34,7 +34,6 @@ from simact.budget import (
     MAX_WORK,
     PAIR_STEPS,
     SMEAR_SLOTS,
-    TERM_LEVELS,
 )
 from simact.cli import main
 
@@ -182,11 +181,11 @@ def test_every_command_line_keeps_the_exit_code_contract(texts, parts):
 
 
 def test_depth_1_work_counts_the_per_term_pass(tmp_path):
-    # 64 terms * 2^17 cells * depth 1 is exactly the work cap when the depth
-    # alone is charged; each term's O(n) evaluations and refinements took the
-    # whole distance to about 17 s
+    # 64 terms at depth 1 sweep 64 * 2^2 test-set nodes, far inside the work
+    # cap; each term's O(n) evaluations and refinements on 2^17 cells put them
+    # at four times it, and took the whole distance to about 17 s
     n = 2**17
-    assert 64 * n * 1 == MAX_WORK
+    assert 64 * 2**2 < MAX_WORK < 64 * n
     rng = random.Random(0)
     paths = []
     for name in ("a.json", "b.json"):
@@ -197,16 +196,16 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
     code, err = run(["dist", *paths, "--terms", "64", "--depth", "1", "--out", str(tmp_path / "out")])
     assert time.perf_counter() - started < 1
     assert code == 4 and "Traceback" not in err
-    assert f"terms*n*(depth+4) = {64 * n * 5} is above the cap of {MAX_WORK}" in err
+    assert f"terms*(n+2^(depth+1))+d(d-1)*n = {64 * (n + 4)} is above the cap of {MAX_WORK}" in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "case, work, cap",
     [
-        # 12 terms on a 2^17-cell grid at depth 1: 1.3 to 1.4 s
-        ("dist", 12 * 2**17 * (1 + TERM_LEVELS), MAX_WORK),
-        # 17 rungs on the uniform iid table of two pieces and w = 12: 2.6 s
+        # 3 terms on a 5 * 2^17-cell grid at depth 1: 2.3 to 3.4 s
+        ("dist", 3 * (5 * 2**17 + 2**2), MAX_WORK),
+        # 17 rungs on the uniform iid table of two pieces and w = 12: 1.3 to 1.5 s
         ("smooth", 17 * (3**12 + KEY_SLOTS * 12 * 2**12 + SMEAR_SLOTS * 2**2), MAX_SMOOTH_WORK),
         # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
@@ -214,17 +213,17 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
     ids=["dist", "smooth", "graph-test"],
 )
 def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case, work, cap):
-    # each work cap stands for about 5 s on one core of a shared 2-vCPU
+    # each work cap stands for 3 to 5 s on one core of a shared 2-vCPU
     # machine; a run at 0.875 to 0.94 of it must finish well inside 10 s
     assert 0.85 * cap < work <= cap
     if case == "dist":
-        rng, n = random.Random(0), 2**17
+        rng, n = random.Random(0), 5 * 2**17
         paths = []
         for name in ("a.json", "b.json"):
             paths.append(str(tmp_path / name))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump({"d": 1, "n": n, "generators": [rng.sample(range(n), n)]}, fh)
-        argv = ["dist", *paths, "--terms", "12", "--depth", "1"]
+        argv = ["dist", *paths, "--terms", "3", "--depth", "1"]
     elif case == "smooth":
         table = str(tmp_path / "table.json")
         masses = {",".join(map(str, key)): f"1/{2**12}" for key in product(range(2), repeat=12)}

@@ -401,14 +401,16 @@ def test_constructor_paths_agree_with_oracle(t, scale):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables(), st.data())
+@given(st.one_of(tables(), dense_kernel_tables()), st.data())
 def test_table_readers_match_oracle(t, data):
     elems = t.window.elements()
     subset = data.draw(st.lists(st.sampled_from(elems), max_size=len(elems)))
     assert marginalize_to(t, subset) == marginalize_to_oracle(t, subset)
-    zero = (0,) * t.window.d
-    for beta in {tuple(b - a for a, b in zip(g, h)) for g in elems for h in elems} - {zero}:
-        assert fixed_mass_bound(t, beta) == fixed_mass_bound_oracle(t, beta)
+    d, w = t.window.d, t.window.w
+    # every shift up to one step past the box, so also shifts with no time
+    # pair (some |b| >= w) and the zero shift, and two of the wrong rank
+    for beta in [*product(range(-w - 1, w + 2), repeat=d), (1,) * (d + 1), (1,) * (d - 1)]:
+        assert outcome(lambda: fixed_mass_bound(t, beta)) == outcome(lambda: fixed_mass_bound_oracle(t, beta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,9 +520,10 @@ def test_piece_of_point_matches_oracle(cuts, data):
 @settings(max_examples=150, deadline=None)
 @given(tables(), st.data())
 def test_cylinder_mass_matches_oracle(t, data):
-    p, elems = t.partition.p, t.window.elements()
-    # now and then a time outside the window or a piece one past either end
-    times = st.sampled_from(elems * 4 + [(t.window.w,) * t.window.d])
+    p, elems, d = t.partition.p, t.window.elements(), t.window.d
+    # now and then a time outside the window, of the wrong length or off the
+    # lattice, or a piece one past either end
+    times = st.sampled_from(elems * 4 + [(t.window.w,) * d, (0,) * (d + 1), (0,) * (d - 1), (Fraction(1, 2),) * d])
     pieces = st.sampled_from(list(range(p)) * 4 + [-1, p])
     assignment = data.draw(st.dictionaries(times, pieces, max_size=len(elems)))
     mass = outcome(lambda: cylinder_mass(t, assignment))

@@ -34,7 +34,7 @@ def test_every_traced_name_resolves():
 
 # the constants of the work formulas in simact.budget
 WORK_CONSTANTS = {
-    "MAX_WORK", "TERM_LEVELS", "MAX_PATTERNS", "MAX_SMOOTH_WORK", "KEY_SLOTS", "SMEAR_SLOTS", "MAX_GRAPH_WORK", "PAIR_STEPS", "KEY_STEPS",
+    "MAX_WORK", "MAX_PATTERNS", "MAX_SMOOTH_WORK", "KEY_SLOTS", "SMEAR_SLOTS", "MAX_GRAPH_WORK", "PAIR_STEPS", "KEY_STEPS",
     "MAX_TABLE_WORK",
 }
 
@@ -59,3 +59,18 @@ def test_only_budget_reads_the_work_constants():
                 continue
             readers += [f"{name}:{node.lineno} {n}" for n in names if n in WORK_CONSTANTS]
     assert readers == []
+
+
+def test_oracles_import_no_private_kernel_helper():
+    # an oracle that shares a kernel's helper cannot catch a fault in it
+    path = os.path.join(os.path.dirname(__file__), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    shared = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("simact.sim", "simact.transform")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert shared == []
