@@ -87,6 +87,8 @@ def group_enumeration(d: int, count: int) -> list[GroupElement]:
     """The first `count` lattice elements: by max-norm shell, then descending
     lexicographic order within a shell, so rank 1 runs 0, 1, -1, 2, -2, ...
     """
+    if d < 1:
+        raise ValueError("rank must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
     out: list[GroupElement] = []
@@ -235,7 +237,10 @@ def _matched_tower_map(
 def tower_heights(epsilon: Fraction, min_cycle: int) -> list[int]:
     """The tower heights of a conjugacy search: from the smallest h with
     2^(2-h) < epsilon/2, doubling, up to the shortest cycle length, which is
-    always the last; InfeasibleError if that cycle is shorter than h."""
+    always the last; InfeasibleError if that cycle is shorter than h.  An
+    epsilon <= 0 has no such h and is refused."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
     h = 1
     while Fraction(4, 2**h) >= epsilon / 2:
         h += 1

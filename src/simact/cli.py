@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -57,13 +58,20 @@ class CliError(Exception):
 # -- plumbing -----------------------------------------------------------------
 
 
-def _load(path: str, loader, what: str):
+@contextmanager
+def _reading(path: str, what: str):
+    """Report an unreadable or malformed input as exit 2, naming the file."""
     try:
-        return loader(ser.read_json_file(path))
+        yield
     except budget.BudgetError:
         raise
     except (OSError, ValueError) as e:
         raise CliError(2, f"cannot read {what} from {path}: {e}") from e
+
+
+def _load(path: str, loader, what: str):
+    with _reading(path, what):
+        return loader(ser.read_json_file(path))
 
 
 def _fraction_arg(text: str, what: str) -> Fraction:
@@ -149,10 +157,19 @@ def _beta_name(beta) -> str:
 
 def cmd_dist(args) -> int:
     _dist_args(args)
-    a = _load(args.action_a, ser.load_action, "action")
-    b = _load(args.action_b, ser.load_action, "action")
-    if a.d != b.d:
-        raise CliError(3, f"rank mismatch: {a.d} vs {b.d}")
+    paths = (args.action_a, args.action_b)
+    (obj_a, (da, na)), (obj_b, (db, nb)) = (
+        _load(path, lambda obj: (obj, ser.action_header(obj)), "action") for path in paths
+    )
+    if da != db:
+        raise CliError(3, f"rank mismatch: {da} vs {db}")
+    # charged from the headers, before any generator is parsed or checked
+    budget.action_dist(na, nb, args.terms, args.depth, rank=da)
+    actions = []
+    for path, obj in zip(paths, (obj_a, obj_b)):
+        with _reading(path, "action"):
+            actions.append(ser.load_action(obj))
+    a, b = actions
     value = action_dist(a, b, args.terms, args.depth)
     _emit_values(args, {"distance": value, "tail": action_dist_tail(args.terms)})
     return 0

@@ -13,10 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 
 from . import budget
-from . import intervals as iv
 from .action import GroupElement, LatticeAction
 from .measure import Adaptation
 from .sim import (
@@ -28,7 +27,7 @@ from .sim import (
     pair_matrix,
     relabel,
 )
-from .transform import DyadicSet, IntervalPermutation, identity, preimage
+from .transform import DyadicSet, IntervalPermutation, preimage
 
 __all__ = [
     "action_to_sim",
@@ -57,18 +56,19 @@ def _itineraries(
 ) -> tuple[int, list[tuple]]:
     """Each grid cell's labels at the window times.
 
-    label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  The
-    action is refined to n = lcm(a.n, m); returns n and, for every n-cell,
-    the labels of its time-gamma images in window order.
+    label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  Each
+    window element is evaluated at the action's own resolution and its map
+    refined to n = lcm(a.n, m), which is exact since refinement commutes
+    with powers and composition; returns n and, for every n-cell, the labels
+    of its time-gamma images in window order.
     """
     if window.d != a.d:
         raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
     n = lcm(a.n, len(label))
     budget.check("itinerary cells n*w^d =", n * window.size(), budget.MAX_RESOLUTION)
-    aa = a.refine(n)
     span = n // len(label)
     fine = [label[i // span] for i in range(n)]
-    columns = [[fine[j] for j in aa.evaluate(gamma).perm] for gamma in window.elements()]
+    columns = [[fine[j] for j in a.evaluate(gamma).refine(n).perm] for gamma in window.elements()]
     return n, list(zip(*columns))
 
 
@@ -115,25 +115,13 @@ def adapt_table(
     return relabel(t, rows, p_out)
 
 
-def _eval_boxes(t: CylinderTable, boxes: list) -> Fraction:
-    """Mass of a product box (one interval set per window time) under the
-    cell-uniform measure of t."""
-    factors_by_cell = []
-    for c in range(t.partition.p):
-        clo, chi = t.partition.piece(c)
-        cell = iv.interval(clo, chi)
-        factors_by_cell.append(
-            [iv.length(iv.intersect(box, cell)) / (chi - clo) for box in boxes]
-        )
-    total = Fraction(0)
-    for key, mass in t.masses.items():
-        term = mass
-        for pos, c in enumerate(key):
-            term *= factors_by_cell[c][pos]
-            if term == 0:
-                break
-        total += term
-    return total
+def _eval_boxes(t: CylinderTable, boxes: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """Mass of a product box, one (lo, hi) interval per window position,
+    under the cell-uniform measure of t: each key's numerator times the
+    share of its cell that each position's box covers, from `overlap_rows`."""
+    shares = [dict(row) for row in overlap_rows(t.partition.pieces(), boxes)]
+    total = sum(num * prod(shares[c].get(pos, 0) for pos, c in enumerate(key)) for key, num in t.nums.items())
+    return Fraction(total) / t.den
 
 
 def continuity_bound_check(
@@ -160,9 +148,10 @@ def continuity_bound_check(
     for j in assignment:
         lo, hi = t.partition.piece(j)
         plo, phi = h.preimage_interval(lo, hi)
-        boxes.append(iv.interval(plo, phi))
-        mid += iv.length(iv.symdiff(iv.interval(plo, phi), iv.interval(lo, hi)))
-    lhs = abs(_eval_boxes(t, boxes) - t.masses.get(assignment, Fraction(0)))
+        boxes.append((plo, phi))
+        # |P xor I| = |P| + |I| - 2 |P & I|
+        mid += (phi - plo) + (hi - lo) - 2 * max(min(phi, hi) - max(plo, lo), 0)
+    lhs = abs(_eval_boxes(t, boxes) - Fraction(t.nums.get(assignment, 0), t.den))
     rhs = 2 * k * h.sup_dist_to_identity()
     assert lhs <= mid <= rhs
     return lhs, mid, rhs
@@ -280,17 +269,17 @@ def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     Points are laid out by their leading (w-1)-block of labels; each block
     interval is cut into outgoing slots, one per positive-mass successor,
     holding the exact transition mass, and slots are matched to incoming
-    slots in ascending block order.  The returned partition has cuts at the
-    marginal's cumulative masses so its piece indices line up with t's.
-    A resolution above MAX_RESOLUTION is refused up front.
+    slots in ascending block order.  At w = 1 every key leads with the one
+    empty block and comes back onto its own slots, so the map is the
+    identity.  The returned partition has cuts at the marginal's cumulative
+    masses so its piece indices line up with t's.  A resolution above
+    MAX_RESOLUTION is refused up front.
     """
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
     partition_out = Partition(tuple(_levels(t)[:-1]))
     # one grid cell per 1/den: every mass, and so every level, sits on the grid
     n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
-    if t.window.w == 1:
-        return LatticeAction(1, (identity(n),)), partition_out
     keys = sorted(t.nums)
     outs = list(accumulate((t.nums[key] for key in keys), initial=0))
     assert outs[-1] == n

@@ -25,7 +25,7 @@ __all__ = [
     "load_adaptation", "dump_adaptation",
     "load_permutation", "dump_permutation",
     "load_dyadic", "dump_dyadic",
-    "load_action", "dump_action",
+    "action_header", "load_action", "dump_action",
     "load_table", "dump_table",
     "dump_witness",
     "read_json_file",
@@ -145,10 +145,20 @@ def dump_dyadic(s: DyadicSet) -> dict:
 # -- actions ------------------------------------------------------------------
 
 
-def load_action(obj) -> LatticeAction:
-    """{"d": 2, "n": 8, "generators": [[...], [...]]}"""
+def action_header(obj) -> tuple[int, int]:
+    """The rank d and resolution n of an action, read without its generators."""
     d = _need(obj, "d", int, "action")
     n = _need(obj, "n", int, "action")
+    if d < 1:
+        raise ValueError("rank must be >= 1")
+    if n < 1:
+        raise ValueError("resolution must be positive")
+    return d, n
+
+
+def load_action(obj) -> LatticeAction:
+    """{"d": 2, "n": 8, "generators": [[...], [...]]}"""
+    d, n = action_header(obj)
     gens = _need(obj, "generators", list, "action")
     if len(gens) != d:
         raise ValueError(f"action: expected {d} generators, got {len(gens)}")

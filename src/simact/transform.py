@@ -327,6 +327,8 @@ def halmos_dist(t: IntervalPermutation, r: IntervalPermutation) -> Fraction:
 
 def tower_base_indices(t: IntervalPermutation, height: int) -> list[int]:
     """Mark every height-th cell along each cycle, first height*floor(len/height) cells."""
+    if height < 1:
+        raise ValueError("height must be >= 1")
     base = []
     for cycle in t._cycles:
         usable = height * (len(cycle) // height)

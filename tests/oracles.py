@@ -15,9 +15,10 @@ Permutations and the coarse metric
   each result built through the checked public constructor.
 
 Lattice actions
-- `lattice_elements_oracle` lists the lattice elements by max-norm shell,
-  descending lexicographically within a shell, each map built from
-  `power_oracle` and `compose_oracle`.  `action_dist_oracle` sums the
+- `element_oracle` builds the map of one lattice element from
+  `power_oracle` and `compose_oracle`.  `lattice_elements_oracle` lists the
+  lattice elements by max-norm shell, descending lexicographically within a
+  shell.  `action_dist_oracle` sums the
   `coarse_dist_oracle` terms over them, at every rank and with the bound,
   and `free_defect_oracle` counts their fixed cells.
 
@@ -36,9 +37,12 @@ Cylinder tables
 - `fixed_mass_bound_oracle`, `average_sims_oracle`, `cylinder_mass_oracle`
   and `piece_of_point_oracle` scan every key, term or cut.
 - `markov_table_oracle`: `sampling.markov_table` building all masses of a
-  draw before it checks their lcm.
+  draw before it checks their lcm, with the stationary law of
+  `stationary_oracle` (the Markov chain tree theorem, through the
+  cofactor expansion `det_oracle`).
 - `load_table_oracle`: `serialize.load_table` reading every mass with
-  `parse_rational` and building the table on `Fraction` masses.
+  `parse_rational` and building the table on `Fraction` masses.  It and
+  `load_dyadic_oracle` read their fields through `field_oracle`.
 
 Graph test
 - `graph_witnesses_oracle`: for each union B of pieces, the greedy witness
@@ -54,6 +58,11 @@ Interval sets
 - `combine_oracle`: an interval-set operation decided cell by cell.
 
 Bridges between actions and tables
+- `action_to_sim_oracle` labels each grid cell at each window time by the
+  piece that holds its image cell under the `element_oracle` map.
+- `box_mass_oracle` refines the table at the box endpoints through
+  `refine_partition_oracle` and sums the keys whose pieces lie inside their
+  boxes.
 - `realize_sim_as_action_oracle` and `block_permutation_oracle` lay out
   blocks and transitions slot by slot; the realized cuts sum the time-0
   marginal of `marginalize_to_oracle`.
@@ -102,7 +111,6 @@ from simact.action import InfeasibleError, LatticeAction, WrpResult
 from simact.equivalence import action_to_sim
 from simact.measure import Adaptation, StepMeasure
 from simact.sampling import (
-    _solve_stationary,
     diagonal_table,
     iid_table,
     markov_table,
@@ -111,7 +119,6 @@ from simact.sampling import (
     random_partition,
 )
 from simact.rationals import parse_rational
-from simact.serialize import _need
 from simact.sim import (
     CylinderTable,
     GraphTest,
@@ -134,6 +141,16 @@ def outcome(build):
         return build()
     except ValueError as e:
         return type(e), str(e)
+
+
+def field_oracle(obj, key: str, kind: type, where: str):
+    """obj[key] of the given JSON type; a JSON true or false is no integer."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}: missing field '{key}'")
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise ValueError(f"{where}: field '{key}' has the wrong type")
+    return value
 
 
 def passes_public_check(r: IntervalPermutation) -> bool:
@@ -446,10 +463,10 @@ def construction_outcomes(window: Window, partition: Partition, masses) -> tuple
 def load_table_oracle(obj) -> CylinderTable:
     """`serialize.load_table` with every mass read by `parse_rational` into a
     Fraction and the table built on Fraction masses."""
-    d = _need(obj, "d", int, "table")
-    w = _need(obj, "w", int, "table")
-    cuts = _need(obj, "cuts", list, "table")
-    raw = _need(obj, "masses", dict, "table")
+    d = field_oracle(obj, "d", int, "table")
+    w = field_oracle(obj, "w", int, "table")
+    cuts = field_oracle(obj, "cuts", list, "table")
+    raw = field_oracle(obj, "masses", dict, "table")
     window = Window(d, w)
     partition = Partition(tuple(parse_rational(c) for c in cuts))
     longest = max((key.count(",") + 1 for key in raw), default=0)
@@ -506,6 +523,22 @@ def average_sims_oracle(t1, t2, weight) -> CylinderTableOracle:
     return CylinderTableOracle(t1.window, t1.partition, out)
 
 
+def det_oracle(m) -> Fraction:
+    """Determinant by expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(((-1) ** j * m[0][j] * det_oracle([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(len(m))), Fraction(0))
+
+
+def stationary_oracle(q_matrix) -> list[Fraction]:
+    """pi with pi Q = pi and sum 1, by the Markov chain tree theorem: pi_j is
+    proportional to the minor of I - Q without row and column j."""
+    p = len(q_matrix)
+    lap = [[(i == j) - q_matrix[i][j] for j in range(p)] for i in range(p)]
+    minors = [det_oracle([[lap[r][c] for c in range(p) if c != j] for r in range(p) if r != j]) for j in range(p)]
+    return [m / sum(minors) for m in minors]
+
+
 def markov_table_oracle(
     rng, p: int, w: int, max_entry: int = 3, max_resolution: int | None = None
 ) -> CylinderTable:
@@ -513,7 +546,7 @@ def markov_table_oracle(
     while True:
         rows = [[Fraction(rng.randint(1, max_entry)) for _ in range(p)] for _ in range(p)]
         q_matrix = [[v / sum(row) for v in row] for row in rows]
-        pi = _solve_stationary(q_matrix)
+        pi = stationary_oracle(q_matrix)
         # pi at the first time, then one transition per step
         masses = {
             key: prod((q_matrix[a][b] for a, b in zip(key, key[1:])), start=pi[key[0]])
@@ -653,6 +686,37 @@ def combine_oracle(a: iv.Pairs, b: iv.Pairs, keep) -> iv.Pairs:
 # -- bridges between actions and tables ----------------------------------------
 
 
+def action_to_sim_oracle(a: LatticeAction, window: Window, partition: Partition) -> CylinderTable:
+    """Cell i of the grid n = lcm(a.n, cut denominators) carries at time
+    gamma the piece that holds its image cell under a(gamma), built by
+    `element_oracle` and refined to n; an itinerary's mass is its share of
+    the cells."""
+    n = lcm(a.n, *(c.denominator for c in partition.cuts))
+    budget.check("grid resolution n =", n, budget.MAX_RESOLUTION)
+    if window.d != a.d:
+        raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
+    budget.check("itinerary cells n*w^d =", n * window.size(), budget.MAX_RESOLUTION)
+    maps = [refine_oracle(element_oracle(a, gamma), n) for gamma in window.elements()]
+    counts: dict[tuple[int, ...], int] = {}
+    for cell in range(n):
+        key = tuple(piece_of_point_oracle(partition, Fraction(t.perm[cell], n)) for t in maps)
+        counts[key] = counts.get(key, 0) + 1
+    return CylinderTable(window, partition, {key: Fraction(c, n) for key, c in counts.items()})
+
+
+def box_mass_oracle(t: CylinderTable, boxes) -> Fraction:
+    """The mass of the product box with one [lo, hi) per window position:
+    refined at every box endpoint, a piece lies inside a box or misses it,
+    so the box holds exactly the refined keys whose pieces all lie inside."""
+    fine = refine_partition_oracle(t, {x for box in boxes for x in box if 0 < x < 1})
+    total = Fraction(0)
+    for key, mass in fine.masses.items():
+        pieces = [fine.partition.piece(j) for j in key]
+        if all(lo <= flo and fhi <= hi for (flo, fhi), (lo, hi) in zip(pieces, boxes)):
+            total += mass
+    return total
+
+
 def realize_sim_as_action_oracle(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
@@ -781,8 +845,8 @@ def cylinder_atoms_oracle(a: LatticeAction, piece: DyadicSet, window: Window) ->
 
 
 def load_dyadic_oracle(obj) -> DyadicSet:
-    level = _need(obj, "level", int, "dyadic set")
-    mask = _need(obj, "mask", str, "dyadic set")
+    level = field_oracle(obj, "level", int, "dyadic set")
+    mask = field_oracle(obj, "mask", str, "dyadic set")
     if level < 0:
         raise ValueError("dyadic set: level must be >= 0")
     # the mask's length bounds the level before 2^level is computed
@@ -859,19 +923,23 @@ def matched_tower_map_oracle(
     return IntervalPermutation(n, tuple(phi))
 
 
+def element_oracle(a: LatticeAction, gamma: tuple[int, ...]) -> IntervalPermutation:
+    """The map of (k_1, ..., k_d): the product of the power_oracle maps g_i^k_i."""
+    t = identity_oracle(a.n)
+    for g, k in zip(a.generators, gamma):
+        t = compose_oracle(t, power_oracle(g, k))
+    return t
+
+
 def lattice_elements_oracle(a: LatticeAction, count: int) -> list[tuple[tuple[int, ...], IntervalPermutation]]:
     """The first `count` lattice elements with their maps: max-norm shells
     0, 1, 2, ..., each in descending lexicographic order, and the map of
-    (k_1, ..., k_d) the product of the power_oracle maps g_i^k_i."""
+    (k_1, ..., k_d) from `element_oracle`."""
     out = []
     shell = 0
     while len(out) < count:
         ring = [g for g in product(range(-shell, shell + 1), repeat=a.d) if max(map(abs, g)) == shell]
-        for gamma in sorted(ring, reverse=True)[: count - len(out)]:
-            t = identity_oracle(a.n)
-            for g, k in zip(a.generators, gamma):
-                t = compose_oracle(t, power_oracle(g, k))
-            out.append((gamma, t))
+        out += [(gamma, element_oracle(a, gamma)) for gamma in sorted(ring, reverse=True)[: count - len(out)]]
         shell += 1
     return out
 

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simact
 from simact.action import (
     InfeasibleError,
     LatticeAction,
@@ -63,6 +67,29 @@ def test_group_enumeration_covers_each_shell_once():
     got = group_enumeration(2, 25)
     assert len(set(got)) == 25
     assert all(max(abs(c) for c in g) <= 2 for g in got)
+
+
+def error_in_child(call: str) -> str:
+    """The ValueError of `call`, run in a child process under a deadline, so
+    that a call that never returns fails the test instead of hanging it."""
+    code = f"from simact.action import group_enumeration, tower_heights\ntry:\n    {call}\nexcept ValueError as e:\n    print(type(e).__name__, e)\n"
+    src = os.path.dirname(os.path.dirname(simact.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("tower_heights(-1, 64)", "epsilon must be > 0"),
+        ("tower_heights(0, 64)", "epsilon must be > 0"),
+        ("group_enumeration(0, 2)", "rank must be >= 1"),
+        ("group_enumeration(-1, 5)", "rank must be >= 1"),
+    ],
+)
+def test_bad_arguments_are_refused_not_looped_on(call, message):
+    assert error_in_child(call) == f"ValueError {message}"
 
 
 def test_action_dist_example():

@@ -11,6 +11,7 @@ from make_fixtures import RUNS, gold
 
 from simact import cli
 from simact.cli import build_parser, main
+from simact.transform import IntervalPermutation
 
 
 def read(path):
@@ -464,6 +465,24 @@ def test_wrp_demo_refuses_terms_above_cap_before_sampling(monkeypatch, capsys):
     monkeypatch.setattr(cli, "aperiodic_permutation", sample)
     assert main(["wrp-demo", "--seed", "1", "--n", "64", "--min-cycle", "32", "--terms", "65"]) == 4
     assert "terms 65 is above the cap of 64" in capsys.readouterr().err
+
+
+def test_dist_is_charged_from_the_headers_before_any_generator_is_built(tmp_path, monkeypatch, capsys):
+    # two rank-3 maps on 3 * 2^18 cells: reading them took about 4 s before
+    # the charge refused them; now the headers alone are charged
+    n = 3 * 2**18
+    path = write(tmp_path / "rot3.json", rotation_action(n, 3))
+    # an over-cap header with malformed generators is refused by the charge too
+    junk = write(tmp_path / "junk.json", {"d": 3, "n": n, "generators": "not a list"})
+
+    def build(*_args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(IntervalPermutation, "__init__", build)
+    for argv in ([path, path], [junk, junk]):
+        assert main(["dist", *argv, "--terms", "1", "--depth", "1"]) == 4
+        err = capsys.readouterr().err
+        assert f"terms*(n+2^(depth+1))+d(d-1)*n = {n + 2**2 + 6 * n}" in err and "Traceback" not in err
 
 
 # -- one parser per process ------------------------------------------------------

@@ -23,9 +23,11 @@ from make_fixtures import gold
 from oracles import (
     CylinderTableOracle,
     action_dist_oracle,
+    action_to_sim_oracle,
     adapt_table_oracle,
     average_sims_oracle,
     block_permutation_oracle,
+    box_mass_oracle,
     canonical_sets,
     coarse_dist_oracle,
     combine_oracle,
@@ -89,7 +91,16 @@ import simact.poly as P
 from simact import budget
 from simact.action import LatticeAction, _matched_tower_map, action_dist, conjugate, free_defect, wrp_conjugacy_search
 from simact.cli import main
-from simact.equivalence import _block_permutation, adapt_table, cylinder_atoms, factor_defect, realize_sim_as_action
+from simact.equivalence import (
+    _block_permutation,
+    _eval_boxes,
+    action_to_sim,
+    adapt_table,
+    continuity_bound_check,
+    cylinder_atoms,
+    factor_defect,
+    realize_sim_as_action,
+)
 from simact.measure import _line_convolve, convolve, pushforward, uniform_on, weak_star_distance
 from simact.sampling import (
     aperiodic_permutation,
@@ -740,8 +751,55 @@ def realizable_tables(draw):
     return average_sims(joining, iid, weight)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
+    st.integers(1, 3),
+    st.integers(2, 8),
+    st.booleans(),
+)
+def test_action_to_sim_matches_oracle(seed, d, n, w, q, mismatch):
+    # ranks 1 to 3, and cut denominators q that do and do not divide n
+    rng = random.Random(seed)
+    action = random_action(rng, d, n)
+    partition = Partition(tuple(Fraction(c, q) for c in [0, *sorted(rng.sample(range(1, q), rng.randint(0, q - 1)))]))
+    window = Window(d % 3 + 1 if mismatch else d, w)
+    assert outcome(lambda: action_to_sim(action, window, partition)) == outcome(
+        lambda: action_to_sim_oracle(action, window, partition)
+    )
+
+
+box_ends = st.sampled_from([Fraction(0), Fraction(1)]) | grid_points
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_eval_boxes_matches_oracle(t, data):
+    # empty boxes (lo == hi), full boxes (0, 1) and boxes on and off the cuts
+    k = t.window.size()
+    boxes = [tuple(sorted(data.draw(st.tuples(box_ends, box_ends)))) for _ in range(k)]
+    assert _eval_boxes(t, boxes) == box_mass_oracle(t, boxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([4, 6, 8]), st.integers(1, 3), st.sampled_from([Fraction(1, 16), Fraction(1, 4)]))
+def test_continuity_bound_matches_box_oracle(seed, n, w, delta):
+    rng = random.Random(seed)
+    h = random_adaptation(rng, delta)
+    t = action_to_sim(random_action(rng, 1, n), Window(1, w), Partition(tuple(Fraction(j, n) for j in range(n))))
+    assignment = rng.choice(sorted(t.nums))
+    boxes = [h.preimage_interval(*t.partition.piece(j)) for j in assignment]
+    lhs, mid, rhs = continuity_bound_check(h, t, assignment)
+    assert lhs == abs(box_mass_oracle(t, boxes) - t.masses[assignment])
+    assert mid == sum(iv.length(iv.symdiff(iv.interval(*box), iv.interval(*t.partition.piece(j)))) for box, j in zip(boxes, assignment))
+    assert rhs == 2 * w * h.sup_dist_to_identity()
+
+
 @settings(max_examples=80, deadline=None)
 @given(realizable_tables())
+@example(markov_table(random.Random(0), 3, 1))
 def test_realize_matches_oracle(t):
     assert realize_sim_as_action(t) == realize_sim_as_action_oracle(t)
 
@@ -758,7 +816,7 @@ def test_block_permutation_matches_oracle(sizes, data):
 @given(
     st.integers(0, 10**6),
     st.sampled_from([3, 5, 6, 7, 9, 10, 12]),
-    st.integers(1, 2),
+    st.integers(1, 3),
     st.integers(1, 3),
     st.integers(0, 4),
     st.integers(0, 5),

@@ -69,7 +69,7 @@ def test_oracles_import_no_private_kernel_helper():
     shared = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in ("simact.sim", "simact.transform")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simact"
         for alias in node.names
         if alias.name.startswith("_")
     ]

@@ -21,6 +21,7 @@ from simact.transform import (
     rohlin_tower,
     rotation,
     swap_halves,
+    tower_base_indices,
 )
 
 F = Fraction
@@ -185,6 +186,12 @@ def test_rohlin_tower_infeasible_cases():
         rohlin_tower(t, 3, 0)  # 3 does not divide 8
     with pytest.raises(ValueError):
         rohlin_tower(t, 4, F(1, 100))  # would need cycles of length >= 400
+
+
+@pytest.mark.parametrize("height", [0, -1])
+def test_tower_base_indices_refuses_a_height_below_one(height):
+    with pytest.raises(ValueError, match="height must be >= 1"):
+        tower_base_indices(rotation(8, 1), height)
 
 
 def test_rohlin_tower_with_slack():
