@@ -5,13 +5,19 @@ coefficients (degree 0 for ordinary step densities) plus finitely many
 atoms, with total mass exactly 1.  Step measures are closed under
 translation and pushforward by piecewise-linear maps; convolving two step
 densities raises the degree by one, which is why pieces carry polynomials
-rather than bare constants.  Everything here is exact: no floats.
+rather than bare constants.  Densities go up to degree 2 (three step
+parts convolved), the highest degree whose exact minimum on a piece
+`poly.p_min_on` finds; a density of higher degree is refused with a
+ValueError.  A StepMeasure is canonical from construction: adjacent pieces
+with equal polynomials are merged, so equal measures have equal fields.
+Everything here is exact: no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from . import intervals as iv
@@ -39,6 +45,11 @@ def _as_poly(d) -> P.Poly:
     return P.p_const(Fraction(d))
 
 
+def _walk(cuts: tuple, values):
+    """(lo, hi, value) per piece: each cut with the next one (1 after the last)."""
+    return zip(cuts, cuts[1:] + (Fraction(1),), values)
+
+
 @dataclass(frozen=True)
 class StepMeasure:
     """A circle measure: piecewise-polynomial density plus atoms.
@@ -55,7 +66,9 @@ class StepMeasure:
         ((location, mass), ...) with distinct locations in [0, 1) and
         strictly positive masses, sorted by location.
 
-    The total mass must be exactly 1.
+    The total mass must be exactly 1.  Adjacent pieces with equal
+    polynomials are merged on construction, so two StepMeasures are equal
+    (and hash alike) exactly when they are the same measure.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -66,9 +79,6 @@ class StepMeasure:
         bps = tuple(Fraction(b) for b in self.breakpoints)
         dens = tuple(_as_poly(d) for d in self.densities)
         atoms = tuple(sorted((Fraction(x), Fraction(m)) for x, m in self.atoms))
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "densities", dens)
-        object.__setattr__(self, "atoms", atoms)
         if not bps or bps[0] != 0:
             raise ValueError("breakpoints must start at 0")
         if any(not (0 <= b < 1) for b in bps):
@@ -77,6 +87,10 @@ class StepMeasure:
             raise ValueError("breakpoints must be strictly increasing")
         if len(dens) != len(bps):
             raise ValueError("need one density per piece")
+        keep = [i for i in range(len(bps)) if i == 0 or dens[i] != dens[i - 1]]
+        object.__setattr__(self, "breakpoints", tuple(bps[i] for i in keep))
+        object.__setattr__(self, "densities", tuple(dens[i] for i in keep))
+        object.__setattr__(self, "atoms", atoms)
         for lo, hi, d in self._pieces():
             if P.p_min_on(d, lo, hi) < 0:
                 raise ValueError(f"density negative on [{lo}, {hi})")
@@ -89,20 +103,17 @@ class StepMeasure:
             if x in seen:
                 raise ValueError(f"duplicate atom at {x}")
             seen.add(x)
-        if self.total() != 1:
-            raise ValueError(f"total mass {self.total()} != 1")
+        total = self.total()
+        if total != 1:
+            raise ValueError(f"total mass {total} != 1")
 
     # -- basic queries -----------------------------------------------------
 
     def _pieces(self):
-        bps = self.breakpoints
-        for i, lo in enumerate(bps):
-            hi = bps[i + 1] if i + 1 < len(bps) else Fraction(1)
-            yield lo, hi, self.densities[i]
+        return _walk(self.breakpoints, self.densities)
 
     def total(self) -> Fraction:
-        dens = sum((P.p_integrate(d, lo, hi) for lo, hi, d in self._pieces()), Fraction(0))
-        return dens + sum((m for _x, m in self.atoms), Fraction(0))
+        return self.mass(0, 1)
 
     def mass(self, lo, hi) -> Fraction:
         """Mass of the half-open interval [lo, hi), 0 <= lo <= hi <= 1."""
@@ -127,26 +138,6 @@ class StepMeasure:
         """Max of the density over the circle (atoms excluded)."""
         return max(-P.p_min_on(P.p_neg(d), lo, hi) for lo, hi, d in self._pieces())
 
-    def canonical(self) -> "StepMeasure":
-        """Merge adjacent pieces whose polynomials agree."""
-        bps, dens = [self.breakpoints[0]], [self.densities[0]]
-        for lo, d in zip(self.breakpoints[1:], self.densities[1:]):
-            if d == dens[-1]:
-                continue
-            bps.append(lo)
-            dens.append(d)
-        return StepMeasure(tuple(bps), tuple(dens), self.atoms)
-
-    def __eq__(self, other):
-        if not isinstance(other, StepMeasure):
-            return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return (a.breakpoints, a.densities, a.atoms) == (b.breakpoints, b.densities, b.atoms)
-
-    def __hash__(self):
-        c = self.canonical()
-        return hash((c.breakpoints, c.densities, c.atoms))
-
 
 def lebesgue() -> StepMeasure:
     return StepMeasure((Fraction(0),), (Fraction(1),))
@@ -167,11 +158,7 @@ def from_piece_masses(cuts, masses) -> StepMeasure:
     masses = tuple(Fraction(m) for m in masses)
     if len(cuts) != len(masses):
         raise ValueError("need one mass per piece")
-    dens = []
-    for i, lo in enumerate(cuts):
-        hi = cuts[i + 1] if i + 1 < len(cuts) else Fraction(1)
-        dens.append(masses[i] / (hi - lo))
-    return StepMeasure(cuts, tuple(dens))
+    return StepMeasure(cuts, tuple(m / (hi - lo) for lo, hi, m in _walk(cuts, masses)))
 
 
 def is_good(mu: StepMeasure) -> bool:
@@ -238,25 +225,14 @@ def _fold_to_circle(pieces: DensityPieces) -> DensityPieces:
 
 
 def _assemble(pieces: DensityPieces, atoms) -> StepMeasure:
-    cuts = {Fraction(0)}
-    for a, b, _p in pieces:
-        cuts.add(a)
-        if b < 1:
-            cuts.add(b)
-    xs = sorted(cuts)
-    dens: list[P.Poly] = []
-    for i, lo in enumerate(xs):
-        hi = xs[i + 1] if i + 1 < len(xs) else Fraction(1)
-        total: P.Poly = P.ZERO
-        for a, b, p in pieces:
-            if a <= lo and hi <= b:
-                total = P.p_add(total, p)
-        dens.append(total)
+    """Sum the pieces' densities and the atoms' masses at each location."""
+    xs = sorted({Fraction(0)} | {a for a, _b, _p in pieces} | {b for _a, b, _p in pieces if b < 1})
+    # every piece end is a cut, so a piece covers the span from lo exactly when it holds lo
+    dens = (reduce(P.p_add, (p for a, b, p in pieces if a <= lo < b), P.ZERO) for lo in xs)
     merged: dict[Fraction, Fraction] = {}
     for x, m in atoms:
         merged[x] = merged.get(x, Fraction(0)) + m
-    atom_t = tuple(sorted((x, m) for x, m in merged.items() if m != 0))
-    return StepMeasure(tuple(xs), tuple(dens), atom_t).canonical()
+    return StepMeasure(tuple(xs), tuple(dens), tuple(merged.items()))
 
 
 def convolve(nu: StepMeasure, mu: StepMeasure) -> StepMeasure:
@@ -278,12 +254,21 @@ def convolve(nu: StepMeasure, mu: StepMeasure) -> StepMeasure:
         pieces.extend(_translate_pieces(nu_d, x, q))
     if mu_d and nu_d:
         pieces.extend(_fold_to_circle(_line_convolve(nu_d, mu_d)))
-    out = _assemble(pieces, atoms)
-    assert out.total() == 1
-    return out
+    return _assemble(pieces, atoms)
 
 
 # -- adaptations -----------------------------------------------------------
+
+
+def _interpolate(segments, x) -> Fraction:
+    """Read at x in [0, 1] the increasing polyline made of ((x1, y1), (x2, y2)) segments."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError(f"argument {x} outside [0, 1]")
+    for (x1, y1), (x2, y2) in segments:
+        if x1 <= x <= x2:
+            return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
+    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -314,22 +299,10 @@ class Adaptation:
         return list(zip(pts, pts[1:]))
 
     def __call__(self, z) -> Fraction:
-        z = Fraction(z)
-        if not 0 <= z <= 1:
-            raise ValueError(f"argument {z} outside [0, 1]")
-        for (z1, y1), (z2, y2) in self._segments():
-            if z1 <= z <= z2:
-                return y1 + (z - z1) * (y2 - y1) / (z2 - z1)
-        raise AssertionError("unreachable")
+        return _interpolate(self._segments(), z)
 
     def inverse_value(self, y) -> Fraction:
-        y = Fraction(y)
-        if not 0 <= y <= 1:
-            raise ValueError(f"argument {y} outside [0, 1]")
-        for (z1, y1), (z2, y2) in self._segments():
-            if y1 <= y <= y2:
-                return z1 + (y - y1) * (z2 - z1) / (y2 - y1)
-        raise AssertionError("unreachable")
+        return _interpolate([((y1, z1), (y2, z2)) for (z1, y1), (z2, y2) in self._segments()], y)
 
     def inverse(self) -> "Adaptation":
         return Adaptation(tuple((y, z) for z, y in self.knots))
@@ -366,9 +339,10 @@ def quantile_adaptation(nu: StepMeasure) -> Adaptation:
         raise ValueError("measure lacks full support; quantile map would be degenerate")
     if any(len(d) > 1 for d in nu.densities):
         raise ValueError("quantile adaptation needs a plain step density")
-    knots = [(Fraction(0), Fraction(0))]
-    for b in nu.breakpoints[1:]:
-        knots.append((nu.cdf(b), b))
+    knots, z = [], Fraction(0)
+    for lo, hi, d in nu._pieces():
+        knots.append((z, lo))
+        z += P.p_integrate(d, lo, hi)
     return Adaptation(tuple(knots))
 
 
@@ -384,9 +358,7 @@ def pushforward(h: Adaptation, mu: StepMeasure) -> StepMeasure:
                 # density(y) = mu_density(h^-1(y)) / slope
                 image = P.p_scale(P.p_compose_affine(d, inv0, 1 / slope), 1 / slope)
                 pieces.append((y1 + (a - z1) * slope, y1 + (b - z1) * slope, image))
-    out = _assemble(pieces, [(h(x), m) for x, m in mu.atoms])
-    assert out.total() == 1
-    return out
+    return _assemble(pieces, [(h(x), m) for x, m in mu.atoms])
 
 
 # -- weak-star distance ----------------------------------------------------

@@ -89,7 +89,8 @@ def p_shift(a: Poly, delta) -> Poly:
 
 
 def p_min_on(a: Poly, lo, hi) -> Fraction:
-    """Exact minimum of a over the closed interval [lo, hi], degree <= 2."""
+    """Exact minimum of a over the closed interval [lo, hi], degree <= 2;
+    a higher degree is refused with a ValueError."""
     lo, hi = Fraction(lo), Fraction(hi)
     deg = len(a) - 1
     if deg <= 0:
@@ -100,5 +101,5 @@ def p_min_on(a: Poly, lo, hi) -> Fraction:
         if lo < vertex < hi:
             candidates.append(vertex)
     elif deg > 2:
-        raise NotImplementedError(f"degree {deg} densities are not supported")
+        raise ValueError(f"degree {deg} densities are not supported")
     return min(p_eval(a, x) for x in candidates)

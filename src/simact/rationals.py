@@ -7,22 +7,33 @@ rendering for human-facing columns.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = ["parse_rational", "format_rational", "exact_decimal"]
+
+_DIGITS = r"\d+(?:_\d+)*"
+# the decimal and exponent forms that Fraction reads: exact in value, but
+# not the wire format
+_DECIMAL = re.compile(rf"[-+]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction.
 
     Raises ValueError on anything else (floats included: the wire format is
-    exact by design).
+    exact by design).  Only a text in decimal or exponent form is called a
+    float; any other text is malformed.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     s = text.strip()
     if "." in s or "e" in s or "E" in s:
-        raise ValueError(f"rational {text!r} must be integer or p/q, not a float")
+        # read by its form, not by Fraction, which would expand an exponent
+        # such as 1e999999999 in full
+        if _DECIMAL.fullmatch(s):
+            raise ValueError(f"rational {text!r} must be integer or p/q, not a float")
+        raise ValueError(f"malformed rational {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -77,7 +77,6 @@ def load_measure(obj) -> StepMeasure:
 
 
 def dump_measure(mu: StepMeasure) -> dict:
-    mu = mu.canonical()
     pieces = []
     for lo, d in zip(mu.breakpoints, mu.densities):
         if len(d) > 1:

@@ -1153,7 +1153,7 @@ def uniform_on_oracle(lo, length) -> StepMeasure:
     dens = []
     for i, c in enumerate(cuts):
         dens.append(1 / length if iv.contains_point(arc, c) else Fraction(0))
-    return StepMeasure(tuple(cuts), tuple(dens)).canonical()
+    return StepMeasure(tuple(cuts), tuple(dens))
 
 
 def pushforward_oracle(h: Adaptation, mu: StepMeasure) -> StepMeasure:
@@ -1183,7 +1183,7 @@ def pushforward_oracle(h: Adaptation, mu: StepMeasure) -> StepMeasure:
             continue
         # density(y) = mu_density(h^-1(y)) / slope
         dens.append(P.p_scale(P.p_compose_affine(d, inv0, 1 / slope), 1 / slope))
-    out = StepMeasure(tuple(xs), tuple(dens), atoms).canonical()
+    out = StepMeasure(tuple(xs), tuple(dens), atoms)
     assert out.total() == 1
     return out
 

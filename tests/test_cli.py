@@ -97,6 +97,18 @@ def test_exit_2_unreadable_inputs(tmp_path):
     assert main(["embed", gold("quarter_shift.json"), str(boolean), "--w", "2", "--cuts", "0,1/2"]) == 2
 
 
+def test_exit_2_calls_only_decimals_floats(tmp_path, capsys):
+    table = tmp_path / "true_mass.json"
+    table.write_text('{"d": 1, "w": 1, "cuts": ["0"], "masses": {"0": true}}', encoding="utf-8")
+    for argv, message in [
+        (["smooth", gold("diag_halves_table.json"), "--delta", "one"], "malformed rational 'one'"),
+        (["smooth", gold("diag_halves_table.json"), "--delta", "0.25"], "rational '0.25' must be integer or p/q, not a float"),
+        (["realize", str(table)], "malformed rational 'True'"),
+    ]:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_exit_3_shape_mismatch(tmp_path):
     two_d = tmp_path / "d2.json"
     two_d.write_text(

@@ -1,3 +1,5 @@
+import json
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simact.intervals as iv
+import simact.poly as P
 from simact.measure import (
     Adaptation,
     StepMeasure,
@@ -20,6 +23,7 @@ from simact.measure import (
     weak_star_tail,
 )
 from simact.sampling import random_good_measure, trial_rng
+from simact.serialize import dump_measure, load_measure
 
 F = Fraction
 
@@ -74,10 +78,89 @@ def test_uniform_on_wraps():
     assert mu.mass(F(1, 4), F(3, 4)) == 0
 
 
+def fields(mu: StepMeasure):
+    return mu.breakpoints, mu.densities, mu.atoms
+
+
 def test_canonical_equality_ignores_redundant_cuts():
+    # equal adjacent pieces are merged on construction
     a = StepMeasure((F(0), F(1, 2)), (F(1), F(1)))
+    assert fields(a) == fields(lebesgue())
     assert a == lebesgue()
     assert hash(a) == hash(lebesgue())
+    # equal polynomials merge at any degree; equal pieces that are not adjacent stay apart
+    ramp = StepMeasure((F(0), F(1, 4), F(1, 2)), ((0, 2), (0, 2), (0, 2)))
+    assert fields(ramp) == ((F(0),), ((F(0), F(2)),), ())
+    split = StepMeasure((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(1, 2), F(3, 2), F(3, 2), F(1, 2)))
+    assert split.breakpoints == (F(0), F(1, 4), F(3, 4))
+    assert split.densities == ((F(1, 2),), (F(3, 2),), (F(1, 2),))
+
+
+def test_degree_three_densities_are_a_domain_error():
+    u = uniform_on(0, F(1, 2))
+    with pytest.raises(ValueError, match="degree 3 densities are not supported"):
+        convolve(convolve(convolve(u, u), u), u)
+    with pytest.raises(ValueError, match="degree 3 densities are not supported"):
+        StepMeasure((F(0),), ((0, 0, 0, 4),))
+
+
+@st.composite
+def recut(draw, mu: StepMeasure) -> StepMeasure:
+    """mu built again with extra cuts inside its pieces."""
+    extra = draw(st.sets(st.integers(1, 15), max_size=4))
+    cuts = sorted(set(mu.breakpoints) | {F(k, 16) for k in extra})
+    dens = [mu.densities[bisect_right(mu.breakpoints, c) - 1] for c in cuts]
+    return StepMeasure(tuple(cuts), tuple(dens), mu.atoms)
+
+
+@st.composite
+def measures(draw):
+    """A step measure, a polynomial one, or one with atoms."""
+    mu = draw(convolvable())
+    kind = draw(st.sampled_from(["step", "poly", "atoms"]))
+    if kind == "poly":
+        mu = convolve(mu, draw(convolvable()))
+    elif kind == "atoms":
+        x, q = F(draw(st.integers(0, 15)), 16), F(draw(st.integers(1, 3)), 4)
+        mu = StepMeasure(mu.breakpoints, tuple(tuple(c * (1 - q) for c in d) for d in mu.densities), ((x, q),))
+    return mu
+
+
+def same_measure(a: StepMeasure, b: StepMeasure) -> bool:
+    """Equal atoms, and densities (degree <= 2) equal at three points of
+    every piece of the common refinement."""
+    cuts = sorted(set(a.breakpoints) | set(b.breakpoints)) + [F(1)]
+
+    def density(mu, x):
+        return P.p_eval(mu.densities[bisect_right(mu.breakpoints, x) - 1], x)
+
+    points = [x for lo, hi in zip(cuts, cuts[1:]) for x in (lo, (3 * lo + hi) / 4, (lo + hi) / 2)]
+    return a.atoms == b.atoms and all(density(a, x) == density(b, x) for x in points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measures(), measures(), st.data())
+def test_equality_is_field_equality(mu, nu, data):
+    a, b, c = data.draw(recut(mu)), data.draw(recut(mu)), data.draw(recut(nu))
+    assert fields(a) == fields(b) == fields(mu)
+    assert a == b and hash(a) == hash(b)
+    assert (a == c) == (fields(a) == fields(c)) == same_measure(a, c)
+    if a == c:
+        assert hash(a) == hash(c)
+
+
+def test_load_measure_merges_and_a_canonical_document_round_trips():
+    doc = {"pieces": [{"from": f, "density": d} for f, d in [("0", "1/2"), ("1/4", "3/2"), ("1/2", "3/2"), ("3/4", "1/2")]]}
+    merged = {"pieces": [{"from": f, "density": d} for f, d in [("0", "1/2"), ("1/4", "3/2"), ("3/4", "1/2")]]}
+    mu = load_measure(doc)
+    assert mu.breakpoints == (F(0), F(1, 4), F(3, 4))
+    assert dump_measure(mu) == merged
+    canonical = {
+        "pieces": [{"from": "0", "density": "1/4"}, {"from": "1/2", "density": "3/4"}],
+        "atoms": [{"at": "1/3", "mass": "1/4"}, {"at": "2/3", "mass": "1/4"}],
+    }
+    for text in (json.dumps(merged), json.dumps(canonical)):
+        assert json.dumps(dump_measure(load_measure(json.loads(text)))) == text
 
 
 # -- convolution -------------------------------------------------------------

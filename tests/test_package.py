@@ -74,3 +74,29 @@ def test_oracles_import_no_private_kernel_helper():
         if alias.name.startswith("_")
     ]
     assert shared == []
+
+
+def test_frozen_dataclasses_keep_their_generated_equality():
+    # a frozen dataclass compares and hashes its fields; a hand-written
+    # __eq__ or __hash__ means the fields are not the value's one form
+    package = os.path.dirname(simact.__file__)
+    own = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            frozen = isinstance(node, ast.ClassDef) and any(
+                isinstance(dec, ast.Call)
+                and getattr(dec.func, "id", None) == "dataclass"
+                and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True for kw in dec.keywords)
+                for dec in node.decorator_list
+            )
+            if frozen:
+                own += [
+                    f"{name}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+                ]
+    assert own == []

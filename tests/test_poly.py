@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -48,3 +49,8 @@ def test_min_on_finds_interior_vertex():
     a = P.p_make([Fraction(1, 4), -1, 1])
     assert P.p_min_on(a, 0, 1) == 0
     assert P.p_min_on(a, 0, "1/4") == P.p_eval(a, Fraction(1, 4))
+
+
+def test_min_on_refuses_degree_three():
+    with pytest.raises(ValueError, match="degree 3 densities are not supported"):
+        P.p_min_on(P.p_make([0, 0, 0, 1]), 0, 1)

@@ -19,10 +19,33 @@ def test_parse_plain_integers():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "a/b", "1/2/3", "1e3", "--2", "+"])
+FLOATS = ["1.5", "1e3", " -.5E-3", "1.", "1e999999999"]
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/0", "a/b", "1/2/3", "1e3", "--2", "+", "True", "None", "one", "1/2e", "1.5/2", "e5"] + FLOATS[2:]
+)
 def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a float" if bad in FLOATS else "malformed"):
         parse_rational(bad)
+
+
+@given(st.text("0123456789._eE+-/ x", max_size=6))
+def test_only_decimal_texts_are_called_floats(text):
+    # Fraction reads exactly the decimal and exponent forms as numbers, so the
+    # float message goes to a text exactly when Fraction reads it and it has
+    # a decimal point or an exponent
+    try:
+        Fraction(text)
+        decimal = any(c in text for c in ".eE")
+    except (ValueError, ZeroDivisionError):
+        decimal = False
+    try:
+        parse_rational(text)
+    except ValueError as exc:
+        assert ("not a float" in str(exc)) == decimal
+    else:
+        assert not decimal
 
 
 def test_format_is_canonical():
