@@ -12,13 +12,14 @@ from fractions import Fraction
 
 Pairs = tuple[tuple[Fraction, Fraction], ...]
 
-FULL: Pairs = ((Fraction(0), Fraction(1)),)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+FULL: Pairs = ((_ZERO, _ONE),)
 EMPTY: Pairs = ()
 
 
 def normalize(raw) -> Pairs:
     """Sort, drop empty pieces, merge overlapping or touching ones."""
-    pieces = sorted((Fraction(a), Fraction(b)) for a, b in raw if Fraction(a) < Fraction(b))
+    pieces = sorted((a, b) for a, b in ((Fraction(a), Fraction(b)) for a, b in raw) if a < b)
     for a, b in pieces:
         if a < 0 or b > 1:
             raise ValueError(f"interval [{a}, {b}) outside [0, 1)")
@@ -53,11 +54,11 @@ def wrapped_interval(lo, length) -> Pairs:
     hi = lo + length
     if hi <= 1:
         return ((lo, hi),)
-    return normalize([(Fraction(0), hi - 1), (lo, Fraction(1))])
+    return normalize([(_ZERO, hi - 1), (lo, _ONE)])
 
 
 def length(s: Pairs) -> Fraction:
-    return sum((b - a for a, b in s), Fraction(0))
+    return sum((b - a for a, b in s), _ZERO)
 
 
 def contains_point(s: Pairs, x) -> bool:
@@ -73,11 +74,10 @@ def _combine(a: Pairs, b: Pairs, keep) -> Pairs:
     number of that set's endpoints sit at or below it.  Each step passes
     the endpoints at lo, so hi is the next endpoint of either set; a
     trailing 1 on each list is never passed and ends the sweep."""
-    one = Fraction(1)
-    ends_a = [x for piece in a for x in piece] + [one]
-    ends_b = [x for piece in b for x in piece] + [one]
+    ends_a = [x for piece in a for x in piece] + [_ONE]
+    ends_b = [x for piece in b for x in piece] + [_ONE]
     i = j = 0
-    lo = Fraction(0)
+    lo = _ZERO
     out: list[tuple[Fraction, Fraction]] = []
     while lo < 1:
         i += ends_a[i] == lo
@@ -119,6 +119,6 @@ def translate(s: Pairs, t) -> Pairs:
         elif lo >= 1:
             out.append((lo - 1, hi - 1))
         else:
-            out.append((lo, Fraction(1)))
-            out.append((Fraction(0), hi - 1))
+            out.append((lo, _ONE))
+            out.append((_ZERO, hi - 1))
     return normalize(out)

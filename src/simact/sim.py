@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product, repeat, takewhile
 from math import gcd, lcm
 from operator import add, index, itemgetter, mul, sub
 from types import MappingProxyType
@@ -577,13 +577,11 @@ def is_graph_sim(t: CylinderTable, epsilon) -> tuple[bool, list]:
 # -- smoothing ---------------------------------------------------------------
 
 
-def _smear_weight(piece, cell, delta: Fraction) -> Fraction:
+def _smear_weight(target: iv.Pairs, cell: iv.Pairs, delta: Fraction) -> Fraction:
     """Probability that a uniform point of `cell` plus an independent
-    uniform [0, delta) shift lands in `piece` (all mod 1)."""
-    plo, phi = piece
-    clo, chi = cell
-    target = iv.interval(plo, phi)
-    phi_at = lambda y: iv.length(iv.intersect(iv.translate(target, -y), iv.interval(clo, chi)))
+    uniform [0, delta) shift lands in `target` (all mod 1); both are
+    one-piece interval sets."""
+    ((plo, phi),), ((clo, chi),) = target, cell
     knots = {Fraction(0), delta}
     for a in (plo, phi):
         for b in (clo, chi):
@@ -591,11 +589,10 @@ def _smear_weight(piece, cell, delta: Fraction) -> Fraction:
             if 0 < y < delta:
                 knots.add(y)
     ys = sorted(knots)
-    area = Fraction(0)
-    vals = [phi_at(y) for y in ys]
-    for (y1, v1), (y2, v2) in zip(zip(ys, vals), zip(ys[1:], vals[1:])):
-        area += (y2 - y1) * (v1 + v2) / 2  # integrand is piecewise linear
-    return area / (delta * (chi - clo))
+    vals = [iv.length(iv.intersect(iv.translate(target, -y), cell)) for y in ys]
+    # the integrand is piecewise linear between knots: trapezoids are exact
+    area = sum((y2 - y1) * (v1 + v2) for y1, y2, v1, v2 in zip(ys, ys[1:], vals, vals[1:]))
+    return area / (2 * delta * (chi - clo))
 
 
 def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
@@ -605,6 +602,13 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
     unchanged.  The single-time marginal of the result agrees piece by
     piece with convolving the table's marginal with the uniform measure on
     [0, delta).
+
+    A blurred cell [lo, hi) covers the arc [lo, hi + delta), so its row
+    walks the pieces in circle order from the cell itself and stops at the
+    first one starting at or past hi + delta: that piece and every later
+    one get weight 0, and every piece before it a positive weight.  So a
+    rung builds p^2 weights only when delta is near 1, and each piece's
+    interval set once.
     """
     delta = Fraction(delta)
     if delta == 0:
@@ -613,10 +617,12 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
         raise ValueError("delta must lie in [0, 1)")
     budget.patterns(t.partition.p, t.window.size())
     pieces = t.partition.pieces()
-    rows = [
-        [(i, wgt) for i, piece in enumerate(pieces) if (wgt := _smear_weight(piece, cell, delta))]
-        for cell in pieces
-    ]
+    p, sets = len(pieces), [iv.interval(lo, hi) for lo, hi in pieces]
+    rows = []
+    for c, (lo, hi) in enumerate(pieces):
+        reach = hi - lo + delta
+        band = takewhile(lambda i: (pieces[i][0] - lo) % 1 < reach, ((c + s) % p for s in range(p)))
+        rows.append([(i, _smear_weight(sets[i], sets[c], delta)) for i in band])
     return relabel(t, rows, t.partition)
 
 

@@ -207,14 +207,17 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
         ("dist", 3 * (5 * 2**17 + 2**2), MAX_WORK),
         # 17 rungs on the uniform iid table of two pieces and w = 12: 1.3 to 1.5 s
         ("smooth", 17 * (3**12 + KEY_SLOTS * 12 * 2**12 + SMEAR_SLOTS * 2**2), MAX_SMOOTH_WORK),
+        # one rung at delta = 7/8 on 80 equal pieces and w = 1: every band is
+        # full, so the blur builds all 6400 smear weights: 1.0 to 1.8 s
+        ("smooth-smear", 2 * (81 + KEY_SLOTS * 80 + SMEAR_SLOTS * 80**2), MAX_SMOOTH_WORK),
         # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
     ],
-    ids=["dist", "smooth", "graph-test"],
+    ids=["dist", "smooth", "smooth-smear", "graph-test"],
 )
 def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case, work, cap):
     # each work cap stands for 3 to 5 s on one core of a shared 2-vCPU
-    # machine; a run at 0.875 to 0.94 of it must finish well inside 10 s
+    # machine; a run at 0.875 to 0.954 of it must finish well inside 10 s
     assert 0.85 * cap < work <= cap
     if case == "dist":
         rng, n = random.Random(0), 5 * 2**17
@@ -230,6 +233,12 @@ def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case,
         with open(table, "w", encoding="utf-8") as fh:
             json.dump({"d": 1, "w": 12, "cuts": ["0", "1/2"], "masses": masses}, fh)
         argv = [case, table, "--delta", "1/4", "--steps", "16"]
+    elif case == "smooth-smear":
+        table = str(tmp_path / "table.json")
+        masses = {str(j): "1/80" for j in range(80)}
+        with open(table, "w", encoding="utf-8") as fh:
+            json.dump({"d": 1, "w": 1, "cuts": [f"{j}/80" for j in range(80)], "masses": masses}, fh)
+        argv = ["smooth", table, "--delta", "7/8", "--steps", "1"]
     else:
         table = str(tmp_path / "table.json")
         with open(table, "w", encoding="utf-8") as fh:

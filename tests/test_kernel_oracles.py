@@ -17,7 +17,7 @@ from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from make_fixtures import gold
 from oracles import (
@@ -119,6 +119,7 @@ from simact.sim import (
     Partition,
     Window,
     _graph_test_matrix,
+    _smear_weight,
     _subset_sums,
     average_sims,
     convolve_sim,
@@ -316,6 +317,57 @@ def test_convolve_sim_matches_oracle(t, delta):
     out = convolve_sim(t, delta)
     assert out == convolve_sim_oracle(t, delta)
     assert is_canonical(out)
+
+
+def wide_table(q: int, cuts, w: int, seed: int) -> CylinderTable:
+    """The table on the pieces cut at 0 and cuts/q, at w = 1 or 2 window
+    times, with masses 0 to 3 (normalized) drawn from seed; at w = 2 they
+    form a symmetric matrix, so the marginals of both times agree."""
+    partition = Partition((Fraction(0), *(Fraction(c, q) for c in sorted(cuts))))
+    rng, p = random.Random(seed), partition.p
+    nums = {(0,) * w: 1}
+    for key in product(range(p), repeat=w):
+        if key == tuple(sorted(key)):
+            nums[key] = nums[key[::-1]] = nums.get(key, 0) + rng.randint(0, 3)
+    return CylinderTable(Window(1, w), partition, nums, den=sum(nums.values()))
+
+
+@st.composite
+def wide_tables(draw):
+    """`wide_table` on 1 to 24 pieces with uneven cuts: the p - 1 cuts lie
+    below a drawn span of the grid, so a small span leaves one long last
+    piece, longer than 1 - delta at the smallest spans."""
+    p, q = draw(st.integers(1, 24)), draw(st.sampled_from([24, 64, 96]))
+    span = draw(st.integers(p, q))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return wide_table(q, rng.sample(range(1, span), p - 1), draw(st.integers(1, 2)), rng.randrange(10**6))
+
+
+WIDE_DELTAS = [Fraction(1, 64), Fraction(1, 16), Fraction(1, 8), Fraction(1, 2), Fraction(7, 8), Fraction(31, 32)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_tables(), st.sampled_from(WIDE_DELTAS))
+@example(wide_table(24, [], 1, 0), Fraction(31, 32))
+@example(wide_table(96, [1], 2, 0), Fraction(1, 64))
+@example(wide_table(64, [3, 5, 6, 40], 2, 1), Fraction(1, 16))
+def test_convolve_sim_matches_oracle_on_wide_partitions(t, delta):
+    # each row stops at the first piece its blurred arc misses; the oracle
+    # weighs all p pieces of every row
+    out = convolve_sim(t, delta)
+    assert out == convolve_sim_oracle(t, delta)
+    assert is_canonical(out)
+
+
+def test_convolve_sim_weighs_only_the_band():
+    # at 64 equal pieces and delta = 1/16 each blurred cell reaches itself
+    # and the next 4 pieces: 5 weights a row, 320 in all against 64^2 = 4096
+    # for rows over every piece
+    t = wide_table(64, range(1, 64), 1, 0)
+    with patch("simact.sim._smear_weight", wraps=_smear_weight) as weigh:
+        out = convolve_sim(t, Fraction(1, 16))
+    assert weigh.call_count <= 5 * 64
+    assert out == convolve_sim_oracle(t, Fraction(1, 16))
 
 
 @settings(max_examples=60, deadline=None)
@@ -736,14 +788,29 @@ def test_subset_sums_match_low_bit_recurrence(values):
 # -- bridges between actions and tables ----------------------------------------------
 
 
+def realizable_markov(seed: int, p: int, w: int) -> CylinderTable | None:
+    """`markov_table` on a grid of at most 2^16 cells, which keeps the
+    oracle's walk short, or None for the few seeds that draw no table that
+    fits it within MAX_DRAWS draws; any other error is raised."""
+    try:
+        return markov_table(random.Random(seed), p, w, max_resolution=1 << 16)
+    except ValueError as err:
+        if not str(err).startswith(f"no draw in {budget.MAX_DRAWS} fits max_resolution"):
+            raise
+        return None
+
+
 @st.composite
 def realizable_tables(draw):
     """Markov tables, and graph joinings mixed with the iid table of their
     marginal (weight 0 is the joining, weight 1 the iid table)."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
+    seed = draw(st.integers(0, 10**6))
     if draw(st.booleans()):
-        # a grid of at most 2^16 cells keeps the oracle's walk short
-        return markov_table(rng, draw(st.integers(2, 4)), draw(st.integers(1, 4)), max_resolution=1 << 16)
+        t = realizable_markov(seed, draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+        if t is None:
+            reject()
+        return t
+    rng = random.Random(seed)
     joining = random_graph_joining(rng, draw(st.integers(2, 6)))
     single = marginalize_to(joining, [(0,)])
     iid = iid_table(joining.partition, [single[(j,)] for j in range(joining.partition.p)], 2)
@@ -802,6 +869,12 @@ def test_continuity_bound_matches_box_oracle(seed, n, w, delta):
 @example(markov_table(random.Random(0), 3, 1))
 def test_realize_matches_oracle(t):
     assert realize_sim_as_action(t) == realize_sim_as_action_oracle(t)
+
+
+def test_realizable_markov_skips_a_seed_that_fits_no_draw():
+    # none of the MAX_DRAWS 4 x 4 Markov draws of seed 10378 fits the grid
+    assert realizable_markov(10378, 4, 4) is None
+    assert realizable_markov(10378, 3, 3) == markov_table(random.Random(10378), 3, 3, max_resolution=1 << 16)
 
 
 @settings(max_examples=200, deadline=None)

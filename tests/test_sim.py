@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import simact.intervals as iv
 import simact.sim as sim
 from simact.budget import BudgetError
 from simact.measure import convolve, uniform_on
@@ -313,8 +314,8 @@ def test_table_kernels_refuse_patterns_above_cap_before_any_pass(monkeypatch):
 
 
 def test_smear_weight_hand_values():
-    half = (F(0), F(1, 2))
-    other = (F(1, 2), F(1))
+    half = iv.interval(F(0), F(1, 2))
+    other = iv.interval(F(1, 2), F(1))
     assert _smear_weight(half, half, F(1, 4)) == F(3, 4)
     assert _smear_weight(other, half, F(1, 4)) == F(1, 4)
 
