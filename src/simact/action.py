@@ -241,8 +241,9 @@ def tower_heights(epsilon: Fraction, min_cycle: int) -> list[int]:
     epsilon <= 0 has no such h and is refused."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
+    # 4/2^h >= epsilon/2, in integers
     h = 1
-    while Fraction(4, 2**h) >= epsilon / 2:
+    while 8 * epsilon.denominator >= epsilon.numerator << h:
         h += 1
     if min_cycle < h:
         raise InfeasibleError(f"aperiodicity precondition fails: cycle of length {min_cycle} < height {h}")

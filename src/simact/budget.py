@@ -65,21 +65,24 @@ MAX_STEPS = 40
 # where its 759,375 keys hold most of it.
 MAX_PATTERNS = 1 << 20
 
-# `smooth` runs a full blur, table distance and fixed-mass report on each of
-# its K+1 rungs, rung 0 (delta = 0) included.  A rung fills the (p+1)^k slots
-# of the dense distance, k = w^d, walks the up to p^k keys of the blurred
-# table, k labels each, in the blur, the table checks and the fixed-mass
-# report, and builds the smear weights of the blur, each an overlap integral
-# of interval sets: those of each cell's band, which is all p^2 of them when
-# delta is near 1, so the charge takes p^2.  A key label costs about KEY_SLOTS
-# slots and a smear weight about SMEAR_SLOTS (160 to 240 us at the full band,
-# delta = 7/8, p = 31 to 300, equal and uneven cuts), so a rung is charged
-# (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a shared 2-vCPU
-# machine a slot took 0.057 us at p = 1, w = 20 and so did a charged unit at
-# p = 31, w = 4 (delta = 7/8, K = 1, file reading included); every shape in
-# between took 0.02 to 0.04 us a unit.  So the cap is about 4 s: 17 rungs at
-# p = 2, w = 12 (0.94 of it) took 1.3 to 1.5 s and 40 rungs at p = 1, w = 18
-# (0.16 of it) 0.9 s.
+# `smooth` runs a blur, table distance and fixed-mass report on each of its K
+# rungs above delta = 0; rung 0 keeps the input table, its distance is 0, and
+# it runs only the fixed-mass report.  The charge still counts rung 0 as a full
+# rung: that overstates a ladder by one blur and one distance, which keeps it
+# conservative, and it refuses the same inputs as when rung 0 ran both.  A rung
+# fills the (p+1)^k slots of the dense distance, k = w^d, walks the up to p^k
+# keys of the blurred table, k labels each, in the blur, the table checks and
+# the fixed-mass report, and builds the smear weights of the blur, each an
+# overlap integral of interval sets: those of each cell's band, which is all
+# p^2 of them when delta is near 1, so the charge takes p^2.  A key label costs
+# about KEY_SLOTS slots and a smear weight about SMEAR_SLOTS (160 to 240 us at
+# the full band, delta = 7/8, p = 31 to 300, equal and uneven cuts), so a rung
+# is charged (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a
+# shared 2-vCPU machine a slot took 0.057 us at p = 1, w = 20 and so did a
+# charged unit at p = 31, w = 4 (delta = 7/8, K = 1, file reading included);
+# every shape in between took 0.02 to 0.04 us a unit.  So the cap is about 4 s:
+# 17 rungs at p = 2, w = 12 (0.94 of it) took 1.3 to 1.5 s and 40 rungs at
+# p = 1, w = 18 (0.16 of it) 0.9 s.
 KEY_SLOTS = 64
 SMEAR_SLOTS = 5000
 MAX_SMOOTH_WORK = 1 << 26

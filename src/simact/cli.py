@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import time
 from contextlib import contextmanager
@@ -112,10 +113,35 @@ def _emit_text(args, text: str):
         sys.stdout.write(text)
 
 
-def _emit_json(args, obj):
-    import json
+_JSON_SCALARS = frozenset((str, int, bool, type(None)))
 
-    _emit_text(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+def _json_text(obj, level: int = 0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte; dict keys are strings.
+
+    CPython runs any `indent` through its pure-Python encoder.  So each
+    container whose values are all scalars goes to the C encoder, with the
+    newline and indent of its items folded into the item separator and its
+    brackets re-added, and only the containers above those are joined here.
+    """
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _JSON_SCALARS.issuperset(map(type, values)):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, level + 1)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, level + 1) for v in obj]
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def _emit_json(args, obj):
+    _emit_text(args, _json_text(obj) + "\n")
 
 
 def _csv(rows) -> str:
@@ -230,10 +256,10 @@ def cmd_smooth(args) -> int:
     rows = [header]
     for step in ladder:
         smoothed = convolve_sim(t, step)
-        row = _pair(step) + _pair(sim_dist(smoothed, t))
+        # rung 0 blurs by nothing: convolve_sim hands t itself back
+        row = _pair(step) + _pair(sim_dist(smoothed, t) if step else Fraction(0))
         for beta in betas:
-            bound, _exact = fixed_mass_report(smoothed, beta)
-            row += _pair(bound)
+            row += _pair(fixed_mass_report(smoothed, beta))
         rows.append(row)
     _emit_rows(args, rows)
     return 0

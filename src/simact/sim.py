@@ -657,12 +657,12 @@ def fixed_mass_bound(t: CylinderTable, beta) -> Fraction:
     return Fraction(total, t.den)
 
 
-def fixed_mass_report(t: CylinderTable, beta) -> tuple[Fraction, Fraction]:
-    """(cell-level bound, exact value for the cell-uniform measure).
+def fixed_mass_report(t: CylinderTable, beta) -> Fraction:
+    """The cell-level bound on the mass of points fixed by the shift beta.
 
-    Within a cell box the coordinates are independent and continuous, so
-    two coordinates agree with probability zero: the exact cell-uniform
-    value is always 0 once the shift applies anywhere in the window.
+    It is the only figure worth reporting: within a cell box the
+    coordinates are independent and continuous, so two coordinates agree
+    with probability zero, and the exact cell-uniform value is always 0
+    once the shift applies anywhere in the window.
     """
-    bound = fixed_mass_bound(t, beta)
-    return bound, Fraction(0)
+    return fixed_mass_bound(t, beta)

@@ -19,6 +19,7 @@ from simact.action import (
     free_defect,
     group_enumeration,
     identity_action,
+    tower_heights,
     wrp_conjugacy_search,
 )
 from simact.sampling import aperiodic_permutation, random_action, trial_rng
@@ -90,6 +91,30 @@ def error_in_child(call: str) -> str:
 )
 def test_bad_arguments_are_refused_not_looped_on(call, message):
     assert error_in_child(call) == f"ValueError {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=F(1, 10**6), max_value=F(20), max_denominator=10**6),
+        st.integers(1, 2**200).map(lambda k: F(1, k)),
+        st.just(F(1, 10**50)),
+        st.integers(8, 100).map(F),
+    ),
+    st.integers(1, 700),
+)
+def test_tower_heights_start_where_the_fraction_bound_fails(epsilon, min_cycle):
+    # the ladder starts at the first h with 4/2^h < epsilon/2, written in Fractions
+    h = 1
+    while F(4, 2**h) >= epsilon / 2:
+        h += 1
+    if min_cycle < h:
+        with pytest.raises(InfeasibleError):
+            tower_heights(epsilon, min_cycle)
+        return
+    expected = [h << i for i in range(min_cycle.bit_length()) if h << i <= min_cycle]
+    expected += [min_cycle] if expected[-1] != min_cycle else []
+    assert tower_heights(epsilon, min_cycle) == expected
 
 
 def test_action_dist_example():

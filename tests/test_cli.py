@@ -5,12 +5,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from make_fixtures import RUNS, gold
 
 from simact import cli
 from simact.cli import build_parser, main
+from simact.sim import sim_dist
 from simact.transform import IntervalPermutation
 
 
@@ -265,6 +269,52 @@ def test_smooth_json_rows_match_csv_rows(tmp_path):
     assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
     header, *rows = [line.split(",") for line in read(str(csv_out)).decode().strip().split("\n")]
     assert json.loads(read(str(json_out)))["rows"] == [dict(zip(header, r)) for r in rows]
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_smooth_measures_no_distance_on_rung_zero(tmp_path, steps):
+    # rung 0 blurs by nothing, so only the K rungs above it need a table distance
+    argv = ["smooth", gold("diag_halves_table.json"), "--delta", "1/4", "--steps", str(steps)]
+    with patch("simact.cli.sim_dist", wraps=sim_dist) as calls:
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert calls.call_count == steps
+
+
+# -- JSON writer -------------------------------------------------------------------
+
+json_strings = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(['"', "\\", ", ", "\n", "\x00", "\x1f", "\x7f", "é", "\u2603", "\U0001f600"])).map("".join),
+)
+json_leaves = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    json_strings,
+    st.booleans(),
+    st.none(),
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_json_writer_matches_indented_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_a_huge_int_as_json_dumps_does():
+    big = 10**4400
+    for doc in (big, [big], {"a": [1, big]}, {"a": [[1], {"b": big}]}):
+        with pytest.raises(ValueError) as want:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(want.value)
 
 
 def test_exit_2_unwritable_out(tmp_path, capsys):

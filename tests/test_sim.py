@@ -369,8 +369,7 @@ def test_average_sims():
 def test_fixed_mass_diagonal_vs_product():
     assert fixed_mass_bound(diag_halves(), (1,)) == 1
     assert fixed_mass_bound(iid_halves(), (1,)) == F(1, 2)
-    bound, exact = fixed_mass_report(iid_halves(), (1,))
-    assert (bound, exact) == (F(1, 2), F(0))
+    assert fixed_mass_report(iid_halves(), (1,)) == F(1, 2)
 
 
 def test_fixed_mass_bad_shifts():
