@@ -26,6 +26,7 @@ from .equivalence import (
     embed_action,
     factor_defect,
     inverse_continuity_check,
+    marginal,
     realize_sim_as_action,
     recover_action,
 )
@@ -51,13 +52,11 @@ from .sim import (
     average_sims,
     convolve_sim,
     cylinder_mass,
-    fixed_mass_bound,
     fixed_mass_report,
     graph_witness_exact,
     greedy_graph_witness,
     is_graph_joining,
     is_graph_sim,
-    marginal,
     marginalize_to,
     marginalize_window,
     pair_matrix,

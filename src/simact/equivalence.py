@@ -17,7 +17,7 @@ from math import lcm, prod
 
 from . import budget
 from .action import GroupElement, LatticeAction
-from .measure import Adaptation
+from .measure import Adaptation, StepMeasure, from_piece_masses
 from .sim import (
     CylinderTable,
     Partition,
@@ -42,6 +42,7 @@ __all__ = [
     "factor_defect",
     "inverse_continuity_check",
     "InverseContinuityReport",
+    "marginal",
 ]
 
 
@@ -115,6 +116,17 @@ def adapt_table(
     return relabel(t, rows, p_out)
 
 
+def _piece_masses(t: CylinderTable) -> list[Fraction]:
+    """The single-time marginal: each piece's mass at time 0, zeros included."""
+    single = marginalize_to(t, [(0,) * t.window.d])
+    return [single.get((j,), Fraction(0)) for j in range(t.partition.p)]
+
+
+def marginal(t: CylinderTable) -> StepMeasure:
+    """Single-time marginal spread uniformly inside each piece."""
+    return from_piece_masses(t.partition.cuts, _piece_masses(t))
+
+
 def _eval_boxes(t: CylinderTable, boxes: list[tuple[Fraction, Fraction]]) -> Fraction:
     """Mass of a product box, one (lo, hi) interval per window position,
     under the cell-uniform measure of t: each key's numerator times the
@@ -140,8 +152,7 @@ def continuity_bound_check(
     assignment = tuple(assignment)
     if len(assignment) != k:
         raise ValueError("assignment must cover the whole window")
-    single = marginalize_to(t, [(0,) * t.window.d])
-    if any(single.get((j,), 0) != hi - lo for j, (lo, hi) in enumerate(t.partition.pieces())):
+    if any(m != hi - lo for m, (lo, hi) in zip(_piece_masses(t), t.partition.pieces())):
         raise ValueError("marginal must equal piece lengths for the bound")
     boxes = []
     mid = Fraction(0)
@@ -178,14 +189,11 @@ class GraphWitness:
 def _levels(t: CylinderTable) -> list[Fraction]:
     """Cumulative single-time marginal masses 0, m_0, m_0 + m_1, ..., 1,
     refused when the marginal vanishes on a piece."""
-    single = marginalize_to(t, [(0,) * t.window.d])
-    empty = [j for j in range(t.partition.p) if (j,) not in single]
+    masses = _piece_masses(t)
+    empty = [j for j, m in enumerate(masses) if not m]
     if empty:
         raise ValueError(f"marginal vanishes on pieces {empty}; drop them first")
-    levels = [Fraction(0)]
-    for j in range(t.partition.p):
-        levels.append(levels[-1] + single[(j,)])
-    return levels
+    return list(accumulate(masses, initial=Fraction(0)))
 
 
 def _majority_map(matrix, epsilon: Fraction) -> tuple[tuple[int, ...], Fraction]:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import reduce
 from math import comb
 
-from . import intervals as iv
 from . import poly as P
 
 __all__ = [
@@ -127,9 +126,6 @@ class StepMeasure:
                 dens += P.p_integrate(d, a, b)
         atom = sum((m for x, m in self.atoms if lo <= x < hi), Fraction(0))
         return dens + atom
-
-    def mass_set(self, pairs: iv.Pairs) -> Fraction:
-        return sum((self.mass(a, b) for a, b in pairs), Fraction(0))
 
     def cdf(self, x) -> Fraction:
         return self.mass(0, x)

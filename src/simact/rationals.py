@@ -48,17 +48,20 @@ def format_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def exact_decimal(value: Fraction, places: int = 12) -> str:
+_PLACES = 12  # fractional digits kept
+
+
+def exact_decimal(value: Fraction) -> str:
     """Deterministic decimal rendering, display only.
 
-    Truncates toward zero at `places` fractional digits, then strips
+    Truncates toward zero at 12 fractional digits, then strips
     trailing zeros (keeping at least one digit after the point).  Never
     touches floating point, so identical inputs give identical bytes.
     """
     f = Fraction(value)
     sign = "-" if f < 0 else ""
     f = abs(f)
-    scaled = f.numerator * 10**places // f.denominator
-    whole, frac = divmod(scaled, 10**places)
-    digits = str(frac).rjust(places, "0").rstrip("0") or "0"
+    scaled = f.numerator * 10**_PLACES // f.denominator
+    whole, frac = divmod(scaled, 10**_PLACES)
+    digits = str(frac).rjust(_PLACES, "0").rstrip("0") or "0"
     return f"{sign}{whole}.{digits}"

@@ -245,7 +245,7 @@ def dump_table(t: CylinderTable) -> dict:
         "cuts": [format_rational(c) for c in t.partition.cuts],
         "masses": {
             ",".join(str(i) for i in key): format_rational(mass)
-            for key, mass in t.items_sorted()
+            for key, mass in sorted(t.masses.items())
         },
     }
 

@@ -10,7 +10,6 @@ mass spreads uniformly inside each cell box, coordinate by coordinate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,14 +21,12 @@ from types import MappingProxyType
 
 from . import budget
 from . import intervals as iv
-from .measure import StepMeasure, from_piece_masses
 
 __all__ = [
     "Partition",
     "Window",
     "CylinderTable",
     "cylinder_mass",
-    "marginal",
     "pair_matrix",
     "sim_dist",
     "GraphTest",
@@ -39,7 +36,6 @@ __all__ = [
     "is_graph_sim",
     "convolve_sim",
     "average_sims",
-    "fixed_mass_bound",
     "fixed_mass_report",
     "refine_partition",
     "marginalize_window",
@@ -74,16 +70,6 @@ class Partition:
 
     def pieces(self) -> list[tuple[Fraction, Fraction]]:
         return [self.piece(j) for j in range(self.p)]
-
-    def piece_length(self, j: int) -> Fraction:
-        lo, hi = self.piece(j)
-        return hi - lo
-
-    def piece_of_point(self, x) -> int:
-        x = Fraction(x)
-        if not 0 <= x < 1:
-            raise ValueError(f"point {x} outside [0, 1)")
-        return bisect_right(self.cuts, x) - 1
 
 
 @dataclass(frozen=True)
@@ -201,9 +187,6 @@ class CylinderTable:
             if _marginal_nums(self.nums, low) != _marginal_nums(self.nums, high):
                 raise ValueError(f"shift consistency fails along axis {axis}")
 
-    def items_sorted(self):
-        return sorted(self.masses.items())
-
     def __eq__(self, other):
         if not isinstance(other, CylinderTable):
             return NotImplemented
@@ -246,14 +229,6 @@ def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
         if not 0 <= piece < t.partition.p:
             raise ValueError(f"piece index {piece} out of range")
     return Fraction(_marginal_nums(t.nums, idx).get(tuple(assignment.values()), 0), t.den)
-
-
-def marginal(t: CylinderTable) -> StepMeasure:
-    """Single-time marginal spread uniformly inside each piece."""
-    zero = (0,) * t.window.d
-    m = marginalize_to(t, [zero])
-    masses = [m.get((j,), Fraction(0)) for j in range(t.partition.p)]
-    return from_piece_masses(t.partition.cuts, masses)
 
 
 def pair_matrix(t: CylinderTable, alpha, beta) -> list[list[Fraction]]:
@@ -643,26 +618,21 @@ def average_sims(t1: CylinderTable, t2: CylinderTable, weight) -> CylinderTable:
     return CylinderTable(t1.window, t1.partition, out, den=b * den)
 
 
-def fixed_mass_bound(t: CylinderTable, beta) -> Fraction:
+def fixed_mass_report(t: CylinderTable, beta) -> Fraction:
     """Window upper bound for the mass of points their beta-shift fixes:
     total mass of assignments whose labels match at every time pair
     (gamma, gamma + beta) inside the window.  Cost: one pass over the keys,
     each compared through two C-level projections, on the labels at every
-    gamma and at every gamma + beta."""
+    gamma and at every gamma + beta.
+
+    This cell-level bound is the only figure worth reporting: within a
+    cell box the coordinates are independent and continuous, so two
+    coordinates agree with probability zero, and the exact cell-uniform
+    value is always 0 once the shift applies anywhere in the window.
+    """
     low, high = t.window._shift(beta)
     if not low:
         raise ValueError(f"no window time pairs at shift {tuple(beta)}")
     at, to = _project(low), _project(high)
     total = sum(num for key, num in t.nums.items() if at(key) == to(key))
     return Fraction(total, t.den)
-
-
-def fixed_mass_report(t: CylinderTable, beta) -> Fraction:
-    """The cell-level bound on the mass of points fixed by the shift beta.
-
-    It is the only figure worth reporting: within a cell box the
-    coordinates are independent and continuous, so two coordinates agree
-    with probability zero, and the exact cell-uniform value is always 0
-    once the shift applies anywhere in the window.
-    """
-    return fixed_mass_bound(t, beta)

@@ -15,7 +15,6 @@ from functools import cached_property
 from math import lcm
 
 from . import budget
-from . import intervals as iv
 
 __all__ = [
     "IntervalPermutation",
@@ -115,25 +114,6 @@ class IntervalPermutation:
     def cycle_lengths(self) -> list[int]:
         return [len(c) for c in self._cycles]
 
-    def apply_point(self, x) -> Fraction:
-        """Image of a single point of [0, 1)."""
-        x = Fraction(x)
-        if not 0 <= x < 1:
-            raise ValueError(f"point {x} outside [0, 1)")
-        i = int(x * self.n)
-        return x + Fraction(self.perm[i] - i, self.n)
-
-    def image_set(self, s: iv.Pairs) -> iv.Pairs:
-        """Image of a union of intervals aligned with a multiple of the grid."""
-        out = []
-        for a, b in s:
-            den = lcm(a.denominator, b.denominator, self.n)
-            t = self.refine(den)
-            for cell in range(int(a * den), int(b * den)):
-                j = t.perm[cell]
-                out.append((Fraction(j, den), Fraction(j + 1, den)))
-        return iv.normalize(out)
-
 
 def identity(n: int) -> IntervalPermutation:
     if n < 1:
@@ -208,9 +188,6 @@ class DyadicSet:
     def mask(self) -> str:
         return format(self.bits, f"0{self.cells}b")[::-1]
 
-    def indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.mask()) if c == "1"]
-
     def refine(self, level2: int) -> "DyadicSet":
         if level2 < self.level:
             raise ValueError("cannot coarsen a dyadic set")
@@ -219,11 +196,6 @@ class DyadicSet:
 
     def mass(self) -> Fraction:
         return Fraction(self.bits.bit_count(), self.cells)
-
-    def to_pairs(self) -> iv.Pairs:
-        return iv.normalize(
-            [(Fraction(i, self.cells), Fraction(i + 1, self.cells)) for i in self.indices()]
-        )
 
     def _with(self, other: "DyadicSet", op) -> "DyadicSet":
         level = max(self.level, other.level)

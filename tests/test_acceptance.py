@@ -30,6 +30,7 @@ from simact.equivalence import (
     cylinder_atoms,
     embed_action,
     factor_defect,
+    marginal,
     realize_sim_as_action,
     recover_action,
 )
@@ -60,11 +61,10 @@ from simact.sim import (
     Window,
     average_sims,
     convolve_sim,
-    fixed_mass_bound,
+    fixed_mass_report,
     graph_witness_exact,
     greedy_graph_witness,
     is_graph_joining,
-    marginal,
     marginalize_to,
     pair_matrix,
     sim_dist,
@@ -298,7 +298,7 @@ def test_smoothing_bounds_and_marginals():
     )
     ladder = (F(0), F(1, 32), F(1, 16), F(1, 8), F(1, 4))
     for t in fixtures:
-        vals = [fixed_mass_bound(convolve_sim(t, d), (1,)) for d in ladder]
+        vals = [fixed_mass_report(convolve_sim(t, d), (1,)) for d in ladder]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 

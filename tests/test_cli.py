@@ -1,6 +1,9 @@
+import csv
 import filecmp
+import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -57,6 +60,21 @@ def test_wrp_demo_runs_are_byte_identical(tmp_path):
     rows = read(str(a)).decode().strip().split("\n")
     assert rows[0].startswith("trial,requested")
     assert all(line.endswith(",ok,") for line in rows[1:])
+
+
+def test_wrp_demo_times_fill_only_the_time_column(tmp_path):
+    # --times gives up byte determinism in time_s alone
+    (argv,) = [argv for argv, expected in RUNS if expected == "expected_wrp_demo.csv"]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--times", "--out", str(out)]) == 0
+    got, want = (list(csv.reader(io.StringIO(read(path).decode()))) for path in (str(out), gold("expected_wrp_demo.csv")))
+    status, time_s = want[0].index("status"), want[0].index("time_s")
+    assert len(got) == len(want)
+    for row, golden in zip(got, want):
+        if row[status] == "ok":
+            assert re.fullmatch(r"\d+\.\d{3}", row[time_s])
+            row[time_s] = golden[time_s]
+        assert row == golden
 
 
 def test_wrp_demo_reports_infeasible_rows(tmp_path):

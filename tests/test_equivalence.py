@@ -14,6 +14,7 @@ from simact.equivalence import (
     embed_action,
     factor_defect,
     inverse_continuity_check,
+    marginal,
     realize_sim_as_action,
     recover_action,
 )
@@ -26,7 +27,7 @@ from simact.sampling import (
     random_graph_joining,
     trial_rng,
 )
-from simact.sim import CylinderTable, Partition, Window, average_sims, marginal
+from simact.sim import CylinderTable, Partition, Window, average_sims
 from simact.transform import DyadicSet, IntervalPermutation, rotation, swap_halves
 
 F = Fraction

@@ -1,13 +1,30 @@
 import ast
+import functools
 import importlib
+import inspect
 import os
 import runpy
+import sys
+
+from make_fixtures import RUNS, gold
 
 import simact
+from simact import cli
+
+PACKAGE = os.path.dirname(simact.__file__)
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+
+
+def _package_trees():
+    """(module name, parsed source) of every module in the package, by name."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield name[:-3], ast.parse(fh.read())
 
 
 def test_every_package_export_is_in_its_modules_all():
-    path = os.path.join(os.path.dirname(simact.__file__), "__init__.py")
+    path = os.path.join(PACKAGE, "__init__.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     missing = []
@@ -21,9 +38,8 @@ def test_every_package_export_is_in_its_modules_all():
 def test_every_traced_name_resolves():
     # the benchmark's tracer looks each target up with vars(owner)[attr]; a
     # deleted or renamed name would stop it with a KeyError
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
     missing = []
-    for name, module, attr, cls, _extra in runpy.run_path(path)["TARGETS"]:
+    for name, module, attr, cls, _extra in runpy.run_path(TRACING)["TARGETS"]:
         owner = vars(importlib.import_module(module))
         if cls:
             owner = vars(owner[cls]) if cls in owner else {}
@@ -41,13 +57,10 @@ WORK_CONSTANTS = {
 
 def test_only_budget_reads_the_work_constants():
     # a work formula copied back out of simact.budget would read them
-    package = os.path.dirname(simact.__file__)
     readers = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "budget.py":
+    for name, tree in _package_trees():
+        if name == "budget":
             continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 names = [node.attr]
@@ -57,7 +70,7 @@ def test_only_budget_reads_the_work_constants():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            readers += [f"{name}:{node.lineno} {n}" for n in names if n in WORK_CONSTANTS]
+            readers += [f"{name}.py:{node.lineno} {n}" for n in names if n in WORK_CONSTANTS]
     assert readers == []
 
 
@@ -79,13 +92,8 @@ def test_oracles_import_no_private_kernel_helper():
 def test_frozen_dataclasses_keep_their_generated_equality():
     # a frozen dataclass compares and hashes its fields; a hand-written
     # __eq__ or __hash__ means the fields are not the value's one form
-    package = os.path.dirname(simact.__file__)
     own = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             frozen = isinstance(node, ast.ClassDef) and any(
                 isinstance(dec, ast.Call)
@@ -95,8 +103,135 @@ def test_frozen_dataclasses_keep_their_generated_equality():
             )
             if frozen:
                 own += [
-                    f"{name}:{node.name}.{item.name}"
+                    f"{name}.py:{node.name}.{item.name}"
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
                 ]
     assert own == []
+
+
+# each module's imports from inside the package: only the smear kernel in sim
+# reads intervals, and the table layer reads no measure
+IMPORT_GRAPH = {
+    "__init__": ["action", "equivalence", "measure", "sim", "transform"],
+    "__main__": ["cli"],
+    "action": ["budget", "transform"],
+    "budget": [],
+    "cli": ["action", "budget", "equivalence", "rationals", "sampling", "serialize", "sim"],
+    "equivalence": ["action", "budget", "measure", "sim", "transform"],
+    "intervals": [],
+    "measure": ["poly"],
+    "poly": [],
+    "rationals": [],
+    "sampling": ["action", "budget", "measure", "sim", "transform"],
+    "serialize": ["action", "budget", "equivalence", "measure", "rationals", "sim", "transform"],
+    "sim": ["budget", "intervals"],
+    "transform": ["budget"],
+}
+
+
+def test_package_import_graph():
+    graph = {}
+    for name, tree in _package_trees():
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps |= {node.module} if node.module else {alias.name for alias in node.names}
+        graph[name] = sorted(deps)
+    assert graph == IMPORT_GRAPH
+
+
+# The public functions and methods that no command enters, grouped by what
+# keeps them.  A new one shows up here as a diff in review.
+UNREACHED_BY_COMMANDS = {
+    # bench/tracing.py traces them by name
+    "bench TARGETS": [
+        "intervals.complement", "intervals.contains_point", "intervals.symdiff", "intervals.union",
+        "intervals.wrapped_interval", "measure.Adaptation.compose", "measure.Adaptation.inverse",
+        "measure.Adaptation.preimage_interval", "measure.Adaptation.sup_dist_to_identity",
+        "serialize.dump_adaptation", "serialize.dump_dyadic", "serialize.dump_measure", "serialize.dump_permutation",
+        "serialize.dump_witness", "serialize.load_measure", "serialize.load_permutation",
+    ],
+    # bench/workloads.py builds its job inputs with them
+    "bench job builder": [
+        "sampling.iid_table", "sampling.random_action", "sampling.random_graph_joining", "sampling.random_permutation",
+        "sim.average_sims",
+    ],
+    # tests/test_acceptance.py reaches them, for the paper's statements
+    "acceptance test": [
+        "equivalence.adapt_table", "equivalence.continuity_bound_check", "equivalence.marginal",
+        "measure.StepMeasure.cdf", "measure.StepMeasure.mass", "measure.StepMeasure.max_density",
+        "measure.StepMeasure.total", "measure.convolve", "measure.from_piece_masses", "measure.is_good",
+        "measure.lebesgue", "measure.pushforward", "measure.quantile_adaptation", "measure.uniform_on",
+        "measure.weak_star_distance", "poly.p_add", "poly.p_antider", "poly.p_compose_affine", "poly.p_const",
+        "poly.p_eval", "poly.p_integrate", "poly.p_make", "poly.p_min_on", "poly.p_mul", "poly.p_neg",
+        "poly.p_scale", "poly.p_shift", "sampling.diagonal_table", "sampling.markov_table",
+        "sampling.random_adaptation", "sampling.random_good_measure", "sampling.random_partition",
+        "sim.is_graph_joining", "sim.overlap_rows", "transform.halmos_dist",
+    ],
+    # nothing above keeps them: only their own unit tests call them
+    "unit tests only": [
+        "action.free_defect", "action.identity_action", "equivalence.inverse_continuity_check",
+        "measure.identity_adaptation", "measure.weak_star_tail", "sim.cylinder_mass", "sim.refine_partition",
+        "transform.DyadicSet.complement", "transform.DyadicSet.empty", "transform.DyadicSet.from_indices",
+        "transform.DyadicSet.full", "transform.DyadicSet.mass", "transform.DyadicSet.refine",
+        "transform.IntervalPermutation.cycles", "transform.coarse_dist_tail", "transform.preimage",
+        "transform.rohlin_tower", "transform.rotation", "transform.swap_halves",
+    ],
+}
+
+
+def _code(member):
+    """The code object a call to a module or class member runs, if any."""
+    if isinstance(member, (classmethod, staticmethod)):
+        member = member.__func__
+    elif isinstance(member, property):
+        member = member.fget
+    elif isinstance(member, functools.cached_property):
+        member = member.func
+    return getattr(inspect.unwrap(member), "__code__", None)
+
+
+def _public_code() -> dict:
+    """{"module.name" or "module.Class.name": code} for every public function
+    and method defined in the package's public modules."""
+    out = {}
+    for name, _tree in _package_trees():
+        if name.startswith("_"):
+            continue
+        module = importlib.import_module(f"simact.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+            for sub, member in members:
+                code = _code(member)
+                if code is not None and not sub.startswith("_"):
+                    out[".".join(filter(None, (name, attr, sub)))] = code
+    return out
+
+
+def test_public_names_no_command_enters(tmp_path):
+    public = _public_code()
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    out = str(tmp_path / "out")
+    # every golden command line, and the one command RUNS lacks
+    runs = [argv for argv, _expected in RUNS] + [["recover", gold("diag_halves_table.json"), "--epsilon", "1/2"]]
+    # as in a fresh process: the parser an earlier test built is cached
+    cli._parser.cache_clear()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv + ["--out", out]) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    unreached = sorted(name for name, code in public.items() if code not in entered)
+    assert unreached == sorted(name for names in UNREACHED_BY_COMMANDS.values() for name in names)
+    traced = runpy.run_path(TRACING)["TARGETS"]
+    names = {".".join(filter(None, (module.split(".")[1], cls, attr))) for _n, module, attr, cls, _x in traced}
+    assert set(UNREACHED_BY_COMMANDS["bench TARGETS"]) == names & set(unreached)

@@ -55,8 +55,8 @@ def test_format_is_canonical():
 
 
 def test_exact_decimal_truncates_toward_zero():
-    assert exact_decimal(Fraction(1, 3), 4) == "0.3333"
-    assert exact_decimal(Fraction(-1, 3), 4) == "-0.3333"
+    assert exact_decimal(Fraction(2, 3)) == "0.666666666666"
+    assert exact_decimal(Fraction(-2, 3)) == "-0.666666666666"
     assert exact_decimal(Fraction(1, 2)) == "0.5"
     assert exact_decimal(Fraction(3)) == "3.0"
     assert exact_decimal(Fraction(0)) == "0.0"
@@ -65,7 +65,7 @@ def test_exact_decimal_truncates_toward_zero():
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_exact_decimal_is_close(num, den):
     f = Fraction(num, den)
-    text = exact_decimal(f, 12)
+    text = exact_decimal(f)
     sign = -1 if text.startswith("-") else 1
     whole, frac = text.lstrip("-").split(".")
     value = sign * (Fraction(int(whole)) + Fraction(int(frac), 10 ** len(frac)))

@@ -5,6 +5,7 @@ import pytest
 import simact.intervals as iv
 import simact.sim as sim
 from simact.budget import BudgetError
+from simact.equivalence import marginal
 from simact.measure import convolve, uniform_on
 from simact.sampling import (
     diagonal_table,
@@ -20,13 +21,11 @@ from simact.sim import (
     average_sims,
     convolve_sim,
     cylinder_mass,
-    fixed_mass_bound,
     fixed_mass_report,
     graph_witness_exact,
     greedy_graph_witness,
     is_graph_joining,
     is_graph_sim,
-    marginal,
     marginalize_to,
     marginalize_window,
     pair_matrix,
@@ -56,9 +55,7 @@ def test_partition_basics():
     p = Partition((F(0), F(1, 3), F(3, 4)))
     assert p.p == 3
     assert p.piece(2) == (F(3, 4), F(1))
-    assert p.piece_length(0) == F(1, 3)
-    assert p.piece_of_point(F(1, 3)) == 1
-    assert p.piece_of_point(F(99, 100)) == 2
+    assert p.piece(0) == (F(0), F(1, 3))
     with pytest.raises(ValueError):
         Partition((F(1, 4),))
     with pytest.raises(ValueError):
@@ -367,17 +364,16 @@ def test_average_sims():
 
 
 def test_fixed_mass_diagonal_vs_product():
-    assert fixed_mass_bound(diag_halves(), (1,)) == 1
-    assert fixed_mass_bound(iid_halves(), (1,)) == F(1, 2)
+    assert fixed_mass_report(diag_halves(), (1,)) == 1
     assert fixed_mass_report(iid_halves(), (1,)) == F(1, 2)
 
 
 def test_fixed_mass_bad_shifts():
     t = diag_halves()
     with pytest.raises(ValueError):
-        fixed_mass_bound(t, (0,))
+        fixed_mass_report(t, (0,))
     with pytest.raises(ValueError):
-        fixed_mass_bound(t, (5,))
+        fixed_mass_report(t, (5,))
 
 
 def test_refinement_refuses_the_dense_walk_of_a_sparse_table():

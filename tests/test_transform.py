@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import simact.intervals as iv
 from simact.action import LatticeAction, free_defect
 from simact.budget import MAX_DEPTH
 from simact.transform import (
@@ -64,16 +63,11 @@ def test_power_matches_repeated_composition(t, k):
 
 
 def test_refine_keeps_the_map():
+    # fine cell c lies in coarse cell c // 3 and moves by the same translation
     t = rotation(4, 1)
     fine = t.refine(12)
-    for x in [F(0), F(1, 3), F(5, 8), F(11, 12)]:
-        assert fine.apply_point(x) == t.apply_point(x)
-
-
-def test_image_set_preserves_length():
-    t = shuffled(8, 5)
-    s = iv.normalize([(F(1, 3), F(1, 2)), (F(3, 4), F(7, 8))])
-    assert iv.length(t.image_set(s)) == iv.length(s)
+    for c in range(12):
+        assert fine.perm[c] == 3 * t.perm[c // 3] + c % 3
 
 
 def test_cycles_and_powers():
@@ -92,8 +86,8 @@ def test_dyadic_set_algebra():
     assert (a | b).mass() == 1
     assert (a & b).mass() == 0
     assert (a ^ b).mass() == 1
-    assert a.complement().to_pairs() == iv.interval(F(1, 2), 1)
-    assert b.refine(3).indices() == [4, 5, 6, 7]
+    assert a.complement().mask() == "0011"
+    assert b.refine(3).mask() == "00001111"
 
 
 def test_mask_reads_cell_i_at_character_i():
@@ -115,9 +109,9 @@ def test_preimage_agrees_with_point_mapping():
     t = shuffled(8, 99)
     s = DyadicSet.from_indices(3, [0, 3, 5])
     pre = preimage(t, s)
+    # cell i lies in T^-1(S) exactly when T moves it onto a cell of S
     for i in range(8):
-        x = F(2 * i + 1, 16)  # cell midpoints
-        assert iv.contains_point(s.to_pairs(), t.apply_point(x)) == (pre.bits >> i & 1 == 1)
+        assert (s.mask()[t.perm[i]] == "1") == (pre.mask()[i] == "1")
 
 
 # -- distances -----------------------------------------------------------------
@@ -177,7 +171,7 @@ def test_rohlin_tower_exact_when_height_divides():
     t = rotation(8, 1)
     base = rohlin_tower(t, 4, 0)
     assert base.mass() == F(1, 4)
-    assert base.indices() == [0, 4]
+    assert base.mask() == "10001000"
 
 
 def test_rohlin_tower_infeasible_cases():
@@ -215,7 +209,7 @@ def test_rohlin_tower_levels_are_disjoint(height, seed):
     for _ in range(height):
         assert (layers & level).mass() == 0
         layers = layers | level
-        level = DyadicSet.from_indices(base.level, [t.perm[c] for c in level.indices()])
+        level = DyadicSet.from_indices(base.level, [t.perm[c] for c, bit in enumerate(level.mask()) if bit == "1"])
     assert layers.mass() >= 1 - eps
 
 
