@@ -73,14 +73,16 @@ MAX_PATTERNS = 1 << 20
 # fills the (p+1)^k slots of the dense distance, k = w^d, walks the up to p^k
 # keys of the blurred table, k labels each, in the blur, the table checks and
 # the fixed-mass report, and builds the smear weights of the blur, each an
-# overlap integral of interval sets: those of each cell's band, which is all
-# p^2 of them when delta is near 1, so the charge takes p^2.  A key label costs
-# about KEY_SLOTS slots and a smear weight about SMEAR_SLOTS (160 to 240 us at
-# the full band, delta = 7/8, p = 31 to 300, equal and uneven cuts), so a rung
-# is charged (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a
-# shared 2-vCPU machine a slot took 0.057 us at p = 1, w = 20 and so did a
-# charged unit at p = 31, w = 4 (delta = 7/8, K = 1, file reading included);
-# every shape in between took 0.02 to 0.04 us a unit.  So the cap is about 4 s:
+# overlap integral of interval sets: those of each cell's band but the cell's
+# own, whose weight is 1 minus the rest of its row.  That is p(p-1) of them
+# when delta is near 1; the charge still takes p^2, which errs on the safe
+# side.  A key label costs about KEY_SLOTS slots and a smear weight about
+# SMEAR_SLOTS (160 to 240 us at the full band, delta = 7/8, p = 31 to 300,
+# equal and uneven cuts), so a rung is charged
+# (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a shared 2-vCPU
+# machine a slot took 0.057 us at p = 1, w = 20 and so did a charged unit at
+# p = 31, w = 4 (delta = 7/8, K = 1, file reading included); every shape in
+# between took 0.02 to 0.04 us a unit.  So the cap is about 4 s:
 # 17 rungs at p = 2, w = 12 (0.94 of it) took 1.3 to 1.5 s and 40 rungs at
 # p = 1, w = 18 (0.16 of it) 0.9 s.
 KEY_SLOTS = 64

@@ -581,9 +581,11 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
     A blurred cell [lo, hi) covers the arc [lo, hi + delta), so its row
     walks the pieces in circle order from the cell itself and stops at the
     first one starting at or past hi + delta: that piece and every later
-    one get weight 0, and every piece before it a positive weight.  So a
-    rung builds p^2 weights only when delta is near 1, and each piece's
-    interval set once.
+    one get weight 0, and every piece before it a positive weight.  The
+    pieces tile the circle, so the row sums to 1: the cell's own weight,
+    which heads its row, is 1 minus the weights of the rest of its band,
+    and only those are overlap integrals.  So a rung builds p(p-1) weights
+    only when delta is near 1, and each piece's interval set once.
     """
     delta = Fraction(delta)
     if delta == 0:
@@ -596,8 +598,9 @@ def convolve_sim(t: CylinderTable, delta) -> CylinderTable:
     rows = []
     for c, (lo, hi) in enumerate(pieces):
         reach = hi - lo + delta
-        band = takewhile(lambda i: (pieces[i][0] - lo) % 1 < reach, ((c + s) % p for s in range(p)))
-        rows.append([(i, _smear_weight(sets[i], sets[c], delta)) for i in band])
+        band = takewhile(lambda i: (pieces[i][0] - lo) % 1 < reach, ((c + s) % p for s in range(1, p)))
+        others = [(i, _smear_weight(sets[i], sets[c], delta)) for i in band]
+        rows.append([(c, 1 - sum(w for _i, w in others)), *others])
     return relabel(t, rows, t.partition)
 
 

@@ -208,7 +208,8 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
         # 17 rungs on the uniform iid table of two pieces and w = 12: 1.3 to 1.5 s
         ("smooth", 17 * (3**12 + KEY_SLOTS * 12 * 2**12 + SMEAR_SLOTS * 2**2), MAX_SMOOTH_WORK),
         # one rung at delta = 7/8 on 80 equal pieces and w = 1: every band is
-        # full, so the blur builds all 6400 smear weights: 1.0 to 1.8 s
+        # full, so the blur builds 80 * 79 = 6320 smear weights (each cell's
+        # own weight comes from its row sum): 1.0 to 1.5 s
         ("smooth-smear", 2 * (81 + KEY_SLOTS * 80 + SMEAR_SLOTS * 80**2), MAX_SMOOTH_WORK),
         # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),

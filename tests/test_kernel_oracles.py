@@ -359,13 +359,46 @@ def test_convolve_sim_matches_oracle_on_wide_partitions(t, delta):
 
 def test_convolve_sim_weighs_only_the_band():
     # at 64 equal pieces and delta = 1/16 each blurred cell reaches itself
-    # and the next 4 pieces: 5 weights a row, 320 in all against 64^2 = 4096
-    # for rows over every piece
+    # and the next 4 pieces; its own weight comes from the row sum, so 4
+    # overlap integrals a row, 256 in all against 64^2 = 4096 for rows over
+    # every piece
     t = wide_table(64, range(1, 64), 1, 0)
     with patch("simact.sim._smear_weight", wraps=_smear_weight) as weigh:
         out = convolve_sim(t, Fraction(1, 16))
-    assert weigh.call_count <= 5 * 64
+    assert weigh.call_count == 4 * 64
     assert out == convolve_sim_oracle(t, Fraction(1, 16))
+
+
+def test_convolve_sim_on_one_piece_weighs_nothing():
+    # the one piece is the whole circle: every shift keeps its mass there
+    t = wide_table(24, [], 2, 0)
+    with patch("simact.sim._smear_weight", wraps=_smear_weight) as weigh:
+        out = convolve_sim(t, Fraction(1, 3))
+    assert weigh.call_count == 0
+    assert out == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([24, 64, 96]),
+    st.integers(0, 10**6),
+    st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 3), Fraction(7, 8)]),
+)
+def test_convolve_sim_weighs_each_band_but_its_own_cell(p, q, seed, delta):
+    # at delta = 7/8 a band is full, and wraps, unless its cell and the piece
+    # before it together span at most 1/8
+    rng = random.Random(seed)
+    t = wide_table(q, rng.sample(range(1, q), p - 1), rng.randint(1, 2), seed)
+    cuts = t.partition.cuts
+    # the blurred cell [lo, hi) covers [lo, hi + delta): its band is every
+    # piece that starts on that arc, the cell itself included
+    bands = [sum((a - lo) % 1 < hi - lo + delta for a in cuts) for lo, hi in t.partition.pieces()]
+    with patch("simact.sim._smear_weight", wraps=_smear_weight) as weigh:
+        out = convolve_sim(t, delta)
+    assert out == convolve_sim_oracle(t, delta)
+    assert all(call.args[0] != call.args[1] for call in weigh.call_args_list)
+    assert weigh.call_count == sum(band - 1 for band in bands)
 
 
 @settings(max_examples=60, deadline=None)
