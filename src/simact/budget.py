@@ -71,12 +71,16 @@ MAX_PATTERNS = 1 << 20
 # rung: that overstates a ladder by one blur and one distance, which keeps it
 # conservative, and it refuses the same inputs as when rung 0 ran both.  A rung
 # fills the (p+1)^k slots of the dense distance, k = w^d, walks the up to p^k
-# keys of the blurred table, k labels each, in the blur, the table checks and
-# the fixed-mass report, and builds the smear weights of the blur, each an
-# overlap integral of interval sets: those of each cell's band but the cell's
-# own, whose weight is 1 minus the rest of its row.  That is p(p-1) of them
-# when delta is near 1; the charge still takes p^2, which errs on the safe
-# side.  A key label costs about KEY_SLOTS slots and a smear weight about
+# keys of the blurred table, k labels each, in the blur and the fixed-mass
+# report, and builds the smear weights of the blur, each an overlap integral
+# of interval sets: those of each cell's band but the cell's own, whose weight
+# is 1 minus the rest of its row.  That is p(p-1) of them when delta is near
+# 1; the charge still takes p^2, which errs on the safe side.  KEY_SLOTS was
+# fitted when every blurred table also went through the table checks (each
+# key, and two marginals per axis); the blur now checks only its rows and
+# builds its table unchecked, so the key charge errs on the safe side too, and
+# the same inputs are refused.  A key label costs about KEY_SLOTS slots and a
+# smear weight about
 # SMEAR_SLOTS (160 to 240 us at the full band, delta = 7/8, p = 31 to 300,
 # equal and uneven cuts), so a rung is charged
 # (p+1)^k + KEY_SLOTS*k*p^k + SMEAR_SLOTS*p^2.  On one core of a shared 2-vCPU

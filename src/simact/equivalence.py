@@ -86,7 +86,9 @@ def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> Cyl
     m = lcm(*(c.denominator for c in partition.cuts))
     budget.check("grid resolution n =", lcm(a.n, m), budget.MAX_RESOLUTION)
     n, keys = _itineraries(a, window, _piece_of_cell(partition, m))
-    return CylinderTable(window, partition, Counter(keys), den=n)
+    # n itineraries of a measure-preserving action: positive counts summing
+    # to n, the same for the window minus either end layer of any axis
+    return CylinderTable._trusted(window, partition, Counter(keys), n)
 
 
 def embed_action(
@@ -96,7 +98,8 @@ def embed_action(
     h^-1(I); the resulting table lives over the target partition."""
     pulled = Partition(tuple(h.inverse_value(c) for c in partition.cuts))
     base = action_to_sim(a, window, pulled)
-    return CylinderTable(window, partition, base.nums, den=base.den)
+    # the pulled-back partition has partition's p pieces, so base's keys fit
+    return CylinderTable._trusted(window, partition, base.nums, base.den)
 
 
 def adapt_table(

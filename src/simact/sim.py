@@ -121,7 +121,7 @@ class Window:
 
 
 class CylinderTable:
-    """Joint masses of piece labels over a window, checked on construction.
+    """Joint masses of piece labels over a window.
 
     The masses are kept exactly as integers over one shared denominator:
     `nums` maps each full label tuple (aligned with window.elements()) to a
@@ -137,7 +137,13 @@ class CylinderTable:
     The constructor's `masses` argument maps label tuples to nonnegative
     masses (Fraction, int or str); with `den` given, its values are
     integer numerators over den instead.  Zero entries are dropped, and den
-    is reduced by the gcd of the numerators.
+    is reduced by the gcd of the numerators.  The public constructor, and
+    so `serialize.load_table` and the `sampling` builders, checks every
+    key, the signs, the total mass and the shift consistency.  The kernels
+    that build a table from checked tables or from an action (`relabel`,
+    `marginalize_window`, `average_sims`, `action_to_sim`, `embed_action`)
+    go through `_trusted`, which keeps only the canonical form; the tests
+    rebuild their outputs through the public constructor.
     """
 
     def __init__(self, window: Window, partition: Partition, masses, den: int | None = None):
@@ -164,14 +170,19 @@ class CylinderTable:
         total = sum(nums.values())
         if total != den:
             raise ValueError(f"total mass {Fraction(total, den)} != 1")
-        # the numerators sum to den, so their gcd divides it
-        g = gcd(*nums.values())
-        if g > 1:
-            nums = {key: num // g for key, num in nums.items()}
-            den //= g
-        self.nums = nums
-        self.den = den
+        self.nums, self.den = _reduced(nums, den)
         self._check_shift_consistency()
+
+    @classmethod
+    def _trusted(cls, window: Window, partition: Partition, nums: Mapping, den: int) -> CylinderTable:
+        """Skip the checks, for integer numerators that a kernel built from
+        checked tables or from an action: keys over the window and
+        partition, nonnegative, summing to den and shift-consistent.  Zero
+        numerators are still dropped and den reduced by their gcd."""
+        t = object.__new__(cls)
+        t.window, t.partition = window, partition
+        t.nums, t.den = _reduced({key: num for key, num in nums.items() if num}, den)
+        return t
 
     @cached_property
     def masses(self) -> Mapping[tuple[int, ...], Fraction]:
@@ -196,6 +207,15 @@ class CylinderTable:
             and self.den == other.den
             and self.nums == other.nums
         )
+
+
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """nums and den divided by the gcd of the numerators; they sum to den,
+    so the gcd divides it."""
+    g = gcd(*nums.values())
+    if g > 1:
+        return {key: num // g for key, num in nums.items()}, den // g
+    return nums, den
 
 
 def _project(idx: list[int]):
@@ -305,19 +325,34 @@ def relabel(t: CylinderTable, rows, partition: Partition) -> CylinderTable:
     coordinate: refinement, smoothing and adapted embedding.
 
     The weights become integers over the lcm of their denominators, so
-    each pass multiplies the table's denominator by that lcm once; the
-    result is checked (and reduced) like any other table.  The passes run
-    on the dense table (`_apply_rows`), which holds up to max(p, q)^k list
-    slots for p labels in and q out, whatever the sparsity of t; so
-    (max(p, q)+1)^k above MAX_PATTERNS is refused before the first pass.
+    each pass multiplies the table's denominator by that lcm once.  The
+    rows are checked before the first pass: one row per input label, every
+    target in range(q), every weight nonnegative and every row summing to
+    exactly 1.  Such rows are a Markov kernel, which keeps the total mass,
+    the signs and the shift consistency of t, so the result is built
+    without the table checks and only reduced.  The passes run on the dense
+    table (`_apply_rows`), which holds up to max(p, q)^k list slots for p
+    labels in and q out, whatever the sparsity of t; so (max(p, q)+1)^k
+    above MAX_PATTERNS is refused before the first pass.
     """
     k, p, q = t.window.size(), t.partition.p, partition.p
     budget.patterns(max(p, q), k)
+    if len(rows) != p:
+        raise ValueError(f"{len(rows)} rows for {p} labels")
     scale = lcm(*(weight.denominator for row in rows for _j, weight in row))
     int_rows = [[(j, weight.numerator * (scale // weight.denominator)) for j, weight in row] for row in rows]
+    for c, row in enumerate(int_rows):
+        for j, w in row:
+            if j not in range(q):
+                raise ValueError(f"label {c} sent to {j}, outside range({q})")
+            if w < 0:
+                raise ValueError(f"negative weight {Fraction(w, scale)} from label {c} to {j}")
+        row_sum = sum(w for _j, w in row)
+        if row_sum != scale:
+            raise ValueError(f"total mass {Fraction(row_sum, scale)} != 1")
     arr = _apply_rows(_dense(t), k, p, q, int_rows)
     nums = {key: v for key, v in zip(product(range(q), repeat=k), arr) if v}
-    return CylinderTable(t.window, partition, nums, den=t.den * scale**k)
+    return CylinderTable._trusted(t.window, partition, nums, t.den * scale**k)
 
 
 def overlap_rows(cells, targets) -> list[list[tuple[int, Fraction]]]:
@@ -343,7 +378,7 @@ def marginalize_window(t: CylinderTable, w2: int) -> CylinderTable:
         return t
     sub = Window(t.window.d, w2)
     nums = _marginal_nums(t.nums, t.window._positions(sub.elements()))
-    return CylinderTable(sub, t.partition, nums, den=t.den)
+    return CylinderTable._trusted(sub, t.partition, nums, t.den)
 
 
 def sim_dist(t1: CylinderTable, t2: CylinderTable) -> Fraction:
@@ -618,7 +653,7 @@ def average_sims(t1: CylinderTable, t2: CylinderTable, weight) -> CylinderTable:
     for t, factor in ((t1, (b - a) * (den // t1.den)), (t2, a * (den // t2.den))):
         for key, num in t.nums.items():
             out[key] = out.get(key, 0) + factor * num
-    return CylinderTable(t1.window, t1.partition, out, den=b * den)
+    return CylinderTable._trusted(t1.window, t1.partition, out, b * den)
 
 
 def fixed_mass_report(t: CylinderTable, beta) -> Fraction:

@@ -96,6 +96,7 @@ from simact.equivalence import (
     adapt_table,
     continuity_bound_check,
     cylinder_atoms,
+    embed_action,
     factor_defect,
     realize_sim_as_action,
 )
@@ -128,6 +129,7 @@ from simact.sim import (
     is_graph_joining,
     is_graph_sim,
     marginalize_to,
+    marginalize_window,
     pair_matrix,
     refine_partition,
     sim_dist,
@@ -514,6 +516,35 @@ def test_average_sims_matches_oracle(t, delta, weight):
     out = average_sims(t, other, weight)
     assert out.masses == average_sims_oracle(t, other, weight).masses
     assert is_canonical(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tables(),
+    st.lists(grid_points, max_size=3),
+    st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_kernel_outputs_pass_every_public_check(t, cuts, weight, seed, data):
+    # the kernels build their tables without the constructor's checks; each
+    # output, rebuilt through the public constructor, must raise nothing and
+    # come out equal
+    rng = random.Random(seed)
+    h = random_adaptation(rng, Fraction(1, 8))
+    action = random_action(rng, t.window.d, rng.choice([1, 2, 3, 4, 6, 8]))
+    blurred = convolve_sim(t, Fraction(1, 8))
+    outputs = [
+        blurred,
+        refine_partition(t, cuts),
+        adapt_table(h, t, random_partition(rng, rng.randint(1, 4))),
+        marginalize_window(t, data.draw(st.integers(1, t.window.w))),
+        *(average_sims(t, blurred, x) for x in (Fraction(0), Fraction(1), weight)),
+        action_to_sim(action, t.window, t.partition),
+        embed_action(h, action, t.window, t.partition),
+    ]
+    for out in outputs:
+        assert CylinderTable(out.window, out.partition, out.nums, den=out.den) == out
 
 
 @settings(max_examples=100, deadline=None)

@@ -110,6 +110,59 @@ def test_frozen_dataclasses_keep_their_generated_equality():
     assert own == []
 
 
+# the kernels that may build a table without the constructor's checks:
+# their inputs are checked tables, checked rows or an action
+TRUSTED_TABLE_BUILDERS = [
+    "equivalence.action_to_sim", "equivalence.embed_action", "sim.average_sims", "sim.marginalize_window", "sim.relabel",
+]
+# what builds a table from file input or from drawn numbers
+CHECKED_TABLE_BUILDERS = [
+    "sampling.diagonal_table", "sampling.iid_table", "sampling.markov_table", "sampling.random_graph_joining",
+    "serialize.load_table",
+]
+
+
+def _top_level_functions():
+    """("module.name" or "module.Class.name", node) of every function and
+    method in the package, and ("module.<module>", node) of the other
+    statements at module level."""
+    for name, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    yield f"{name}.{node.name}.{getattr(item, 'name', '<body>')}", item
+            else:
+                yield f"{name}.{getattr(node, 'name', '<module>')}", node
+
+
+def test_only_the_table_kernels_skip_the_table_checks():
+    # `IntervalPermutation._trusted` is the one other trusted constructor
+    callers = {
+        where
+        for where, node in _top_level_functions()
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and sub.attr == "_trusted"
+        and not (isinstance(sub.value, ast.Name) and sub.value.id == "IntervalPermutation")
+    }
+    assert sorted(callers) == TRUSTED_TABLE_BUILDERS
+
+
+def test_file_and_sampled_tables_go_through_the_checked_constructor():
+    # each function of `sampling` that returns a table, and `load_table`,
+    # returns only calls of the public constructor
+    builders = {}
+    for where, node in _top_level_functions():
+        if where.startswith("sampling.") or where == "serialize.load_table":
+            if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) == "CylinderTable":
+                returns = [sub.value for sub in ast.walk(node) if isinstance(sub, ast.Return)]
+                builders[where] = bool(returns) and all(
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) == "CylinderTable"
+                    for value in returns
+                )
+    assert builders == dict.fromkeys(CHECKED_TABLE_BUILDERS, True)
+
+
 # each module's imports from inside the package: only the smear kernel in sim
 # reads intervals, and the table layer reads no measure
 IMPORT_GRAPH = {

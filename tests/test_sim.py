@@ -113,9 +113,51 @@ def test_masses_are_integer_numerators_over_the_least_denominator():
     ],
 )
 def test_relabel_refuses_rows_that_do_not_keep_the_mass(rows):
-    # relabel's output goes through every construction check
+    # relabel checks each row's sum before the first pass
     with pytest.raises(ValueError, match=r"^total mass .* != 1$"):
         relabel(iid_halves(), rows, HALVES)
+
+
+def test_relabel_refuses_rows_whose_sums_differ_from_1_where_the_total_stays_1():
+    # on the iid halves the total stays (1/2 * 1/2 + 1/2 * 3/2)^w = 1 and
+    # both times keep one marginal, so no check of the output table sees
+    # that the rows are no Markov kernel
+    rows = [[(0, F(1, 2))], [(0, F(1, 2)), (1, F(1))]]
+    for w in (1, 2):
+        with pytest.raises(ValueError, match=r"^total mass 1/2 != 1$"):
+            relabel(iid_halves(w), rows, HALVES)
+
+
+@pytest.mark.parametrize("target", [2, -1])
+def test_relabel_refuses_a_target_outside_the_new_partition(target):
+    # 2 was an IndexError, and -1 wrapped round to the last label
+    with pytest.raises(ValueError, match=rf"^label 1 sent to {target}, outside range\(2\)$"):
+        relabel(iid_halves(), [[(0, F(1))], [(target, F(1))]], HALVES)
+
+
+def test_relabel_refuses_a_negative_weight():
+    # every row sums to 1 and every output mass is 1/2: the weights alone are wrong
+    rows = [[(0, F(3, 2)), (1, F(-1, 2))], [(0, F(-1, 2)), (1, F(3, 2))]]
+    with pytest.raises(ValueError, match=r"^negative weight -1/2 from label 0 to 1$"):
+        relabel(iid_halves(1), rows, HALVES)
+
+
+@pytest.mark.parametrize("rows", [[[(0, F(1))]], [[(0, F(1))], [(1, F(1))], [(1, F(1))]]])
+def test_relabel_refuses_a_row_count_other_than_the_labels(rows):
+    with pytest.raises(ValueError, match=rf"^{len(rows)} rows for 2 labels$"):
+        relabel(iid_halves(), rows, HALVES)
+
+
+def test_trusted_tables_keep_the_canonical_form():
+    nums = {(0, 0): 6, (0, 1): 2, (1, 0): 2, (1, 1): 6, (0, 2): 0}
+    quarters = Partition((F(0), F(1, 4), F(1, 2)))
+    t = CylinderTable._trusted(Window(1, 2), quarters, nums, 16)
+    assert (t.nums, t.den) == ({(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3}, 8)
+    checked = CylinderTable(Window(1, 2), quarters, nums, den=16)
+    assert t == checked
+    assert t.masses == checked.masses
+    with pytest.raises(TypeError):
+        t.masses[(0, 0)] = F(1)
 
 
 def test_marginalization_and_cylinders():
@@ -356,6 +398,9 @@ def test_average_sims():
     mid = average_sims(a, b, F(1, 2))
     assert mid.masses[(0, 0)] == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
     assert sim_dist(average_sims(a, b, 0), a) == 0
+    # the end weights leave the other table's keys at 0, which are dropped
+    assert average_sims(a, b, 0) == a
+    assert average_sims(a, b, 1) == b
     with pytest.raises(ValueError):
         average_sims(a, diagonal_table(Partition((F(0), F(1, 4))), [F(1, 4), F(3, 4)], 2), F(1, 2))
 
