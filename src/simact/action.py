@@ -8,7 +8,7 @@ is checked exactly on construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -69,14 +69,16 @@ class LatticeAction:
         return LatticeAction(self.d, tuple(g.refine(n2) for g in self.generators))
 
     def evaluate(self, gamma: GroupElement) -> IntervalPermutation:
-        """The permutation for the lattice element gamma."""
+        """The permutation for the lattice element gamma: the product of the
+        nonzero generator powers alone, so the zero element is identity(n)
+        and a single nonzero coordinate k of g is g.power(k) itself."""
         if len(gamma) != self.d:
             raise ValueError(f"group element {gamma} has wrong rank (want {self.d})")
-        out = identity(self.n)
+        out = None
         for g, k in zip(self.generators, gamma):
             if k:
-                out = out.compose(g.power(k))
-        return out
+                out = g.power(k) if out is None else out.compose(g.power(k))
+        return identity(self.n) if out is None else out
 
 
 def identity_action(d: int, n: int) -> LatticeAction:
@@ -103,21 +105,30 @@ def group_enumeration(d: int, count: int) -> list[GroupElement]:
     return out
 
 
-def action_dist(
-    a: LatticeAction, b: LatticeAction, terms: int, depth: int, *, bound: Fraction | None = None
-) -> Fraction:
+def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> Fraction:
     """Sum over the first `terms` lattice elements of 2^-j times the coarse
     distance of the two time-gamma_j maps.  Tail bound: action_dist_tail(terms).
-
-    With `bound` given, the partial sum is returned as soon as it is strictly
-    above it: the result is the distance when that is <= bound, and
-    otherwise some value above bound and at most the distance."""
+    Each map is built on demand by `_elements` and summed by `_dist`."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     budget.action_dist(a.n, b.n, terms, depth, rank=a.d)
     gammas = group_enumeration(a.d, terms)
+    return _dist(_elements(a, gammas), _elements(b, gammas), depth)
+
+
+def _dist(
+    a_elems: Iterable[IntervalPermutation],
+    b_elems: Iterable[IntervalPermutation],
+    depth: int,
+    bound: Fraction | None = None,
+) -> Fraction:
+    """The weighted sum of coarse distances of paired lattice elements, the
+    j-th pair weighing 2^-j.  With `bound` given, the partial sum is returned
+    as soon as it is strictly above it: the result is the distance when that
+    is <= bound, and otherwise some value above bound and at most the
+    distance."""
     total = Fraction(0)
-    for j, (ta, tb) in enumerate(zip(_elements(a, gammas), _elements(b, gammas)), start=1):
+    for j, (ta, tb) in enumerate(zip(a_elems, b_elems), start=1):
         c = coarse_dist(ta, tb, depth)
         if c:
             total += c / 2**j
@@ -267,8 +278,11 @@ def wrp_conjugacy_search(
     ties going to the smaller height, so exactly conjugate pairs come back
     with distance 0.  A height stops summing its distance once the partial
     sum is above the best complete one, since it can no longer win.  The
-    returned distance is computed from scratch, so the certificate never
-    depends on the construction being right.
+    target's `terms` lattice elements are built once and held for every
+    height: terms*n slots, which the charge of one distance keeps under
+    MAX_WORK; that charge comes after the ladder, so an infeasible ladder is
+    refused first.  The returned distance is computed from scratch, so the
+    certificate never depends on the construction being right.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -279,11 +293,15 @@ def wrp_conjugacy_search(
     aa, bb = a.refine(n), b.refine(n)
     t, r = aa.generators[0], bb.generators[0]
     min_cycle = min(min(t.cycle_lengths()), min(r.cycle_lengths()))
+    heights = tower_heights(epsilon, min_cycle)
+    budget.action_dist(n, n, terms, depth)
+    gammas = group_enumeration(1, terms)
+    b_elems = list(_elements(bb, gammas))
     best: WrpResult | None = None
-    for height in reversed(tower_heights(epsilon, min_cycle)):
+    for height in reversed(heights):
         phi = _matched_tower_map(t, r, height)
         bound = None if best is None else best.achieved
-        achieved = action_dist(conjugate(phi, aa), bb, terms, depth, bound=bound)
+        achieved = _dist(_elements(conjugate(phi, aa), gammas), b_elems, depth, bound)
         if bound is None or achieved <= bound:
             best = WrpResult(phi, achieved, height)
     assert best is not None

@@ -49,7 +49,12 @@ MAX_TERMS = 64
 # 0.94 of the cap took 2.3 to 3.4 s at depth 1, n = 5 * 2^17 and 3 terms, the
 # slowest shape found, and 0.7 s at depth 8, n = 2^15 and 58 terms, file
 # reading included, which is most of the largest grids' time.  So the cap is
-# about 3 s; at twice it the slowest shape took 3.8 to 6 s.
+# about 3 s; at twice it the slowest shape took 3.8 to 6 s.  A `wrp-demo`
+# trial is charged heights+1 whole distances.  Its search builds the target's
+# maps once for every height and holds them (terms*n slots, under the charge
+# of one distance), and the verifying distance builds both actions' maps, so
+# that charge errs on the safe side; it refuses the same inputs as when every
+# height built both.
 MAX_WORK = 1 << 21
 
 # The rungs of `smooth` halve delta < 1, so past 40 rungs the narrowest

@@ -41,6 +41,13 @@ def test_mixed_resolutions_refine_to_common():
     assert act.evaluate((1, 1)) == rotation(6, 5)
 
 
+def test_evaluate_composes_only_the_nonzero_powers():
+    act = LatticeAction(2, (rotation(6, 2), rotation(6, 3)))
+    assert act.evaluate((0, 0)) == identity(6)
+    assert act.evaluate((1, 0)) is act.generators[0]
+    assert act.evaluate((0, -2)) == act.generators[1].power(-2)
+
+
 @given(st.integers(0, 10**6), st.integers(-4, 4), st.integers(-4, 4))
 def test_evaluate_is_a_homomorphism(seed, k1, k2):
     act = random_action(trial_rng(seed, 0), d=2, n=8)

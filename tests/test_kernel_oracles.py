@@ -40,6 +40,7 @@ from oracles import (
     dump_dyadic_oracle,
     dyadic_refine_oracle,
     dyadic_sets,
+    element_oracle,
     exact_searches,
     factor_defect_oracle,
     fixed_mass_bound_oracle,
@@ -87,11 +88,22 @@ from oracles import (
 import simact.intervals as iv
 import simact.poly as P
 from simact import budget
-from simact.action import LatticeAction, _matched_tower_map, action_dist, conjugate, free_defect, wrp_conjugacy_search
+from simact.action import (
+    LatticeAction,
+    _dist,
+    _elements,
+    _matched_tower_map,
+    action_dist,
+    conjugate,
+    free_defect,
+    group_enumeration,
+    wrp_conjugacy_search,
+)
 from simact.cli import main
 from simact.equivalence import (
     _block_permutation,
     _eval_boxes,
+    _itineraries,
     action_to_sim,
     adapt_table,
     continuity_bound_check,
@@ -533,6 +545,12 @@ def test_kernel_outputs_pass_every_public_check(t, cuts, weight, seed, data):
     rng = random.Random(seed)
     h = random_adaptation(rng, Fraction(1, 8))
     action = random_action(rng, t.window.d, rng.choice([1, 2, 3, 4, 6, 8]))
+    try:
+        embedded = embed_action(h, action, t.window, t.partition)
+    except budget.BudgetError:
+        # the cuts pulled back through h can put the itinerary grid above
+        # its cap, which is a refusal, so there is no output to check
+        reject()
     blurred = convolve_sim(t, Fraction(1, 8))
     outputs = [
         blurred,
@@ -541,7 +559,7 @@ def test_kernel_outputs_pass_every_public_check(t, cuts, weight, seed, data):
         marginalize_window(t, data.draw(st.integers(1, t.window.w))),
         *(average_sims(t, blurred, x) for x in (Fraction(0), Fraction(1), weight)),
         action_to_sim(action, t.window, t.partition),
-        embed_action(h, action, t.window, t.partition),
+        embedded,
     ]
     for out in outputs:
         assert CylinderTable(out.window, out.partition, out.nums, den=out.den) == out
@@ -881,6 +899,11 @@ def realizable_tables(draw):
     st.integers(2, 8),
     st.booleans(),
 )
+# rank 1 at w = 6 (the benchmark's (2, 6) tables), ranks 2 and 3 at w = 3:
+# windows whose maps are stepped from a neighbour along every axis
+@example(0, 1, 6, 6, 3, False)
+@example(1, 2, 4, 3, 3, False)
+@example(2, 3, 6, 3, 4, False)
 def test_action_to_sim_matches_oracle(seed, d, n, w, q, mismatch):
     # ranks 1 to 3, and cut denominators q that do and do not divide n
     rng = random.Random(seed)
@@ -890,6 +913,26 @@ def test_action_to_sim_matches_oracle(seed, d, n, w, q, mismatch):
     assert outcome(lambda: action_to_sim(action, window, partition)) == outcome(
         lambda: action_to_sim_oracle(action, window, partition)
     )
+
+
+@pytest.mark.parametrize("d, w", [(1, 1), (1, 6), (2, 3), (3, 3)])
+def test_itineraries_evaluate_only_times_in_the_unit_cube(d, w):
+    # every other window time is its neighbour one step down, composed once
+    # with a generator; evaluate builds its elements here without a compose
+    rng = random.Random(d * 10 + w)
+    action = random_action(rng, d, 6)
+    label = [rng.randrange(3) for _ in range(4)]
+    compose = IntervalPermutation.compose
+    with patch.object(LatticeAction, "evaluate", autospec=True, side_effect=element_oracle) as evaluated, patch.object(
+        IntervalPermutation, "compose", autospec=True, side_effect=compose
+    ) as composed:
+        n, keys = _itineraries(action, Window(d, w), label)
+    unit_cube = [gamma for gamma in Window(d, w).elements() if max(gamma) <= 1]
+    assert [c.args[1] for c in evaluated.call_args_list] == unit_cube
+    assert composed.call_count == w**d - len(unit_cube)
+    span = n // len(label)
+    maps = [refine_oracle(element_oracle(action, gamma), n) for gamma in Window(d, w).elements()]
+    assert keys == [tuple(label[t.perm[i] // span] for t in maps) for i in range(n)]
 
 
 box_ends = st.sampled_from([Fraction(0), Fraction(1)]) | grid_points
@@ -1056,10 +1099,18 @@ def wrp_pairs(draw):
 @example(wrp_pair("independent", 16, 48, 0), Fraction(1, 1000), 4, 3)
 # heights 4, 8, 16 and 32, at distance 0 from height 16 up
 @example(wrp_pair("rotation", 32, 32, 0), Fraction(1), 4, 3)
+# an infeasible ladder is refused before the distance's charge refuses terms=0
+@example((LatticeAction(1, (identity(1),)), LatticeAction(1, (identity(1),))), Fraction(1), 0, 0)
 def test_wrp_search_matches_oracle(pair, epsilon, terms, depth):
     a, b = pair
     expected = outcome(lambda: wrp_conjugacy_search_oracle(a, b, epsilon, terms, depth))
     assert outcome(lambda: wrp_conjugacy_search(a, b, epsilon, terms, depth)) == expected
+
+
+def bounded_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int, bound: Fraction) -> Fraction:
+    """The action distance summed by `_dist` up to the bound, as the search sums it."""
+    gammas = group_enumeration(a.d, terms)
+    return _dist(_elements(a, gammas), _elements(b, gammas), depth, bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1078,7 +1129,7 @@ def test_bounded_action_dist_is_exact_up_to_the_bound(d, n, seed, terms, depth, 
     # the partial sums are bounds that the sum meets exactly before its end
     partial_sums = [action_dist(a, b, k, depth) for k in range(1, terms)]
     for x in [bound, *partial_sums]:
-        cut = action_dist(a, b, terms, depth, bound=x)
+        cut = bounded_dist(a, b, terms, depth, x)
         if full <= x:
             assert cut == full
         else:
@@ -1102,7 +1153,7 @@ def test_action_dist_and_free_defect_match_oracle(d, n_a, n_b, seed, terms, dept
     rng = random.Random(seed)
     a, b = random_action(rng, d, n_a), random_action(rng, d, n_b)
     assert action_dist(a, b, terms, depth) == action_dist_oracle(a, b, terms, depth)
-    assert action_dist(a, b, terms, depth, bound=bound) == action_dist_oracle(a, b, terms, depth, bound=bound)
+    assert bounded_dist(a, b, terms, depth, bound) == action_dist_oracle(a, b, terms, depth, bound=bound)
     assert free_defect(a, k_max) == free_defect_oracle(a, k_max)
 
 
@@ -1112,11 +1163,20 @@ def test_wrp_search_stops_summing_heights_that_cannot_win():
     t, r = (aperiodic_permutation(rng, 512, 32) for _ in range(2))
     a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
     terms, depth = 6, 6
-    with patch("simact.action.coarse_dist", wraps=coarse_dist) as calls:
+    with patch("simact.action.coarse_dist", wraps=coarse_dist) as calls, patch(
+        "simact.action._elements", wraps=_elements
+    ) as built, patch("simact.action.conjugate", wraps=conjugate) as conjugated, patch(
+        "simact.action.action_dist", wraps=action_dist
+    ) as distances:
         res = wrp_conjugacy_search(a, b, Fraction(1, 16), terms, depth)
     assert res == wrp_conjugacy_search_oracle(a, b, Fraction(1, 16), terms, depth)
     assert res.height == 32
     assert calls.call_count < 3 * terms
+    # the target's elements are built once and shared by the three heights,
+    # whose conjugated actions are built and summed without `action_dist`
+    assert conjugated.call_count == 3 and distances.call_count == 0
+    assert [c.args[0] == b for c in built.call_args_list].count(True) == 1
+    assert built.call_count == 4
 
 
 def test_wrp_search_evaluates_only_shells_0_and_1():
