@@ -12,7 +12,6 @@ from .action import (
     conjugate,
     free_defect,
     group_enumeration,
-    identity_action,
     wrp_conjugacy_search,
 )
 from .equivalence import (
@@ -35,7 +34,6 @@ from .measure import (
     StepMeasure,
     convolve,
     from_piece_masses,
-    identity_adaptation,
     is_good,
     lebesgue,
     pushforward,
@@ -51,7 +49,6 @@ from .sim import (
     Window,
     average_sims,
     convolve_sim,
-    cylinder_mass,
     fixed_mass_report,
     graph_witness_exact,
     greedy_graph_witness,
@@ -71,7 +68,6 @@ from .transform import (
     coarse_dist_tail,
     halmos_dist,
     identity,
-    preimage,
     rohlin_tower,
     rotation,
     swap_halves,

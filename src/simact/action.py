@@ -32,7 +32,6 @@ __all__ = [
     "conjugate",
     "tower_heights",
     "free_defect",
-    "identity_action",
     "wrp_conjugacy_search",
     "WrpResult",
     "InfeasibleError",
@@ -79,10 +78,6 @@ class LatticeAction:
             if k:
                 out = g.power(k) if out is None else out.compose(g.power(k))
         return identity(self.n) if out is None else out
-
-
-def identity_action(d: int, n: int) -> LatticeAction:
-    return LatticeAction(d, tuple(identity(n) for _ in range(d)))
 
 
 def group_enumeration(d: int, count: int) -> list[GroupElement]:

@@ -27,7 +27,7 @@ from .sim import (
     pair_matrix,
     relabel,
 )
-from .transform import DyadicSet, IntervalPermutation, preimage
+from .transform import DyadicSet, IntervalPermutation
 
 __all__ = [
     "action_to_sim",
@@ -375,15 +375,20 @@ def inverse_continuity_check(
     2 (m(J) - m(J intersect B^-gamma(S))) holds exactly because both
     preimages carry the mass of S.  A joint-mass gap below the tolerance
     therefore forces the preimage symmetric difference below twice it.
+    Both maps are refined to n = lcm(a.n, b.n, s.cells), refused above
+    MAX_RESOLUTION; an n-cell lies in a preimage when its image cell lies
+    in S, and each mass is a count of n-cells over n.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("tolerance must be > 0")
-    ja = preimage(a.evaluate(gamma), s)
-    jb = preimage(b.evaluate(gamma), s)
-    mass_a = ja.mass()
-    mass_b = (ja & jb).mass()
-    sym = (ja ^ jb).mass()
+    n = budget.check("grid resolution n =", lcm(a.n, b.n, s.cells), budget.MAX_RESOLUTION)
+    span = n // s.cells
+    inside = s.mask()
+    ja, jb = ([inside[j // span] == "1" for j in act.evaluate(gamma).refine(n).perm] for act in (a, b))
+    mass_a = Fraction(sum(ja), n)
+    mass_b = Fraction(sum(x and y for x, y in zip(ja, jb)), n)
+    sym = Fraction(sum(x != y for x, y in zip(ja, jb)), n)
     assert sym == 2 * (mass_a - mass_b)
     report = InverseContinuityReport(
         mass_a=mass_a,

@@ -25,7 +25,6 @@ from . import poly as P
 __all__ = [
     "StepMeasure",
     "Adaptation",
-    "identity_adaptation",
     "lebesgue",
     "uniform_on",
     "from_piece_masses",
@@ -317,10 +316,6 @@ class Adaptation:
     def preimage_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
         """h^-1([lo, hi)) as a single interval (h is increasing and fixes 0)."""
         return self.inverse_value(lo), self.inverse_value(hi)
-
-
-def identity_adaptation() -> Adaptation:
-    return Adaptation(((Fraction(0), Fraction(0)),))
 
 
 def quantile_adaptation(nu: StepMeasure) -> Adaptation:

@@ -26,7 +26,6 @@ __all__ = [
     "Partition",
     "Window",
     "CylinderTable",
-    "cylinder_mass",
     "pair_matrix",
     "sim_dist",
     "GraphTest",
@@ -240,15 +239,6 @@ def marginalize_to(t: CylinderTable, subset) -> dict[tuple[int, ...], Fraction]:
     """Joint masses of the labels at the given window times."""
     nums = _marginal_nums(t.nums, t.window._positions(subset))
     return {sub: Fraction(num, t.den) for sub, num in nums.items()}
-
-
-def cylinder_mass(t: CylinderTable, assignment: dict) -> Fraction:
-    """Mass of the cylinder fixing the given window times to pieces."""
-    idx = t.window._positions(assignment)
-    for piece in assignment.values():
-        if not 0 <= piece < t.partition.p:
-            raise ValueError(f"piece index {piece} out of range")
-    return Fraction(_marginal_nums(t.nums, idx).get(tuple(assignment.values()), 0), t.den)
 
 
 def pair_matrix(t: CylinderTable, alpha, beta) -> list[list[Fraction]]:

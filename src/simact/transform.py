@@ -23,7 +23,6 @@ __all__ = [
     "rotation",
     "swap_halves",
     "common_resolution",
-    "preimage",
     "coarse_dist",
     "coarse_dist_tail",
     "coarse_term_count",
@@ -107,10 +106,6 @@ class IntervalPermutation:
             out.append(tuple(cycle))
         return tuple(out)
 
-    def cycles(self) -> list[list[int]]:
-        """Cycles ordered by smallest element, each starting at its smallest."""
-        return [list(c) for c in self._cycles]
-
     def cycle_lengths(self) -> list[int]:
         return [len(c) for c in self._cycles]
 
@@ -170,14 +165,6 @@ class DyadicSet:
         return cls.from_mask(mask.decode())
 
     @classmethod
-    def full(cls, level: int) -> "DyadicSet":
-        return cls(level, (1 << (1 << level)) - 1)
-
-    @classmethod
-    def empty(cls, level: int) -> "DyadicSet":
-        return cls(level, 0)
-
-    @classmethod
     def from_mask(cls, mask: str) -> "DyadicSet":
         """Inverse of mask(), for a mask of 2^level characters of 0/1."""
         level = len(mask).bit_length() - 1
@@ -188,47 +175,8 @@ class DyadicSet:
     def mask(self) -> str:
         return format(self.bits, f"0{self.cells}b")[::-1]
 
-    def refine(self, level2: int) -> "DyadicSet":
-        if level2 < self.level:
-            raise ValueError("cannot coarsen a dyadic set")
-        f = 1 << (level2 - self.level)
-        return DyadicSet.from_mask("".join(c * f for c in self.mask()))
-
     def mass(self) -> Fraction:
         return Fraction(self.bits.bit_count(), self.cells)
-
-    def _with(self, other: "DyadicSet", op) -> "DyadicSet":
-        level = max(self.level, other.level)
-        a, b = self.refine(level), other.refine(level)
-        return DyadicSet(level, op(a.bits, b.bits) & ((1 << a.cells) - 1))
-
-    def __and__(self, other):
-        return self._with(other, lambda x, y: x & y)
-
-    def __or__(self, other):
-        return self._with(other, lambda x, y: x | y)
-
-    def __xor__(self, other):
-        return self._with(other, lambda x, y: x ^ y)
-
-    def complement(self) -> "DyadicSet":
-        return DyadicSet(self.level, ~self.bits & ((1 << self.cells) - 1))
-
-
-def _dyadic_level(n: int, why: str) -> int:
-    """The m with 2^m = n; any other n is refused with `why` as the reason."""
-    m = n.bit_length() - 1
-    if n != 1 << m:
-        raise ValueError(f"resolution {n} is not a power of two; {why}")
-    return m
-
-
-def preimage(t: IntervalPermutation, s: DyadicSet) -> DyadicSet:
-    """T^-1(S) as a dyadic set; needs the resolution to be a power of two."""
-    level = max(_dyadic_level(t.n, "no dyadic refinement"), s.level)
-    tt = t.refine(1 << level)
-    inside = s.refine(level).mask()
-    return DyadicSet.from_mask("".join(inside[j] for j in tt.perm))
 
 
 # -- distances ---------------------------------------------------------------
@@ -331,7 +279,9 @@ def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
             raise ValueError(
                 f"infeasible: cycle of length {ln} is shorter than height/epsilon"
             )
-    m = _dyadic_level(t.n, "base cannot be dyadic")
+    m = t.n.bit_length() - 1
+    if t.n != 1 << m:
+        raise ValueError(f"resolution {t.n} is not a power of two; base cannot be dyadic")
     base = tower_base_indices(t, height)
     out = DyadicSet.from_indices(m, base)
     # exact post-check: disjoint levels, enough mass

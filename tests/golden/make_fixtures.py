@@ -14,12 +14,12 @@ import random
 from fractions import Fraction
 
 from simact import serialize as ser
-from simact.action import LatticeAction, identity_action
+from simact.action import LatticeAction
 from simact.cli import main
 from simact.measure import Adaptation
 from simact.sampling import diagonal_table, iid_table, markov_table, random_graph_joining, trial_rng
 from simact.sim import Partition, average_sims, marginalize_to
-from simact.transform import DyadicSet, rotation, swap_halves
+from simact.transform import DyadicSet, identity, rotation, swap_halves
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -88,7 +88,7 @@ def mixed_joining(p: int, lam: Fraction):
 
 
 def main_fixtures():
-    write_json("id4_action.json", ser.dump_action(identity_action(1, 4)))
+    write_json("id4_action.json", ser.dump_action(LatticeAction(1, (identity(4),))))
     write_json("swap_action.json", ser.dump_action(LatticeAction(1, (swap_halves(),))))
     write_json("rot3_action.json", ser.dump_action(LatticeAction(1, (rotation(3, 1),))))
     write_json("quarter_shift.json", ser.dump_adaptation(Adaptation(((F(0), F(0)), (F(1, 2), F(1, 4))))))

@@ -76,7 +76,9 @@ Bridges between actions and tables
 Dyadic sets and towers
 - `load_dyadic_oracle`, `dump_dyadic_oracle`, `indices_oracle`,
   `dyadic_refine_oracle`, `preimage_oracle` and `from_indices_oracle` read
-  and write a dyadic set one bit at a time.
+  and write a dyadic set one bit at a time.  The preimages of
+  `preimage_oracle`, brought to one level by `dyadic_refine_oracle`, are
+  the reference for `equivalence.inverse_continuity_check`.
 - `matched_tower_map_oracle` takes each tower base off `cycles_oracle`,
   every height-th cell of a cycle, and matches the tower leftovers through
   sets of used cells.
@@ -151,6 +153,10 @@ def field_oracle(obj, key: str, kind: type, where: str):
     if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise ValueError(f"{where}: field '{key}' has the wrong type")
     return value
+
+
+def identity_action(d: int, n: int) -> LatticeAction:
+    return LatticeAction(d, (identity(n),) * d)
 
 
 def passes_public_check(r: IntervalPermutation) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import identity_action
 
 import simact
 from simact.action import (
@@ -18,7 +19,6 @@ from simact.action import (
     conjugate,
     free_defect,
     group_enumeration,
-    identity_action,
     tower_heights,
     wrp_conjugacy_search,
 )

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from oracles import factor_defect_unions_oracle
+from oracles import factor_defect_unions_oracle, identity_action
 
-from simact.action import LatticeAction, identity_action
+from simact.action import LatticeAction
+from simact.budget import BudgetError
 from simact.equivalence import (
     GraphWitness,
     PairWitness,
@@ -18,7 +19,7 @@ from simact.equivalence import (
     realize_sim_as_action,
     recover_action,
 )
-from simact.measure import Adaptation, identity_adaptation, pushforward
+from simact.measure import Adaptation, pushforward
 from simact.sampling import (
     diagonal_table,
     iid_table,
@@ -80,7 +81,7 @@ def test_marginal_of_action_table_is_lebesgue():
 def test_embed_with_identity_matches_plain_read():
     act = random_action(trial_rng(1, 0), d=1, n=8)
     w = Window(1, 2)
-    assert embed_action(identity_adaptation(), act, w, HALVES) == action_to_sim(act, w, HALVES)
+    assert embed_action(Adaptation(((F(0), F(0)),)), act, w, HALVES) == action_to_sim(act, w, HALVES)
 
 
 def test_embed_factors_through_adapt_table():
@@ -117,7 +118,7 @@ def test_continuity_bound_chain():
 def test_continuity_bound_needs_length_marginal():
     t = iid_table(HALVES, [F(1, 4), F(3, 4)], 2)
     with pytest.raises(ValueError):
-        continuity_bound_check(identity_adaptation(), t, (0, 0))
+        continuity_bound_check(Adaptation(((F(0), F(0)),)), t, (0, 0))
 
 
 # -- recovery ----------------------------------------------------------------------
@@ -263,3 +264,20 @@ def test_inverse_continuity_split_case():
     assert rep.symdiff_mass == 1
     assert not rep.gap_below
     assert rep.symdiff_mass == 2 * (rep.mass_a - rep.mass_b)
+
+
+def test_inverse_continuity_at_a_resolution_that_is_not_dyadic():
+    # n = lcm(3, 3, 2) = 6: the rotation sends cell i to i + 2 mod 6, so
+    # A^-1(S) = {4, 5, 0} against S = {0, 1, 2} under the identity
+    a = LatticeAction(1, (rotation(3, 1),))
+    s = DyadicSet.from_indices(1, [0])
+    rep = inverse_continuity_check(a, identity_action(1, 3), (1,), s, F(1, 2))
+    assert (rep.mass_a, rep.mass_b, rep.symdiff_mass) == (F(1, 2), F(1, 6), F(2, 3))
+    assert rep.gap_below and rep.conclusion_below
+
+
+def test_inverse_continuity_refuses_a_grid_above_max_resolution():
+    # lcm(3, 3, 2^20) = 3 * 2^20 cells
+    a = LatticeAction(1, (rotation(3, 1),))
+    with pytest.raises(BudgetError, match="grid resolution n = 3145728 is above the cap"):
+        inverse_continuity_check(a, a, (1,), DyadicSet(20, 0), F(1, 2))

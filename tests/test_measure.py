@@ -13,7 +13,6 @@ from simact.measure import (
     StepMeasure,
     convolve,
     from_piece_masses,
-    identity_adaptation,
     is_good,
     lebesgue,
     pushforward,
@@ -284,7 +283,7 @@ def test_adaptation_inverse_and_compose():
     assert h(F(3, 4)) == F(5, 8)
     assert h.inverse_value(F(1, 4)) == F(1, 2)
     assert h.compose(h.inverse())(F(3, 7)) == F(3, 7)
-    assert identity_adaptation().sup_dist_to_identity() == 0
+    assert Adaptation(((F(0), F(0)),)).sup_dist_to_identity() == 0
     assert h.sup_dist_to_identity() == F(1, 4)
 
 

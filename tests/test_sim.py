@@ -20,7 +20,6 @@ from simact.sim import (
     Window,
     average_sims,
     convolve_sim,
-    cylinder_mass,
     fixed_mass_report,
     graph_witness_exact,
     greedy_graph_witness,
@@ -167,7 +166,7 @@ def test_marginalization_and_cylinders():
     assert m01 == m12  # stationarity
     assert sum(m01.values()) == 1
     j = next(iter(t.masses))[0]
-    assert cylinder_mass(t, {(0,): j}) == sum(
+    assert marginalize_to(t, [(0,)])[(j,)] == sum(
         mass for key, mass in t.masses.items() if key[0] == j
     )
     mat = pair_matrix(t, (0,), (1,))

@@ -16,7 +16,6 @@ from simact.transform import (
     common_resolution,
     halmos_dist,
     identity,
-    preimage,
     rohlin_tower,
     rotation,
     swap_halves,
@@ -80,38 +79,14 @@ def test_cycles_and_powers():
 # -- dyadic sets ---------------------------------------------------------------
 
 
-def test_dyadic_set_algebra():
-    a = DyadicSet.from_indices(2, [0, 1])
-    b = DyadicSet.from_indices(1, [1])
-    assert (a | b).mass() == 1
-    assert (a & b).mass() == 0
-    assert (a ^ b).mass() == 1
-    assert a.complement().mask() == "0011"
-    assert b.refine(3).mask() == "00001111"
-
-
 def test_mask_reads_cell_i_at_character_i():
     s = DyadicSet.from_indices(2, [0, 3])
     assert s.mask() == "1001"
     assert DyadicSet.from_mask("1101") == DyadicSet.from_indices(2, [0, 1, 3])
-    assert DyadicSet.from_mask("0") == DyadicSet.empty(0)
+    assert DyadicSet.from_mask("0") == DyadicSet(0, 0)
     for bad in ["", "011", "0x", "1_01", " 01"]:
         with pytest.raises(ValueError, match="mask must be 2\\^level characters of 0/1"):
             DyadicSet.from_mask(bad)
-
-
-def test_preimage_needs_power_of_two():
-    with pytest.raises(ValueError):
-        preimage(shuffled(6, 0), DyadicSet.full(1))
-
-
-def test_preimage_agrees_with_point_mapping():
-    t = shuffled(8, 99)
-    s = DyadicSet.from_indices(3, [0, 3, 5])
-    pre = preimage(t, s)
-    # cell i lies in T^-1(S) exactly when T moves it onto a cell of S
-    for i in range(8):
-        assert (s.mask()[t.perm[i]] == "1") == (pre.mask()[i] == "1")
 
 
 # -- distances -----------------------------------------------------------------
@@ -180,6 +155,8 @@ def test_rohlin_tower_infeasible_cases():
         rohlin_tower(t, 3, 0)  # 3 does not divide 8
     with pytest.raises(ValueError):
         rohlin_tower(t, 4, F(1, 100))  # would need cycles of length >= 400
+    with pytest.raises(ValueError, match="resolution 6 is not a power of two; base cannot be dyadic"):
+        rohlin_tower(rotation(6, 1), 3, 0)
 
 
 @pytest.mark.parametrize("height", [0, -1])
@@ -204,13 +181,12 @@ def test_rohlin_tower_levels_are_disjoint(height, seed):
     if eps > 1:
         return
     base = rohlin_tower(t, height, eps)
-    layers = DyadicSet.empty(base.level)
-    level = base
+    covered, level = 0, base.bits
     for _ in range(height):
-        assert (layers & level).mass() == 0
-        layers = layers | level
-        level = DyadicSet.from_indices(base.level, [t.perm[c] for c, bit in enumerate(level.mask()) if bit == "1"])
-    assert layers.mass() >= 1 - eps
+        assert covered & level == 0
+        covered |= level
+        level = sum(1 << t.perm[c] for c in range(t.n) if level >> c & 1)
+    assert F(covered.bit_count(), t.n) >= 1 - eps
 
 
 def test_aperiodicity_scale():
