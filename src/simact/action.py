@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from . import budget
@@ -20,7 +20,7 @@ from .transform import (
     coarse_dist,
     common_resolution,
     identity,
-    tower_base_indices,
+    tower_columns,
 )
 
 __all__ = [
@@ -212,31 +212,28 @@ def _matched_tower_map(
 ) -> IntervalPermutation:
     """Conjugator built from equal-mass towers of the given height.
 
-    Bases are trimmed to the smaller cell count (dropping the largest
-    indices), matched smallest-to-smallest, and each base map is extended
-    along columns so that level i of the T-tower lands on level i of the
-    R-tower coherently.  The leftover sets have equal mass and are matched
-    smallest-to-smallest as well.
+    The columns of each tower are slices of the map's cached cycles
+    (`tower_columns`), sorted by base cell.  Both sides are trimmed to the
+    smaller column count (dropping the largest bases) and matched
+    smallest-to-smallest, cell by cell up each column, so that level i of
+    the T-tower lands on level i of the R-tower coherently.  When the
+    columns do not cover the grid, the leftover sets have equal mass and
+    are matched smallest-to-smallest as well.
     """
     n = t.n
-    base_t = tower_base_indices(t, height)
-    base_r = tower_base_indices(r, height)
-    keep = min(len(base_t), len(base_r))
+    cols_t, cols_r = tower_columns(t, height), tower_columns(r, height)
+    keep = min(len(cols_t), len(cols_r))
     if keep == 0:
         raise ValueError(f"no full column of height {height} fits either map")
-    base_t, base_r = base_t[:keep], base_r[:keep]
-    phi = [-1] * n
-    src_level, dst_level = list(base_t), list(base_r)
-    for _ in range(height):
-        for s, d in zip(src_level, dst_level):
-            phi[s] = d
-        src_level = [t.perm[c] for c in src_level]
-        dst_level = [r.perm[c] for c in dst_level]
-    # the free cells are those phi leaves unset, the free targets those it misses
-    taken = set(phi)
-    rest_dst = [c for c in range(n) if c not in taken]
-    for s, d in zip([c for c in range(n) if phi[c] < 0], rest_dst):
+    src = list(chain.from_iterable(cols_t[:keep]))
+    dst = list(chain.from_iterable(cols_r[:keep]))
+    phi = [0] * n
+    for s, d in zip(src, dst):
         phi[s] = d
+    if len(src) < n:
+        free = set(range(n))
+        for s, d in zip(sorted(free.difference(src)), sorted(free.difference(dst))):
+            phi[s] = d
     return IntervalPermutation(n, tuple(phi))
 
 

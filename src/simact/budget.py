@@ -17,8 +17,8 @@ MAX_RESOLUTION = 1 << 20
 # `dist` at depth 12 (six terms, n = 2^12) took 0.34 to 0.39 s.
 MAX_DEPTH = 12
 
-# The graph test builds one pair matrix for each of the k(k-1) ordered pairs
-# of the k = w^d window times.  Building it walks every table key, KEY_STEPS
+# The graph test gives a verdict for each of the k(k-1) ordered pairs of the
+# k = w^d window times.  Building a pair matrix walks every table key, KEY_STEPS
 # steps each; the pair's set-up, verdict and output row take PAIR_STEPS; and
 # its search takes at most 2^(2p-1) steps, a step being one list element of
 # an exact search over the unions A for some B.  On one core of a shared
@@ -26,7 +26,10 @@ MAX_DEPTH = 12
 # of a pair about 60 us.  `graph-test` on a two-time iid table exited 0 at
 # p = 12 (half the cap) in 2.1 to 2.5 s and at p = 13 (twice the cap) in 9.3
 # to 11 s; on the one-piece table of rank 8 and w = 2 (65,280 pairs, 0.88 of
-# the cap) in 3.8 to 3.9 s.  So the cap is about 5 s.
+# the cap) in 3.8 to 3.9 s.  So the cap is about 5 s.  Each unordered pair
+# builds one matrix and its reversed pair reads the transpose, so the
+# KEY_STEPS*keys term is paid for only half the pairs and the k(k-1) charge
+# errs on the safe side.
 PAIR_STEPS = 448
 KEY_STEPS = 4
 MAX_GRAPH_WORK = 1 << 25

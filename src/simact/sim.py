@@ -488,10 +488,11 @@ def greedy_graph_witness(matrix, b_mask: int, rows=None) -> tuple[int, Fraction]
     return a_mask, d if den is None else Fraction(d, den)
 
 
-def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
-    """Worst B over all 2^p unions, on integer numerators over the lcm of
-    the entry denominators; each diameter is compared with epsilon by
-    cross-multiplication and divided once at the end.
+def _graph_test_matrix(joining, epsilon: Fraction) -> GraphTest:
+    """Worst B over all 2^p unions of a pair matrix, given as the
+    `_joining` triple: integer numerators over the lcm of the entry
+    denominators, that lcm and the row sums.  Each diameter is compared
+    with epsilon by cross-multiplication and divided once at the end.
 
     The subset sums of the row masses are built once per matrix; in a
     joining the column sums equal the row sums, so they are also the
@@ -519,7 +520,7 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
     itself into B).  So a pair matrix costs at most 2^(p-1) exact searches,
     and 2^(p-1) greedy calls when the verdict fails, 2^p when it passes.
     """
-    nums, den, rows = _joining(matrix)
+    nums, den, rows = joining
     a_sums = _subset_sums(rows)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
@@ -541,7 +542,11 @@ def _graph_test_matrix(matrix, epsilon: Fraction) -> GraphTest:
 
 def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
     """(alpha, beta, GraphTest) for each ordered pair of distinct window times,
-    lazily; every argument and size is checked before the first pair matrix."""
+    lazily; every argument and size is checked before the first pair matrix.
+
+    The (beta, alpha) matrix is the transpose of the (alpha, beta) one, and
+    a joining's column sums are its row sums, so each unordered pair builds
+    one `_joining` triple and its reversed pair reads the transpose."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -550,10 +555,17 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
         raise ValueError("graph joining test needs a two-time window")
     budget.graph_test(t.partition.p, k, len(t.nums))
     elems = t.window.elements()
-    for alpha in elems:
-        for beta in elems:
-            if alpha != beta:
-                yield alpha, beta, _graph_test_matrix(pair_matrix(t, alpha, beta), epsilon)
+    transposes = {}
+    for i, alpha in enumerate(elems):
+        for j, beta in enumerate(elems):
+            if i < j:
+                nums, den, rows = joining = _joining(pair_matrix(t, alpha, beta))
+                transposes[j, i] = list(zip(*nums)), den, rows
+            elif i > j:
+                joining = transposes.pop((i, j))
+            else:
+                continue
+            yield alpha, beta, _graph_test_matrix(joining, epsilon)
 
 
 def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:

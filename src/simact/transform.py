@@ -28,7 +28,7 @@ __all__ = [
     "coarse_term_count",
     "halmos_dist",
     "rohlin_tower",
-    "tower_base_indices",
+    "tower_columns",
 ]
 
 
@@ -245,15 +245,18 @@ def halmos_dist(t: IntervalPermutation, r: IntervalPermutation) -> Fraction:
 # -- towers ------------------------------------------------------------------
 
 
-def tower_base_indices(t: IntervalPermutation, height: int) -> list[int]:
-    """Mark every height-th cell along each cycle, first height*floor(len/height) cells."""
+def tower_columns(t: IntervalPermutation, height: int) -> list[tuple[int, ...]]:
+    """The columns cycle[pos:pos + height] of every cycle, pos = 0, height, ...
+    while a whole column fits, sorted by base cell; cell j + 1 of a column is
+    the image of cell j, so each column is one point's orbit up a tower."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    base = []
+    columns = []
     for cycle in t._cycles:
-        usable = height * (len(cycle) // height)
-        base.extend(cycle[pos] for pos in range(0, usable, height))
-    return sorted(base)
+        columns.extend(cycle[pos : pos + height] for pos in range(0, len(cycle) - height + 1, height))
+    # base cells are distinct, so the tuples sort by their first cell
+    columns.sort()
+    return columns
 
 
 def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
@@ -282,11 +285,11 @@ def rohlin_tower(t: IntervalPermutation, height: int, epsilon) -> DyadicSet:
     m = t.n.bit_length() - 1
     if t.n != 1 << m:
         raise ValueError(f"resolution {t.n} is not a power of two; base cannot be dyadic")
-    base = tower_base_indices(t, height)
+    base = [col[0] for col in tower_columns(t, height)]
     out = DyadicSet.from_indices(m, base)
     # exact post-check: disjoint levels, enough mass
     seen: set[int] = set()
-    level = list(base)
+    level = base
     count = 0
     for _ in range(height):
         for c in level:

@@ -119,11 +119,13 @@ from simact.sampling import (
     diagonal_table,
     iid_table,
     markov_table,
+    permutation_from_cycle_lengths,
     random_action,
     random_adaptation,
     random_cycle_lengths,
     random_graph_joining,
     random_partition,
+    trial_rng,
 )
 from simact.sim import (
     CylinderTable,
@@ -149,7 +151,15 @@ from simact.sim import (
     sim_dist,
 )
 from simact.serialize import dump_dyadic, dump_table, load_dyadic, load_permutation, load_table, read_json_file
-from simact.transform import DyadicSet, IntervalPermutation, coarse_dist, identity, rohlin_tower, rotation
+from simact.transform import (
+    DyadicSet,
+    IntervalPermutation,
+    coarse_dist,
+    identity,
+    rohlin_tower,
+    rotation,
+    tower_columns,
+)
 
 
 # -- permutations ------------------------------------------------------------------
@@ -700,7 +710,7 @@ def test_graph_test_matches_oracle(m, epsilon):
     worst = graph_verdict_oracle(den, witnesses, epsilon).diameter
     # epsilon on an attained diameter is the boundary of `d >= epsilon`
     for eps in {epsilon, worst} - {0}:
-        res = _graph_test_matrix(m, eps)
+        res = _graph_test_matrix(_joining(m), eps)
         assert res == graph_verdict_oracle(den, witnesses, eps)
         assert isinstance(res.diameter, Fraction)
 
@@ -714,7 +724,7 @@ def test_graph_test_matches_int_oracle(m, b_pick):
     # next attainable value
     d = Fraction(witnesses[b_pick % len(witnesses)][1][1], den)
     for eps in {d, d + Fraction(1, 2 * den)} - {0}:
-        assert _graph_test_matrix(m, eps) == graph_verdict_oracle(den, witnesses, eps)
+        assert _graph_test_matrix(_joining(m), eps) == graph_verdict_oracle(den, witnesses, eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -727,7 +737,7 @@ def test_graph_test_matches_every_miss_oracle_at_each_greedy_diameter(m):
     greedy = {Fraction(g[1], den) for g, _best in witnesses} - {0}
     for d in greedy:
         for eps in (d, d + Fraction(1, 2 * den)):
-            assert _graph_test_matrix(m, eps) == graph_verdict_oracle(den, witnesses, eps)
+            assert _graph_test_matrix(_joining(m), eps) == graph_verdict_oracle(den, witnesses, eps)
 
 
 def _witnesses_match(m, masks):
@@ -766,7 +776,7 @@ def test_into_b_walk_matches_into_b_for_every_b(m):
         return greedy_graph_witness(matrix, b_mask, rows=rows)
 
     with patch("simact.sim.greedy_graph_witness", recorded):
-        _graph_test_matrix(m, Fraction(1))
+        _graph_test_matrix(_joining(m), Fraction(1))
     nums, _den = pair_numerators_oracle(m)
     rows = [sum(r) for r in nums]
     assert preludes == [
@@ -782,7 +792,7 @@ def test_exact_search_runs_only_where_it_can_raise_the_worst(m, epsilon, on_a_di
     if on_a_diameter and any(greedy):
         epsilon = max(greedy)
     with exact_searches() as calls, patch("simact.sim.greedy_graph_witness", wraps=greedy_graph_witness) as greedy_calls:
-        res = _graph_test_matrix(m, epsilon)
+        res = _graph_test_matrix(_joining(m), epsilon)
     assert res == graph_verdict_oracle(den, witnesses, epsilon)
     # replay the loop: a B below 2^(p-1) gets the exact search exactly when
     # its greedy diameter is a miss and above the worst so far, and the
@@ -837,7 +847,7 @@ def test_passing_worst_from_a_tied_greedy_in_the_upper_half():
     # leaves it out and reads 1/5, where B's complement {0} reads 1/10;
     # only the upper half's greedy call finds the printed worst
     m = [[Fraction(7, 10), Fraction(1, 10)], [Fraction(1, 10), Fraction(1, 10)]]
-    assert _graph_test_matrix(m, Fraction(1, 4)) == GraphTest(True, 2, 0, Fraction(1, 5))
+    assert _graph_test_matrix(_joining(m), Fraction(1, 4)) == GraphTest(True, 2, 0, Fraction(1, 5))
 
 
 @st.composite
@@ -861,6 +871,28 @@ def test_graph_test_entries_match_oracle(t, epsilon):
         for eps in {res.diameter for _a, _b, res in expected[1]} - {0}:
             assert is_graph_sim(t, eps) == is_graph_sim_oracle(t, eps)
             assert outcome(lambda: is_graph_joining(t, eps)) == outcome(lambda: is_graph_joining_oracle(t, eps))
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_graph_tests_build_one_pair_matrix_per_unordered_pair(monkeypatch, w):
+    # the (beta, alpha) matrix is the transpose of the (alpha, beta) one, so
+    # k window times build k(k-1)/2 pair matrices for k(k-1) verdicts
+    t = markov_table(random.Random(w), 4, w)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return pair_matrix(*args)
+
+    monkeypatch.setattr("simact.sim.pair_matrix", counted)
+    for eps in (Fraction(1, 8), Fraction(1, 2)):
+        calls.clear()
+        assert is_graph_sim(t, eps) == is_graph_sim_oracle(t, eps)
+        assert len(calls) == w * (w - 1) // 2 == len(set(calls))
+        if w == 2:
+            calls.clear()
+            assert is_graph_joining(t, eps) == is_graph_joining_oracle(t, eps)
+            assert calls == [((0,), (1,))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1079,6 +1111,48 @@ def test_matched_tower_map_matches_oracle(n, height, seed):
     rng = random.Random(seed)
     t, r = (IntervalPermutation(n, tuple(rng.sample(range(n), n))) for _ in range(2))
     assert outcome(lambda: _matched_tower_map(t, r, height)) == outcome(lambda: matched_tower_map_oracle(t, r, height))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("height", [8, 16, 32])
+@pytest.mark.parametrize("trial", [0, 1])
+def test_matched_tower_map_matches_oracle_where_the_columns_cover_the_grid(n, height, trial):
+    # the maps of wrp-demo: every cycle is a multiple of 32 long, so whole
+    # columns of each height cover both grids and no cell is left over
+    rng = trial_rng(0, trial)
+    t, r = aperiodic_permutation(rng, n, 32), aperiodic_permutation(rng, n, 32)
+    assert len(tower_columns(t, height)) * height == len(tower_columns(r, height)) * height == n
+    assert _matched_tower_map(t, r, height) == matched_tower_map_oracle(t, r, height)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 6), st.data(), st.booleans())
+def test_matched_tower_map_matches_oracle_with_more_columns_on_one_side(height, m, data, t_has_more):
+    # one map is a single n-cycle of m whole columns; the other splits off a
+    # cycle shorter than the height, so it has m - 1 columns and leftovers
+    n = height * m
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    short = data.draw(st.integers(1, height - 1))
+    full = permutation_from_cycle_lengths(rng, n, [n])
+    split = permutation_from_cycle_lengths(rng, n, [n - short, short])
+    t, r = (full, split) if t_has_more else (split, full)
+    cols_t, cols_r = len(tower_columns(t, height)), len(tower_columns(r, height))
+    assert (cols_t > cols_r) == t_has_more and abs(cols_t - cols_r) == 1
+    assert _matched_tower_map(t, r, height) == matched_tower_map_oracle(t, r, height)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(), st.integers(-1, 9))
+def test_tower_columns_are_the_whole_column_slices_of_the_cycles(t, height):
+    if height < 1:
+        with pytest.raises(ValueError, match="^height must be >= 1$"):
+            tower_columns(t, height)
+        return
+    cols = tower_columns(t, height)
+    assert cols == sorted(
+        tuple(cycle[pos : pos + height]) for cycle in cycles_oracle(t) for pos in range(0, len(cycle) - height + 1, height)
+    )
+    assert all(t.perm[a] == b for col in cols for a, b in zip(col, col[1:]))
 
 
 def wrp_pair(kind: str, unit: int, n: int, seed: int) -> tuple[LatticeAction, LatticeAction]:

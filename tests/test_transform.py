@@ -19,7 +19,7 @@ from simact.transform import (
     rohlin_tower,
     rotation,
     swap_halves,
-    tower_base_indices,
+    tower_columns,
 )
 
 F = Fraction
@@ -160,9 +160,9 @@ def test_rohlin_tower_infeasible_cases():
 
 
 @pytest.mark.parametrize("height", [0, -1])
-def test_tower_base_indices_refuses_a_height_below_one(height):
+def test_tower_columns_refuse_a_height_below_one(height):
     with pytest.raises(ValueError, match="height must be >= 1"):
-        tower_base_indices(rotation(8, 1), height)
+        tower_columns(rotation(8, 1), height)
 
 
 def test_rohlin_tower_with_slack():
