@@ -169,12 +169,7 @@ def conjugate(phi: IntervalPermutation, a: LatticeAction) -> LatticeAction:
     phi g phi^-1 sends phi(i) to phi(g(i))."""
     n = lcm(phi.n, a.n)
     p = phi.refine(n).perm
-    gens = []
-    for g in a.generators:
-        out = [0] * n
-        for pi, pgi in zip(p, map(p.__getitem__, g.refine(n).perm)):
-            out[pi] = pgi
-        gens.append(IntervalPermutation._trusted(n, tuple(out)))
+    gens = (IntervalPermutation._matched(n, p, map(p.__getitem__, g.refine(n).perm)) for g in a.generators)
     return LatticeAction(a.d, tuple(gens))
 
 
@@ -217,24 +212,17 @@ def _matched_tower_map(
     smaller column count (dropping the largest bases) and matched
     smallest-to-smallest, cell by cell up each column, so that level i of
     the T-tower lands on level i of the R-tower coherently.  When the
-    columns do not cover the grid, the leftover sets have equal mass and
-    are matched smallest-to-smallest as well.
+    columns do not cover the grid, `IntervalPermutation._matched` pairs the
+    leftover cells smallest-to-smallest.  The columns of one map are
+    disjoint runs of cells, so the matching is a bijection by construction
+    and skips the check.
     """
-    n = t.n
     cols_t, cols_r = tower_columns(t, height), tower_columns(r, height)
     keep = min(len(cols_t), len(cols_r))
     if keep == 0:
         raise ValueError(f"no full column of height {height} fits either map")
     src = list(chain.from_iterable(cols_t[:keep]))
-    dst = list(chain.from_iterable(cols_r[:keep]))
-    phi = [0] * n
-    for s, d in zip(src, dst):
-        phi[s] = d
-    if len(src) < n:
-        free = set(range(n))
-        for s, d in zip(sorted(free.difference(src)), sorted(free.difference(dst))):
-            phi[s] = d
-    return IntervalPermutation(n, tuple(phi))
+    return IntervalPermutation._matched(t.n, src, chain.from_iterable(cols_r[:keep]))
 
 
 def tower_heights(epsilon: Fraction, min_cycle: int) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm, prod
 
 from . import budget
@@ -235,21 +235,15 @@ def _block_permutation(
     block_sizes: list[int], mapping: tuple[int, ...], n: int
 ) -> IntervalPermutation:
     """Send block j onto block mapping[j], a permutation, order preserving;
-    when sizes disagree the overflow cells are paired with the spare slots,
-    both in ascending order."""
+    the blocks tile 0..n-1.  When sizes disagree, each block sends only as
+    many cells as both blocks hold, and `IntervalPermutation._matched`
+    pairs the overflow cells with the spare slots, both in ascending order."""
     edges = list(accumulate(block_sizes, initial=0))
     blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    perm = [-1] * n
-    leftovers: list[int] = []
-    spare: list[int] = []
-    for cells, slots in zip(blocks, (blocks[j] for j in mapping)):
-        take = min(len(cells), len(slots))
-        perm[cells.start : cells.start + take] = slots[:take]
-        leftovers.extend(cells[take:])
-        spare.extend(slots[take:])
-    for c, s in zip(leftovers, sorted(spare)):
-        perm[c] = s
-    return IntervalPermutation(n, tuple(perm))
+    targets = [blocks[j] for j in mapping]
+    src = list(chain.from_iterable(cells[: len(slots)] for cells, slots in zip(blocks, targets)))
+    dst = chain.from_iterable(slots[: len(cells)] for cells, slots in zip(blocks, targets))
+    return IntervalPermutation._matched(n, src, dst)
 
 
 def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitness]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, product
 from math import lcm, prod
 
 from . import budget
@@ -62,19 +62,18 @@ def random_cycle_lengths(rng, n: int, unit: int) -> list[int]:
 
 def permutation_from_cycle_lengths(rng, n: int, lengths) -> IntervalPermutation:
     """Random permutation with the given cycle type: cells are shuffled and
-    carved into consecutive cycles."""
+    carved into consecutive cycles, and each cycle's images are the cycle
+    rotated by one.  The cycles tile the shuffled cells, so
+    `IntervalPermutation._matched` builds a bijection without the check."""
     if sum(lengths) != n:
         raise ValueError("cycle lengths must sum to n")
+    if any(length < 1 for length in lengths):
+        raise ValueError("cycle lengths must be >= 1")
     cells = list(range(n))
     rng.shuffle(cells)
-    perm = [0] * n
-    pos = 0
-    for length in lengths:
-        cyc = cells[pos : pos + length]
-        for i, c in enumerate(cyc):
-            perm[c] = cyc[(i + 1) % length]
-        pos += length
-    return IntervalPermutation(n, tuple(perm))
+    edges = list(accumulate(lengths, initial=0))
+    images = (cells[lo + 1 : hi] + cells[lo : lo + 1] for lo, hi in zip(edges, edges[1:]))
+    return IntervalPermutation._matched(n, cells, chain.from_iterable(images))
 
 
 def aperiodic_permutation(rng, n: int, min_cycle: int) -> IntervalPermutation:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from . import budget
@@ -54,8 +55,25 @@ class IntervalPermutation:
         object.__setattr__(t, "perm", perm)
         return t
 
+    @staticmethod
+    def _matched(n: int, src, dst) -> "IntervalPermutation":
+        """Send src[i] to dst[i], then the cells no src covers to the unused
+        targets, both in ascending order.  src is a sequence of distinct
+        cells and dst an iterable of as many distinct cells; that matching
+        is the proof of a bijection, so the check is skipped."""
+        perm = [-1] * n
+        for s, d in zip(src, dst):
+            perm[s] = d
+        if len(src) < n:
+            free = sorted(set(range(n)).difference(perm))
+            for s, d in zip([i for i, v in enumerate(perm) if v < 0], free):
+                perm[s] = d
+        return IntervalPermutation._trusted(n, tuple(perm))
+
     def refine(self, n2: int) -> "IntervalPermutation":
         """Re-express at a finer resolution; n2 must be a multiple of n."""
+        if n2 < 1:
+            raise ValueError("resolution must be positive")
         if n2 % self.n != 0:
             raise ValueError(f"{n2} is not a multiple of {self.n}")
         if n2 == self.n:
@@ -64,10 +82,7 @@ class IntervalPermutation:
         return IntervalPermutation._trusted(n2, tuple(pi * f + r for pi in self.perm for r in range(f)))
 
     def inverse(self) -> "IntervalPermutation":
-        out = [0] * self.n
-        for i, pi in enumerate(self.perm):
-            out[pi] = i
-        return IntervalPermutation._trusted(self.n, tuple(out))
+        return IntervalPermutation._matched(self.n, self.perm, range(self.n))
 
     def compose(self, other: "IntervalPermutation") -> "IntervalPermutation":
         """self after other (apply other first)."""
@@ -81,12 +96,9 @@ class IntervalPermutation:
             return self  # frozen, with a tuple perm: safe to share
         if k == -1:
             return self.inverse()
-        out = [0] * self.n
-        for cycle in self._cycles:
-            shift = k % len(cycle)
-            for cell, image in zip(cycle, cycle[shift:] + cycle[:shift]):
-                out[cell] = image
-        return IntervalPermutation._trusted(self.n, tuple(out))
+        cycles = self._cycles
+        images = (c[k % len(c) :] + c[: k % len(c)] for c in cycles)
+        return IntervalPermutation._matched(self.n, list(chain.from_iterable(cycles)), chain.from_iterable(images))
 
     @cached_property
     def _cycles(self) -> tuple[tuple[int, ...], ...]:

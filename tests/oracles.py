@@ -13,6 +13,9 @@ Permutations and the coarse metric
 - `refine_oracle`, `inverse_oracle`, `compose_oracle`, `power_oracle`,
   `cycles_oracle`, `identity_oracle`: the permutation algebra cell by cell,
   each result built through the checked public constructor.
+- `matched_oracle`: `IntervalPermutation._matched` as a scatter of the
+  given pairs, then the uncovered cells onto the unused targets in
+  ascending order, built through the checked constructor.
 
 Lattice actions
 - `element_oracle` builds the map of one lattice element from
@@ -86,7 +89,8 @@ Dyadic sets and towers
   conjugates through `compose_oracle` and `inverse_oracle`, and sums every
   distance in full through `action_dist_oracle`.
 - `random_cycle_lengths_oracle` draws parts of a minimum length on a
-  granularity.
+  granularity.  `permutation_from_cycle_lengths_oracle` carves the shuffled
+  cells into cycles and sends each cell to the next one of its cycle.
 
 Measures
 - `line_convolve_oracle` integrates on two-variable polynomials in (y, t).
@@ -257,6 +261,18 @@ def cycles_oracle(t: IntervalPermutation) -> list[list[int]]:
 
 def identity_oracle(n: int) -> IntervalPermutation:
     return IntervalPermutation(n, tuple(range(n)))
+
+
+def matched_oracle(n: int, src, dst) -> IntervalPermutation:
+    src, dst = list(src), list(dst)
+    out = [None] * n
+    for s, d in zip(src, dst):
+        out[s] = d
+    rest_src = [i for i in range(n) if i not in src]
+    rest_dst = [i for i in range(n) if i not in dst]
+    for s, d in zip(rest_src, rest_dst):
+        out[s] = d
+    return IntervalPermutation(n, tuple(out))
 
 
 # -- cylinder tables -----------------------------------------------------------
@@ -1043,6 +1059,24 @@ def random_cycle_lengths_oracle(rng, n: int, min_len: int = 1, granularity: int 
         parts.append(take)
         left -= take
     return [p * granularity for p in parts]
+
+
+def permutation_from_cycle_lengths_oracle(rng, n: int, lengths) -> IntervalPermutation:
+    if sum(lengths) != n:
+        raise ValueError("cycle lengths must sum to n")
+    if any(length < 1 for length in lengths):
+        raise ValueError("cycle lengths must be >= 1")
+    cells = list(range(n))
+    rng.shuffle(cells)
+    cycles, pos = [], 0
+    for length in lengths:
+        cycles.append(cells[pos : pos + length])
+        pos += length
+    image = {}
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+    return IntervalPermutation(n, tuple(image[i] for i in range(n)))
 
 
 # -- measures ------------------------------------------------------------------

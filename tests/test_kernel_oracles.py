@@ -60,12 +60,14 @@ from oracles import (
     load_table_oracle,
     marginalize_to_oracle,
     markov_table_oracle,
+    matched_oracle,
     matched_tower_map_oracle,
     measure_parts,
     outcome,
     pair_matrices,
     pair_numerators_oracle,
     passes_public_check,
+    permutation_from_cycle_lengths_oracle,
     perms,
     power_oracle,
     preimage_oracle,
@@ -264,6 +266,19 @@ def test_identity_refuses_a_nonpositive_resolution():
     for n in (0, -1):
         with pytest.raises(ValueError, match="resolution must be positive"):
             identity(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_matched_matches_oracle(n, data):
+    # an empty, a partial and a full src; the leftovers pair up in ascending order
+    cells, targets = data.draw(st.permutations(range(n))), data.draw(st.permutations(range(n)))
+    for k in (0, data.draw(st.integers(0, n)), n):
+        src, dst = cells[:k], targets[:k]
+        expected = matched_oracle(n, src, dst)
+        for out in (IntervalPermutation._matched(n, src, dst), IntervalPermutation._matched(n, src, iter(dst))):
+            assert out == expected
+            assert passes_public_check(out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1305,6 +1320,27 @@ def test_action_dist_memory_does_not_grow_with_the_terms():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_permutation_from_cycle_lengths_matches_oracle(n, data):
+    lengths = random_cycle_lengths_oracle(random.Random(data.draw(st.integers(0, 10**6))), n)
+    seed = data.draw(st.integers(0, 10**6))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    out = permutation_from_cycle_lengths(rng, n, lengths)
+    assert out == permutation_from_cycle_lengths_oracle(oracle_rng, n, lengths)
+    assert rng.getstate() == oracle_rng.getstate()
+    assert passes_public_check(out)
+    assert sorted(map(len, cycles_oracle(out))) == sorted(lengths)
+
+
+@pytest.mark.parametrize("lengths", [[-1, 7], [0, 6], [7]])
+def test_permutation_from_cycle_lengths_refuses_as_the_oracle(lengths):
+    # a nonpositive length is refused, not an IndexError or a silent cycle
+    new = outcome(lambda: permutation_from_cycle_lengths(random.Random(0), 6, lengths))
+    assert new == outcome(lambda: permutation_from_cycle_lengths_oracle(random.Random(0), 6, lengths))
+    assert new[0] is ValueError
 
 
 @pytest.mark.parametrize("unit", [-2, 0, *range(1, 33)])

@@ -145,17 +145,41 @@ def _top_level_functions():
                 yield f"{name}.{getattr(node, 'name', '<module>')}", node
 
 
+def _readers(attr, but):
+    """Where an attribute `attr` of anything but the name `but` is read."""
+    return sorted(
+        {
+            where
+            for where, node in _top_level_functions()
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr == attr
+            and not (isinstance(sub.value, ast.Name) and sub.value.id == but)
+        }
+    )
+
+
 def test_only_the_table_kernels_skip_the_table_checks():
-    # `IntervalPermutation._trusted` is the one other trusted constructor
-    callers = {
-        where
-        for where, node in _top_level_functions()
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute)
-        and sub.attr == "_trusted"
-        and not (isinstance(sub.value, ast.Name) and sub.value.id == "IntervalPermutation")
-    }
-    assert sorted(callers) == TRUSTED_TABLE_BUILDERS
+    assert _readers("_trusted", but="IntervalPermutation") == TRUSTED_TABLE_BUILDERS
+
+
+# what builds a permutation without the bijection check: `_trusted` stays
+# inside `transform`, and every map assembled from matched cells goes
+# through `_matched`, whose matching is the proof
+TRUSTED_PERMUTATION_BUILDERS = [
+    "transform.IntervalPermutation._matched", "transform.IntervalPermutation.compose",
+    "transform.IntervalPermutation.refine", "transform.identity",
+]
+MATCHED_PERMUTATION_BUILDERS = [
+    "action._matched_tower_map", "action.conjugate", "equivalence._block_permutation",
+    "sampling.permutation_from_cycle_lengths", "transform.IntervalPermutation.inverse",
+    "transform.IntervalPermutation.power",
+]
+
+
+def test_only_transform_skips_the_bijection_check():
+    assert _readers("_trusted", but="CylinderTable") == TRUSTED_PERMUTATION_BUILDERS
+    assert _readers("_matched", but="CylinderTable") == MATCHED_PERMUTATION_BUILDERS
 
 
 def test_file_and_sampled_tables_go_through_the_checked_constructor():

@@ -61,6 +61,15 @@ def test_power_matches_repeated_composition(t, k):
     assert t.power(k) == expected
 
 
+@pytest.mark.parametrize("n2", [0, -4])
+def test_refine_refuses_a_nonpositive_resolution(n2):
+    # 0 and -4 are multiples of 4, so the multiple check alone let both through
+    with pytest.raises(ValueError, match="^resolution must be positive$"):
+        rotation(4, 1).refine(n2)
+    with pytest.raises(ValueError, match="^resolution must be positive$"):
+        LatticeAction(1, (rotation(4, 1),)).refine(n2)
+
+
 def test_refine_keeps_the_map():
     # fine cell c lies in coarse cell c // 3 and moves by the same translation
     t = rotation(4, 1)
