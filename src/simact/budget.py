@@ -57,7 +57,9 @@ MAX_TERMS = 64
 # maps once for every height and holds them (terms*n slots, under the charge
 # of one distance), and the verifying distance builds both actions' maps, so
 # that charge errs on the safe side; it refuses the same inputs as when every
-# height built both.
+# height built both.  Reading one action file is charged its d(d-1)*n alone:
+# at the cap, 1448 one-cell generators took 4.4 to 5.0 s to read, nearly all
+# of it in the commutation check.
 MAX_WORK = 1 << 21
 
 # The rungs of `smooth` halve delta < 1, so past 40 rungs the narrowest
@@ -153,6 +155,12 @@ def action_dist(n_a: int, n_b: int, terms: int, depth: int, distances: int = 1, 
     formula = "terms*(n+2^(depth+1))+d(d-1)*n"
     check(f"work {formula} =", work, MAX_WORK)
     check(f"work (heights+1)*({formula}) =", distances * work, MAX_WORK)
+
+
+def action(d: int, n: int) -> None:
+    """Refuse reading an action of rank d on n cells above MAX_WORK: its
+    commutation check composes each pair of generators both ways."""
+    check("work d(d-1)*n =", d * (d - 1) * n, MAX_WORK)
 
 
 def patterns(p: int, k: int) -> int:

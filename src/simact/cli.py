@@ -228,6 +228,9 @@ def cmd_realize(args) -> int:
     t = _load(args.table, ser.load_table, "table")
     if t.window.d != 1:
         raise CliError(3, f"realize handles rank-1 tables, got rank {t.window.d}")
+    # the postcondition reads w itinerary labels for each of the n = den cells
+    budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
+    budget.check("itinerary cells n*w^d =", t.den * t.window.size(), budget.MAX_RESOLUTION)
     action, partition = realize_sim_as_action(t)
     check = action_to_sim(action, t.window, partition)
     if check.nums != t.nums or check.den != t.den:
@@ -270,6 +273,7 @@ def cmd_wrp_demo(args) -> int:
     if epsilon <= 0:
         raise CliError(4, "tolerance must be > 0")
     _dist_args(args)
+    _positive_arg(args.n, "--n")
     _positive_arg(args.trials, "--trials")
     _positive_arg(args.min_cycle, "--min-cycle")
     # each sampled map's shortest cycle is exactly --min-cycle, so a trial

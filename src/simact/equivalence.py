@@ -283,36 +283,27 @@ def recover_action(t: CylinderTable, epsilon) -> tuple[LatticeAction, GraphWitne
 def realize_sim_as_action(t: CylinderTable) -> tuple[LatticeAction, Partition]:
     """Build a rank-1 action whose table reproduces t entry by entry.
 
-    Points are laid out by their leading (w-1)-block of labels; each block
-    interval is cut into outgoing slots, one per positive-mass successor,
-    holding the exact transition mass, and slots are matched to incoming
-    slots in ascending block order.  At w = 1 every key leads with the one
-    empty block and comes back onto its own slots, so the map is the
-    identity.  The returned partition has cuts at the marginal's cumulative
-    masses so its piece indices line up with t's.  A resolution above
-    MAX_RESOLUTION is refused up front.
+    The grid is laid out twice by the same sorted keys, each key owning a
+    run of as many cells as its mass: its out-run in ascending key order,
+    and its in-run in the stable order of its last w-1 labels.  The
+    generator sends each key's out-run onto its in-run.  Both layouts tile
+    the grid, so the map is a bijection whatever t is; shift consistency is
+    what makes it reproduce t, since the keys leading with a block v hold
+    as many cells as the keys ending in it.  At w = 1 both orders agree and
+    the map is the identity.  The returned partition has cuts at the
+    marginal's cumulative masses so its piece indices line up with t's.  A
+    resolution above MAX_RESOLUTION is refused up front.
     """
     if t.window.d != 1:
         raise ValueError("realization covers rank-1 tables only")
     partition_out = Partition(tuple(_levels(t)[:-1]))
     # one grid cell per 1/den: every mass, and so every level, sits on the grid
     n = budget.check("grid resolution n =", t.den, budget.MAX_RESOLUTION)
-    keys = sorted(t.nums)
-    outs = list(accumulate((t.nums[key] for key in keys), initial=0))
-    assert outs[-1] == n
-    # a block starts at its first key's out-slot; shift consistency makes the
-    # mass coming into v equal v's block size, so incoming slots tile it exactly
-    in_offset: dict[tuple[int, ...], int] = {}
-    for key, out in zip(keys, outs):
-        in_offset.setdefault(key[:-1], out)
-    perm = [-1] * n
-    for key, out in zip(keys, outs):
-        width, v = t.nums[key], key[1:]
-        dst = in_offset[v]
-        perm[out : out + width] = range(dst, dst + width)
-        in_offset[v] = dst + width
-    gen = IntervalPermutation(n, tuple(perm))
-    return LatticeAction(1, (gen,)), partition_out
+    nums, keys = t.nums, sorted(t.nums)
+    into = sorted(keys, key=lambda key: key[1:])
+    starts = dict(zip(into, accumulate((nums[key] for key in into), initial=0)))
+    perm = chain.from_iterable(range(starts[key], starts[key] + nums[key]) for key in keys)
+    return LatticeAction(1, (IntervalPermutation._trusted(n, tuple(perm)),)), partition_out
 
 
 # -- factor defect -----------------------------------------------------------

@@ -156,11 +156,15 @@ def action_header(obj) -> tuple[int, int]:
 
 
 def load_action(obj) -> LatticeAction:
-    """{"d": 2, "n": 8, "generators": [[...], [...]]}"""
+    """{"d": 2, "n": 8, "generators": [[...], [...]]}
+
+    The commutation check, d(d-1) composes of n cells, is charged once the
+    generators are counted and before any of them is parsed."""
     d, n = action_header(obj)
     gens = _need(obj, "generators", list, "action")
     if len(gens) != d:
         raise ValueError(f"action: expected {d} generators, got {len(gens)}")
+    budget.action(d, n)
     parsed = []
     for i, perm in enumerate(gens):
         if not isinstance(perm, list) or not all(_is_int(j) for j in perm):

@@ -49,7 +49,9 @@ class IntervalPermutation:
 
     @classmethod
     def _trusted(cls, n: int, perm: tuple[int, ...]) -> "IntervalPermutation":
-        """Skip the bijection check, for a perm tuple built from bijections."""
+        """Skip the bijection check, for a perm tuple laid out whole as a
+        bijection (refine, compose, identity, a realized table); a map
+        scattered from matched pairs goes through _matched."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "perm", perm)

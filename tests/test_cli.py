@@ -235,7 +235,7 @@ def test_exit_2_nonpositive_terms_and_depth(capsys):
         assert main(["dist", ids, swap, flag, "0"]) == 2
         assert main(["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", flag, "0"]) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
-    for flag in ("--trials", "--min-cycle"):
+    for flag in ("--trials", "--min-cycle", "--n"):
         for value in ("0", "-1"):
             assert main(["wrp-demo", "--seed", "1", "--trials", "1", "--n", "64", "--min-cycle", "32", flag, value]) == 2
             assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
@@ -245,8 +245,6 @@ def test_exit_4_unsatisfiable_sampler_request(capsys):
     # n = 100 has no composition into parts that are multiples of 7
     assert main(["wrp-demo", "--seed", "1", "--n", "100", "--min-cycle", "7"]) == 4
     assert "n must be divisible by the part granularity" in capsys.readouterr().err
-    assert main(["wrp-demo", "--seed", "1", "--n", "0"]) == 4
-    assert "n = 0 cannot hold a part" in capsys.readouterr().err
 
 
 # -- flags -------------------------------------------------------------------------
@@ -563,6 +561,43 @@ def test_dist_is_charged_from_the_headers_before_any_generator_is_built(tmp_path
         assert main(["dist", *argv, "--terms", "1", "--depth", "1"]) == 4
         err = capsys.readouterr().err
         assert f"terms*(n+2^(depth+1))+d(d-1)*n = {n + 2**2 + 6 * n}" in err and "Traceback" not in err
+
+
+def test_embed_and_factor_defect_charge_the_commutation_check_before_any_generator_is_built(tmp_path, monkeypatch, capsys):
+    # 2000 one-cell generators, a 10 KB file: `embed` composed its 2000 * 1999
+    # generator pairs for 9.6 s before the reading charge refused them
+    action = write(tmp_path / "rank2000.json", {"d": 2000, "n": 1, "generators": [[0]] * 2000})
+    idmap = write(tmp_path / "id.json", {"knots": [["0", "0"]]})
+    whole = write(tmp_path / "whole.json", {"level": 0, "mask": "1"})
+
+    def build(*_args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(IntervalPermutation, "__init__", build)
+    out = tmp_path / "out"
+    for argv in (["embed", idmap, action, "--w", "1", "--cuts", "0"],
+                 ["factor-defect", action, "--piece", whole, "--target", whole, "--w", "1"]):
+        started = time.perf_counter()
+        assert main(argv + ["--out", str(out)]) == 4
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert f"d(d-1)*n = {2000 * 1999} is above the cap of {2**21}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("w", [2, 4])
+def test_realize_charges_its_postcondition_grid_before_realizing(tmp_path, monkeypatch, capsys, w):
+    # 2^20 cells fit the realization, but reading it back walks w labels a
+    # cell; the refusal used to come after the realization
+    def realize(_t):
+        raise AssertionError("the table was realized")
+
+    monkeypatch.setattr(cli, "realize_sim_as_action", realize)
+    out = tmp_path / "out"
+    assert main(["realize", write(tmp_path / "thin.json", diagonal_table(w, 2**20)), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"itinerary cells n*w^d = {w * 2**20} is above the cap of {2**20}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- one parser per process ------------------------------------------------------

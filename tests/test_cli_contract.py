@@ -58,6 +58,7 @@ OVERSIZED = [
     rotation(127),  # against rotation(131) at depth 6: lcm(127, 131, 64) cells
     rotation(131),
     rotation(1025),  # against level-10 dyadic sets: lcm(1025, 1024) cells
+    {"d": 1449, "n": 1, "generators": [[0]] * 1449},  # 1449 * 1448 commutation composes
     diagonal(2, 2, ["1/1048583", "1048582/1048583"]),  # realize and recover grids
     diagonal(2, 13, ["1/2", "1/2"]),  # 3^13 cylinder patterns
     diagonal(17, 2, ["1/17"] * 17),  # graph test work: 2^33 search steps a pair
@@ -65,6 +66,7 @@ OVERSIZED = [
     {"d": 2**64, "w": 2, "cuts": ["0"], "masses": {"0,0": "1"}},
     {"level": 2**64, "mask": "01"},
     {"d": 2**21, "w": 1, "cuts": ["0"], "masses": {"0": "1"}},  # 2^21 window coordinates
+    {"d": 2**20, "w": 1, "cuts": ["0"], "masses": {"0": "1"}},  # 2^20 window coordinates, at the cap
     {"d": 13, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**13): "1"}},  # 3^13 smooth shifts
     {"d": 9, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**9): "1"}},  # graph-test window pairs
 ]
@@ -213,8 +215,10 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
         ("smooth-smear", 2 * (81 + KEY_SLOTS * 80 + SMEAR_SLOTS * 80**2), MAX_SMOOTH_WORK),
         # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
+        # reading 1448 one-cell generators composes 1448 * 1447 pairs: 4.4 to 5.0 s
+        ("embed", 1448 * 1447, MAX_WORK),
     ],
-    ids=["dist", "smooth", "smooth-smear", "graph-test"],
+    ids=["dist", "smooth", "smooth-smear", "graph-test", "embed"],
 )
 def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case, work, cap):
     # each work cap stands for 3 to 5 s on one core of a shared 2-vCPU
@@ -240,15 +244,37 @@ def test_a_run_near_its_work_cap_is_accepted_within_the_deadline(tmp_path, case,
         with open(table, "w", encoding="utf-8") as fh:
             json.dump({"d": 1, "w": 1, "cuts": [f"{j}/80" for j in range(80)], "masses": masses}, fh)
         argv = ["smooth", table, "--delta", "7/8", "--steps", "1"]
-    else:
+    elif case == "graph-test":
         table = str(tmp_path / "table.json")
         with open(table, "w", encoding="utf-8") as fh:
             json.dump({"d": 8, "w": 2, "cuts": ["0"], "masses": {",".join("0" * 2**8): "1"}}, fh)
         argv = [case, table, "--epsilon", "1/8"]
+    else:
+        idmap, action = str(tmp_path / "id.json"), str(tmp_path / "action.json")
+        with open(idmap, "w", encoding="utf-8") as fh:
+            json.dump({"knots": [["0", "0"]]}, fh)
+        with open(action, "w", encoding="utf-8") as fh:
+            json.dump({"d": 1448, "n": 1, "generators": [[0]] * 1448}, fh)
+        argv = [case, idmap, action, "--w", "1", "--cuts", "0"]
     started = time.perf_counter()
     code, err = run(argv + ["--out", str(tmp_path / "out")])
     assert code == 0, err
     assert time.perf_counter() - started < 10
+
+
+@pytest.mark.parametrize("d", [6000, 2**20])
+@pytest.mark.parametrize("argv", [["graph-test", "--epsilon", "1/8"], ["smooth", "--delta", "1/4", "--steps", "1"]])
+def test_a_one_time_window_of_large_rank_is_read_in_linear_time(tmp_path, d, argv):
+    # a window of one time has no two times a unit step apart, so its shift
+    # check compares nothing; building a shift per axis took graph-test 44 s
+    # at d = 6000, and the window-coordinate cap allows d = 2^20
+    table = str(tmp_path / "table.json")
+    with open(table, "w", encoding="utf-8") as fh:
+        json.dump({"d": d, "w": 1, "cuts": ["0"], "masses": {"0": "1"}}, fh)
+    started = time.perf_counter()
+    code, err = run([argv[0], table, *argv[1:], "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1
+    assert code == 0, err
 
 
 def test_a_table_near_its_read_cap_is_judged_within_the_deadline(tmp_path):

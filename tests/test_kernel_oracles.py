@@ -941,11 +941,16 @@ def realizable_tables(draw):
         if t is None:
             reject()
         return t
-    rng = random.Random(seed)
-    joining = random_graph_joining(rng, draw(st.integers(2, 6)))
-    single = marginalize_to(joining, [(0,)])
-    iid = iid_table(joining.partition, [single[(j,)] for j in range(joining.partition.p)], 2)
+    p = draw(st.integers(2, 6))
     weight = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    return mixed_joining(seed, p, weight)
+
+
+def mixed_joining(seed: int, p: int, weight: Fraction) -> CylinderTable:
+    """A graph joining on p pieces mixed with the iid table of its marginal."""
+    joining = random_graph_joining(random.Random(seed), p)
+    single = marginalize_to(joining, [(0,)])
+    iid = iid_table(joining.partition, [single[(j,)] for j in range(p)], 2)
     return average_sims(joining, iid, weight)
 
 
@@ -1022,6 +1027,11 @@ def test_continuity_bound_matches_box_oracle(seed, n, w, delta):
 
 @settings(max_examples=80, deadline=None)
 @given(realizable_tables())
+# w = 6, where the in-runs' order by the last w-1 labels differs from the
+# order by the first w-1 or by the reversed key; a pure graph joining, where
+# most keys have no mass; and w = 1, where the map is the identity
+@example(realizable_markov(0, 2, 6))
+@example(mixed_joining(0, 4, Fraction(0)))
 @example(markov_table(random.Random(0), 3, 1))
 def test_realize_matches_oracle(t):
     assert realize_sim_as_action(t) == realize_sim_as_action_oracle(t)

@@ -163,12 +163,12 @@ def test_only_the_table_kernels_skip_the_table_checks():
     assert _readers("_trusted", but="IntervalPermutation") == TRUSTED_TABLE_BUILDERS
 
 
-# what builds a permutation without the bijection check: `_trusted` stays
-# inside `transform`, and every map assembled from matched cells goes
+# what builds a permutation without the bijection check: a map laid out
+# whole goes through `_trusted`, and a map scattered from matched pairs
 # through `_matched`, whose matching is the proof
 TRUSTED_PERMUTATION_BUILDERS = [
-    "transform.IntervalPermutation._matched", "transform.IntervalPermutation.compose",
-    "transform.IntervalPermutation.refine", "transform.identity",
+    "equivalence.realize_sim_as_action", "transform.IntervalPermutation._matched",
+    "transform.IntervalPermutation.compose", "transform.IntervalPermutation.refine", "transform.identity",
 ]
 MATCHED_PERMUTATION_BUILDERS = [
     "action._matched_tower_map", "action.conjugate", "equivalence._block_permutation",
@@ -177,7 +177,7 @@ MATCHED_PERMUTATION_BUILDERS = [
 ]
 
 
-def test_only_transform_skips_the_bijection_check():
+def test_only_whole_layouts_and_matched_pairs_skip_the_bijection_check():
     assert _readers("_trusted", but="CylinderTable") == TRUSTED_PERMUTATION_BUILDERS
     assert _readers("_matched", but="CylinderTable") == MATCHED_PERMUTATION_BUILDERS
 
