@@ -19,7 +19,7 @@ from simact.cli import main
 from simact.measure import Adaptation
 from simact.sampling import diagonal_table, iid_table, markov_table, random_graph_joining, trial_rng
 from simact.sim import Partition, average_sims, marginalize_to
-from simact.transform import DyadicSet, identity, rotation, swap_halves
+from simact.transform import DyadicSet, IntervalPermutation, identity, rotation, swap_halves
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -70,6 +70,16 @@ RUNS = [
     # fails on a B the greedy shortcut misses; most greedy misses cannot
     # raise the worst diameter and skip the exact search
     (["graph-test", gold("mixed7_table.json"), "--epsilon", "1/8"], "expected_graph_test_mixed7.csv"),
+    # rank 2: the window reaches shell 2, past the generators themselves, and
+    # reading the action checks that its two generators commute
+    (
+        ["embed", gold("quarter_shift.json"), gold("rank2_action.json"), "--w", "3", "--cuts", "0,1/3,1/2"],
+        "expected_embed_rank2.json",
+    ),
+    (
+        ["factor-defect", gold("rank2_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "3"],
+        "expected_factor_defect_rank2.csv",
+    ),
 ]
 
 
@@ -91,6 +101,14 @@ def main_fixtures():
     write_json("id4_action.json", ser.dump_action(LatticeAction(1, (identity(4),))))
     write_json("swap_action.json", ser.dump_action(LatticeAction(1, (swap_halves(),))))
     write_json("rot3_action.json", ser.dump_action(LatticeAction(1, (rotation(3, 1),))))
+    # two commuting maps of six cells: a 3-cycle in each half, and the swap
+    # of the halves
+    write_json(
+        "rank2_action.json",
+        ser.dump_action(
+            LatticeAction(2, (IntervalPermutation(6, (1, 2, 0, 4, 5, 3)), IntervalPermutation(6, (3, 4, 5, 0, 1, 2))))
+        ),
+    )
     write_json("quarter_shift.json", ser.dump_adaptation(Adaptation(((F(0), F(0)), (F(1, 2), F(1, 4))))))
     write_json(
         "diag_halves_table.json",
