@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import lcm
 
 from . import budget
@@ -54,11 +54,12 @@ class LatticeAction:
             raise ValueError("need one generator per direction")
         gens = common_resolution(*self.generators)
         object.__setattr__(self, "generators", gens)
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                gi, gj = gens[i], gens[j]
-                if gi.compose(gj).perm != gj.compose(gi).perm:
-                    raise ValueError(f"generators {i} and {j} do not commute")
+        # g_i g_j = g_j g_i, compared on the perm tuples without building either
+        perms = [g.perm for g in gens]
+        for i, j in combinations(range(self.d), 2):
+            pi, pj = perms[i], perms[j]
+            if list(map(pi.__getitem__, pj)) != list(map(pj.__getitem__, pi)):
+                raise ValueError(f"generators {i} and {j} do not commute")
 
     @property
     def n(self) -> int:
@@ -78,6 +79,36 @@ class LatticeAction:
             if k:
                 out = g.power(k) if out is None else out.compose(g.power(k))
         return identity(self.n) if out is None else out
+
+    def elements(self, gammas: list[GroupElement]) -> Iterator[IntervalPermutation]:
+        """The map of each lattice element of gammas, in order, built on demand.
+
+        Shells 0 and 1 (max-norm) go through evaluate.  A gamma of shell
+        s >= 2 is the map of nu after the map of gamma - nu, where nu steps
+        each coordinate of absolute value s once toward 0; the generators
+        commute, so the product is exact.  So the shells of gammas must
+        ascend, and for a gamma of shell s >= 2, nu must be in the list's
+        shell s - 1 and gamma - nu in its shell 1, as in a group_enumeration
+        prefix or a window's times sorted stably by their largest coordinate.
+        Only shell 1, the previous shell and the current one are held.
+        """
+        unit: dict[GroupElement, IntervalPermutation] = {}
+        prev: dict[GroupElement, IntervalPermutation] = {}
+        cur: dict[GroupElement, IntervalPermutation] = {}
+        shell = 0
+        for gamma in gammas:
+            s = max(map(abs, gamma))
+            if s != shell:
+                if shell == 1:
+                    unit = cur
+                prev, cur, shell = cur, {}, s
+            if s <= 1:
+                out = self.evaluate(gamma)
+            else:
+                nu = tuple(c - (c > 0) + (c < 0) if abs(c) == s else c for c in gamma)
+                out = prev[nu].compose(unit[tuple(g - v for g, v in zip(gamma, nu))])
+            cur[gamma] = out
+            yield out
 
 
 def group_enumeration(d: int, count: int) -> list[GroupElement]:
@@ -103,12 +134,12 @@ def group_enumeration(d: int, count: int) -> list[GroupElement]:
 def action_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int) -> Fraction:
     """Sum over the first `terms` lattice elements of 2^-j times the coarse
     distance of the two time-gamma_j maps.  Tail bound: action_dist_tail(terms).
-    Each map is built on demand by `_elements` and summed by `_dist`."""
+    The maps come from `LatticeAction.elements` and are summed by `_dist`."""
     if a.d != b.d:
         raise ValueError(f"rank mismatch: {a.d} vs {b.d}")
     budget.action_dist(a.n, b.n, terms, depth, rank=a.d)
     gammas = group_enumeration(a.d, terms)
-    return _dist(_elements(a, gammas), _elements(b, gammas), depth)
+    return _dist(a.elements(gammas), b.elements(gammas), depth)
 
 
 def _dist(
@@ -132,34 +163,6 @@ def _dist(
     return total
 
 
-def _elements(a: LatticeAction, gammas: list[GroupElement]) -> Iterator[IntervalPermutation]:
-    """a(gamma) for each gamma of a group_enumeration prefix, built on demand.
-
-    Shells 0 and 1 go through evaluate.  A later gamma is a(nu) after
-    a(delta): nu steps each max-norm coordinate of gamma once toward 0, so it
-    lies in the previous shell, and delta = gamma - nu lies in shell 1; the
-    generators commute, so the product is exact.  Only shell 1, the previous
-    shell and the current one are held.
-    """
-    unit: dict[GroupElement, IntervalPermutation] = {}
-    prev: dict[GroupElement, IntervalPermutation] = {}
-    cur: dict[GroupElement, IntervalPermutation] = {}
-    shell = 0
-    for gamma in gammas:
-        s = max(map(abs, gamma))
-        if s != shell:
-            if shell == 1:
-                unit = cur
-            prev, cur, shell = cur, {}, s
-        if s <= 1:
-            out = a.evaluate(gamma)
-        else:
-            nu = tuple(c - (c > 0) + (c < 0) if abs(c) == s else c for c in gamma)
-            out = prev[nu].compose(unit[tuple(g - v for g, v in zip(gamma, nu))])
-        cur[gamma] = out
-        yield out
-
-
 def action_dist_tail(terms: int) -> Fraction:
     return Fraction(1, 2**terms)
 
@@ -180,7 +183,7 @@ def free_defect(a: LatticeAction, k_max: int) -> list[tuple[GroupElement, Fracti
     count = (2 * k_max + 1) ** a.d
     gammas = group_enumeration(a.d, count)
     out = []
-    for gamma, t in zip(gammas, _elements(a, gammas)):
+    for gamma, t in zip(gammas, a.elements(gammas)):
         if all(c == 0 for c in gamma):
             continue
         fixed = sum(1 for i, pi in enumerate(t.perm) if pi == i)
@@ -276,12 +279,12 @@ def wrp_conjugacy_search(
     heights = tower_heights(epsilon, min_cycle)
     budget.action_dist(n, n, terms, depth)
     gammas = group_enumeration(1, terms)
-    b_elems = list(_elements(bb, gammas))
+    b_elems = list(bb.elements(gammas))
     best: WrpResult | None = None
     for height in reversed(heights):
         phi = _matched_tower_map(t, r, height)
         bound = None if best is None else best.achieved
-        achieved = _dist(_elements(conjugate(phi, aa), gammas), b_elems, depth, bound)
+        achieved = _dist(conjugate(phi, aa).elements(gammas), b_elems, depth, bound)
         if bound is None or achieved <= bound:
             best = WrpResult(phi, achieved, height)
     assert best is not None

@@ -45,8 +45,8 @@ MAX_TERMS = 64
 # each past the first shell, refines the two maps to the grid
 # n = lcm(n_A, n_B, 2^depth), reads the finest dyadic interval of each image
 # in one pass over the cells and sweeps the 2^(depth+1) nodes of the test-set
-# tree once; reading two actions of rank d composes each pair of generators
-# both ways, d(d-1) composes apiece.  So a distance is charged
+# tree once; reading two actions of rank d compares each pair of generators
+# composed both ways, d(d-1)*n lookups apiece.  So a distance is charged
 # terms * (n + 2^(depth+1)) + d(d-1) * n, a sum each cap above bounds only in
 # part.  On one core of a shared 2-vCPU machine, `dist` on two random maps at
 # 0.94 of the cap took 2.3 to 3.4 s at depth 1, n = 5 * 2^17 and 3 terms, the
@@ -57,9 +57,11 @@ MAX_TERMS = 64
 # maps once for every height and holds them (terms*n slots, under the charge
 # of one distance), and the verifying distance builds both actions' maps, so
 # that charge errs on the safe side; it refuses the same inputs as when every
-# height built both.  Reading one action file is charged its d(d-1)*n alone:
-# at the cap, 1448 one-cell generators took 4.4 to 5.0 s to read, nearly all
-# of it in the commutation check.
+# height built both.  Reading one action file is charged its d(d-1)*n alone.
+# At the cap, 1448 one-cell generators took 4.2 to 4.5 s to read in process
+# while the check built two composed maps a pair; comparing the perm tuples
+# directly, 0.63 to 0.73 s, and `embed` on them 0.73 to 0.74 s as a process.
+# So that charge now errs on the safe side.
 MAX_WORK = 1 << 21
 
 # The rungs of `smooth` halve delta < 1, so past 40 rungs the narrowest

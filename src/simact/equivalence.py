@@ -57,14 +57,14 @@ def _itineraries(
 ) -> tuple[int, list[tuple]]:
     """Each grid cell's labels at the window times.
 
-    label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  Only the
-    window times with every coordinate 0 or 1 are evaluated; any other time
-    gamma is the map of gamma - e_i after generator i, for the first axis i
-    with gamma_i > 1, which is exact since the generators commute and which
-    comes earlier in the window's order.  Each map is built at the action's
-    own resolution and refined to n = lcm(a.n, m), which is exact since
-    refinement commutes with powers and composition; returns n and, for
-    every n-cell, the labels of its time-gamma images in window order.
+    label[i] labels the cell [i/m, (i+1)/m), with m = len(label).  The maps
+    come from `LatticeAction.elements`, walked over the window times sorted
+    stably by their largest coordinate: every neighbour the walk steps from
+    is itself a window time, and the unit cube {0, 1}^d, the only times
+    evaluated, comes first in window order.  Each map is built at the
+    action's own resolution and refined to n = lcm(a.n, m), which is exact
+    since refinement commutes with powers and composition; returns n and,
+    for every n-cell, the labels of its time-gamma images in window order.
     """
     if window.d != a.d:
         raise ValueError(f"rank mismatch: window {window.d}, action {a.d}")
@@ -72,17 +72,10 @@ def _itineraries(
     budget.check("itinerary cells n*w^d =", n * window.size(), budget.MAX_RESOLUTION)
     span = n // len(label)
     fine = [label[i // span] for i in range(n)]
-    maps: dict[GroupElement, IntervalPermutation] = {}
-    columns = []
-    for gamma in window.elements():
-        i = next((i for i, c in enumerate(gamma) if c > 1), None)
-        if i is None:
-            t = a.evaluate(gamma)
-        else:
-            t = maps[(*gamma[:i], gamma[i] - 1, *gamma[i + 1 :])].compose(a.generators[i])
-        maps[gamma] = t
-        columns.append(list(map(fine.__getitem__, t.refine(n).perm)))
-    return n, list(zip(*columns))
+    times = window.elements()
+    walk = sorted(times, key=max)
+    columns = {gamma: list(map(fine.__getitem__, t.refine(n).perm)) for gamma, t in zip(walk, a.elements(walk))}
+    return n, list(zip(*map(columns.__getitem__, times)))
 
 
 def action_to_sim(a: LatticeAction, window: Window, partition: Partition) -> CylinderTable:

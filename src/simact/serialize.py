@@ -189,8 +189,9 @@ def dump_action(a: LatticeAction) -> dict:
 def load_table(obj) -> CylinderTable:
     """{"d": 1, "w": 2, "cuts": ["0", "1/2"], "masses": {"0,1": "1/4", ...}}
 
-    Mass keys are comma-joined labels in the window's element order.  The
-    key labels, keys * w^d, are charged before any key or mass is read."""
+    Mass keys are comma-joined labels in the window's element order, each
+    label tuple named by one key.  The key labels, keys * w^d, are charged
+    before any key or mass is read."""
     d = _need(obj, "d", int, "table")
     w = _need(obj, "w", int, "table")
     cuts = _need(obj, "cuts", list, "table")
@@ -207,6 +208,8 @@ def load_table(obj) -> CylinderTable:
     budget.check("window coordinates d*w^d =", d * k, budget.MAX_RESOLUTION)
     budget.table(len(raw), k)
     masses = {}
+    # int() reads " 1" and "01" as 1, so two key texts can name one label tuple
+    named: dict[tuple[int, ...], str] = {}
     for key, value in raw.items():
         parts = key.split(",")
         if len(parts) != k:
@@ -215,6 +218,9 @@ def load_table(obj) -> CylinderTable:
             labels = tuple(map(int, parts))
         except ValueError:
             raise ValueError(f"table: key '{key}' has non-integer labels") from None
+        if labels in named:
+            raise ValueError(f"table: keys '{named[labels]}' and '{key}' name the same labels")
+        named[labels] = key
         masses[labels] = _mass(value)
     den = lcm(*(q for _num, q in masses.values()))
     nums = {labels: num * (den // q) for labels, (num, q) in masses.items()}

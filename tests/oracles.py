@@ -498,6 +498,7 @@ def load_table_oracle(obj) -> CylinderTable:
     budget.check("window coordinates d*w^d =", d * k, budget.MAX_RESOLUTION)
     budget.table(len(raw), k)
     masses = {}
+    keys = {}
     for key, value in raw.items():
         parts = key.split(",")
         if len(parts) != k:
@@ -506,6 +507,9 @@ def load_table_oracle(obj) -> CylinderTable:
             labels = tuple(int(p) for p in parts)
         except ValueError:
             raise ValueError(f"table: key '{key}' has non-integer labels") from None
+        if labels in keys:
+            raise ValueError(f"table: keys '{keys[labels]}' and '{key}' name the same labels")
+        keys[labels] = key
         masses[labels] = parse_rational(value if isinstance(value, str) else str(value))
     return CylinderTable(window, partition, masses)
 

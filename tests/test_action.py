@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,20 @@ F = Fraction
 def test_generators_must_commute():
     a = IntervalPermutation(4, (1, 0, 2, 3))
     b = IntervalPermutation(4, (0, 2, 1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generators 0 and 1 do not commute"):
         LatticeAction(2, (a, b))
+    # the identity commutes with both, so the pair named is the last one
+    with pytest.raises(ValueError, match="generators 1 and 2 do not commute"):
+        LatticeAction(3, (identity(4), a, b))
+
+
+def test_commutation_is_checked_without_building_a_map():
+    # one resolution: the generators are kept as given, and each pair is
+    # compared on its perm tuples, not through two composed maps
+    gens = (rotation(12, 1), rotation(12, 4), rotation(12, 6))
+    with patch.object(IntervalPermutation, "compose", side_effect=AssertionError("composed a map")):
+        act = LatticeAction(3, gens)
+    assert all(g is h for g, h in zip(act.generators, gens))
 
 
 def test_mixed_resolutions_refine_to_common():

@@ -131,6 +131,18 @@ def test_exit_2_calls_only_decimals_floats(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_exit_2_table_keys_naming_one_label_tuple_twice(tmp_path, capsys):
+    # " 1" reads as label 1 as "1" does; the listed masses sum to 5/4, and
+    # keeping either one alone would read a different table without a word
+    table = tmp_path / "aliased.json"
+    table.write_text(
+        '{"d": 1, "w": 1, "cuts": ["0", "1/2"], "masses": {"0": "1/2", "1": "1/4", " 1": "1/2"}}', encoding="utf-8"
+    )
+    for argv in [["graph-test", str(table), "--epsilon", "1/8"], ["realize", str(table)]]:
+        assert main(argv) == 2
+        assert "table: keys '1' and ' 1' name the same labels" in capsys.readouterr().err
+
+
 def test_exit_3_shape_mismatch(tmp_path):
     two_d = tmp_path / "d2.json"
     two_d.write_text(

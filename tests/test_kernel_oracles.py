@@ -93,7 +93,6 @@ from simact import budget
 from simact.action import (
     LatticeAction,
     _dist,
-    _elements,
     _matched_tower_map,
     action_dist,
     conjugate,
@@ -667,7 +666,7 @@ def test_integer_table_reader_matches_its_reference(t, data):
         spellings = _spellings(Fraction(masses[key]))
         masses[key] = data.draw(st.sampled_from(spellings))
         if data.draw(st.booleans()):
-            # the same labels under a second key: the later key wins
+            # the same labels under a second key: refused, naming both keys
             alias = ",".join(data.draw(st.sampled_from([f" {x}", f"0{x}", f"{x} "])) for x in key.split(","))
             masses[alias] = data.draw(st.sampled_from(spellings))
     assert outcome(lambda: load_table(doc)) == outcome(lambda: load_table_oracle(doc))
@@ -979,10 +978,11 @@ def test_action_to_sim_matches_oracle(seed, d, n, w, q, mismatch):
     )
 
 
-@pytest.mark.parametrize("d, w", [(1, 1), (1, 6), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d, w", [(1, 1), (1, 6), (2, 3), (2, 4), (3, 3)])
 def test_itineraries_evaluate_only_times_in_the_unit_cube(d, w):
-    # every other window time is its neighbour one step down, composed once
-    # with a generator; evaluate builds its elements here without a compose
+    # every other window time is its neighbour one shell down, composed once
+    # with a unit-cube time (at (2, 4), a neighbour such as (2, 2) of (3, 3)
+    # is itself composite); evaluate builds its elements here without a compose
     rng = random.Random(d * 10 + w)
     action = random_action(rng, d, 6)
     label = [rng.randrange(3) for _ in range(4)]
@@ -1225,7 +1225,7 @@ def test_wrp_search_matches_oracle(pair, epsilon, terms, depth):
 def bounded_dist(a: LatticeAction, b: LatticeAction, terms: int, depth: int, bound: Fraction) -> Fraction:
     """The action distance summed by `_dist` up to the bound, as the search sums it."""
     gammas = group_enumeration(a.d, terms)
-    return _dist(_elements(a, gammas), _elements(b, gammas), depth, bound)
+    return _dist(a.elements(gammas), b.elements(gammas), depth, bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1278,8 +1278,8 @@ def test_wrp_search_stops_summing_heights_that_cannot_win():
     t, r = (aperiodic_permutation(rng, 512, 32) for _ in range(2))
     a, b = LatticeAction(1, (t,)), LatticeAction(1, (r,))
     terms, depth = 6, 6
-    with patch("simact.action.coarse_dist", wraps=coarse_dist) as calls, patch(
-        "simact.action._elements", wraps=_elements
+    with patch("simact.action.coarse_dist", wraps=coarse_dist) as calls, patch.object(
+        LatticeAction, "elements", autospec=True, side_effect=LatticeAction.elements
     ) as built, patch("simact.action.conjugate", wraps=conjugate) as conjugated, patch(
         "simact.action.action_dist", wraps=action_dist
     ) as distances:

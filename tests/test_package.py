@@ -228,6 +228,19 @@ def test_package_import_graph():
     assert graph == IMPORT_GRAPH
 
 
+def test_modules_import_no_private_name_from_each_other():
+    # a helper two modules share is public API, named and documented as such
+    shared = [
+        f"{name}.py:{node.lineno} {node.module}.{alias.name}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert shared == []
+
+
 # The public functions and methods that no command enters, grouped by what
 # keeps them.  A new one shows up here as a diff in review.
 UNREACHED_BY_COMMANDS = {
