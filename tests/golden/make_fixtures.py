@@ -16,9 +16,10 @@ from fractions import Fraction
 from simact import serialize as ser
 from simact.action import LatticeAction
 from simact.cli import main
+from simact.equivalence import action_to_sim
 from simact.measure import Adaptation
 from simact.sampling import diagonal_table, iid_table, markov_table, random_graph_joining, trial_rng
-from simact.sim import Partition, average_sims, marginalize_to
+from simact.sim import Partition, Window, average_sims, marginalize_to
 from simact.transform import DyadicSet, IntervalPermutation, identity, rotation, swap_halves
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -80,6 +81,12 @@ RUNS = [
         ["factor-defect", gold("rank2_action.json"), "--piece", gold("half_dyadic.json"), "--target", gold("middle_dyadic.json"), "--w", "3"],
         "expected_factor_defect_rank2.csv",
     ),
+    # three window times: the pairs at time difference 2 differ from those at
+    # difference 1, and each reversed pair prints its own row
+    (["graph-test", gold("markov_w3_table.json"), "--epsilon", "1/8"], "expected_graph_test_w3.csv"),
+    # rank 2, w = 3: 72 ordered pairs over 24 nonzero time differences, on a
+    # table read off an action, so pairs at different differences differ
+    (["graph-test", gold("rank2_table.json"), "--epsilon", "1/8"], "expected_graph_test_rank2.csv"),
 ]
 
 
@@ -103,12 +110,9 @@ def main_fixtures():
     write_json("rot3_action.json", ser.dump_action(LatticeAction(1, (rotation(3, 1),))))
     # two commuting maps of six cells: a 3-cycle in each half, and the swap
     # of the halves
-    write_json(
-        "rank2_action.json",
-        ser.dump_action(
-            LatticeAction(2, (IntervalPermutation(6, (1, 2, 0, 4, 5, 3)), IntervalPermutation(6, (3, 4, 5, 0, 1, 2))))
-        ),
-    )
+    rank2 = LatticeAction(2, (IntervalPermutation(6, (1, 2, 0, 4, 5, 3)), IntervalPermutation(6, (3, 4, 5, 0, 1, 2))))
+    write_json("rank2_action.json", ser.dump_action(rank2))
+    write_json("rank2_table.json", ser.dump_table(action_to_sim(rank2, Window(2, 3), Partition((F(0), F(1, 3))))))
     write_json("quarter_shift.json", ser.dump_adaptation(Adaptation(((F(0), F(0)), (F(1, 2), F(1, 4))))))
     write_json(
         "diag_halves_table.json",
@@ -116,6 +120,7 @@ def main_fixtures():
     )
     write_json("markov_table.json", ser.dump_table(markov_table(trial_rng(42, 0), p=2, w=2, max_resolution=2000)))
     # not a graph joining: a nonzero worst diameter on a B that greedy misses
+    write_json("markov_w3_table.json", ser.dump_table(markov_table(trial_rng(0, 0), p=3, w=3, max_resolution=2000)))
     write_json("markov4_table.json", ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)))
     # a graph joining at lambda = 1/4 toward the iid table of its marginal:
     # passes, and every worst-B witness comes from the greedy shortcut
