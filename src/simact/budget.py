@@ -26,10 +26,12 @@ MAX_DEPTH = 12
 # of a pair about 60 us.  `graph-test` on a two-time iid table exited 0 at
 # p = 12 (half the cap) in 2.1 to 2.5 s and at p = 13 (twice the cap) in 9.3
 # to 11 s; on the one-piece table of rank 8 and w = 2 (65,280 pairs, 0.88 of
-# the cap) in 3.8 to 3.9 s.  So the cap is about 5 s.  Each unordered pair
-# builds one matrix and its reversed pair reads the transpose, so the
-# KEY_STEPS*keys term is paid for only half the pairs and the k(k-1) charge
-# errs on the safe side.
+# the cap) in 3.8 to 3.9 s.  So the cap is about 5 s.  A shift-consistent
+# table's pair matrix depends only on the time difference, so the test
+# builds one matrix per difference, searches it and its transpose, and reads
+# those verdicts for every other pair: (2w-1)^d - 1 searches, not k(k-1).  At
+# d = 1 the charge errs on the safe side by about w/2, and the rank-8 table
+# above, mostly output rows, takes 0.9 to 1.2 s.
 PAIR_STEPS = 448
 KEY_STEPS = 4
 MAX_GRAPH_WORK = 1 << 25

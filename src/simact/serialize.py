@@ -38,6 +38,9 @@ def read_json_file(path: str):
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: not valid JSON ({e})") from e
+        except RecursionError as e:
+            # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply to read ({e})") from e
 
 
 def _is_int(value) -> bool:

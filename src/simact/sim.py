@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat, takewhile
 from math import gcd, lcm
-from operator import add, index, itemgetter, mul, sub
+from operator import add, index, itemgetter, mul, neg, sub
 from types import MappingProxyType
 
 from . import budget
@@ -543,13 +543,13 @@ def _graph_test_matrix(joining, epsilon: Fraction) -> GraphTest:
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
 
 
-def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
-    """(alpha, beta, GraphTest) for each ordered pair of distinct window times,
-    lazily; every argument and size is checked before the first pair matrix.
+def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False) -> list:
+    """(alpha, beta, GraphTest) for each ordered pair of distinct window
+    times, in window order; every argument and size is checked first.
 
-    The (beta, alpha) matrix is the transpose of the (alpha, beta) one, and
-    a joining's column sums are its row sums, so each unordered pair builds
-    one `_joining` triple and its reversed pair reads the transpose."""
+    A shift-consistent table's (alpha, beta) matrix depends only on beta -
+    alpha, and the (beta, alpha) one is its transpose with the same row sums,
+    so each time difference builds one `_joining` and tests it both ways."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -558,17 +558,15 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False):
         raise ValueError("graph joining test needs a two-time window")
     budget.graph_test(t.partition.p, k, len(t.nums))
     elems = t.window.elements()
-    transposes = {}
+    by_diff = {}
     for i, alpha in enumerate(elems):
-        for j, beta in enumerate(elems):
-            if i < j:
+        for beta in elems[i + 1 :]:
+            diff = tuple(map(sub, beta, alpha))
+            if diff not in by_diff:
                 nums, den, rows = joining = _joining(pair_matrix(t, alpha, beta))
-                transposes[j, i] = list(zip(*nums)), den, rows
-            elif i > j:
-                joining = transposes.pop((i, j))
-            else:
-                continue
-            yield alpha, beta, _graph_test_matrix(joining, epsilon)
+                by_diff[diff] = _graph_test_matrix(joining, epsilon)
+                by_diff[tuple(map(neg, diff))] = _graph_test_matrix((list(zip(*nums)), den, rows), epsilon)
+    return [(alpha, beta, by_diff[tuple(map(sub, beta, alpha))]) for alpha in elems for beta in elems if alpha != beta]
 
 
 def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:
@@ -580,12 +578,12 @@ def is_graph_joining(t: CylinderTable, epsilon) -> GraphTest:
     exact.  The reported worst B carries its exact best diameter whenever
     the verdict is false.
     """
-    return next(_graph_tests(t, epsilon, two_times=True))[2]
+    return _graph_tests(t, epsilon, two_times=True)[0][2]
 
 
 def is_graph_sim(t: CylinderTable, epsilon) -> tuple[bool, list]:
     """Run the graph test on every ordered pair of distinct window times."""
-    results = list(_graph_tests(t, epsilon))
+    results = _graph_tests(t, epsilon)
     return all(res.ok for _alpha, _beta, res in results), results
 
 

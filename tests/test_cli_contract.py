@@ -182,6 +182,29 @@ def test_every_command_line_keeps_the_exit_code_contract(texts, parts):
     assert "Traceback" not in err, (argv, err)
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("name", ["dist", "embed", "recover", "realize", "smooth", "graph-test", "factor-defect"])
+def test_a_deeply_nested_file_is_refused_as_malformed(tmp_path, name, depth):
+    # the JSON decoder recurses once per level and, depending on the Python
+    # version, gives up at 1,000 or at 100,000 nested arrays
+    deep = str(tmp_path / "deep.json")
+    with open(deep, "w", encoding="utf-8") as fh:
+        fh.write("[" * depth + "]" * depth)
+    argv = {
+        "dist": [deep, deep],
+        "embed": [deep, deep, "--w", "2", "--cuts", "0,1/2"],
+        "recover": [deep, "--epsilon", "1/2"],
+        "realize": [deep],
+        "smooth": [deep, "--delta", "1/4", "--steps", "1"],
+        "graph-test": [deep, "--epsilon", "1/8"],
+        "factor-defect": [deep, "--piece", deep, "--target", deep, "--w", "2"],
+    }[name]
+    code, err = run([name, *argv, "--out", str(tmp_path / "out")])
+    assert code == 2 and "Traceback" not in err, err
+    assert deep in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_depth_1_work_counts_the_per_term_pass(tmp_path):
     # 64 terms at depth 1 sweep 64 * 2^2 test-set nodes, far inside the work
     # cap; each term's O(n) evaluations and refinements on 2^17 cells put them
@@ -213,7 +236,8 @@ def test_depth_1_work_counts_the_per_term_pass(tmp_path):
         # full, so the blur builds 80 * 79 = 6320 smear weights (each cell's
         # own weight comes from its row sum): 1.0 to 1.5 s
         ("smooth-smear", 2 * (81 + KEY_SLOTS * 80 + SMEAR_SLOTS * 80**2), MAX_SMOOTH_WORK),
-        # 65,280 pairs of one key and one piece: 3.8 to 3.9 s
+        # 65,280 pairs of one key and one piece over 6,560 time differences:
+        # 0.9 to 1.2 s
         ("graph-test", 256 * 255 * (PAIR_STEPS + KEY_STEPS + 2), MAX_GRAPH_WORK),
         # reading 1448 one-cell generators compares 1448 * 1447 / 2 pairs: 0.7 s
         ("embed", 1448 * 1447, MAX_WORK),

@@ -887,26 +887,41 @@ def test_graph_test_entries_match_oracle(t, epsilon):
             assert outcome(lambda: is_graph_joining(t, eps)) == outcome(lambda: is_graph_joining_oracle(t, eps))
 
 
-@pytest.mark.parametrize("w", [2, 3, 4])
-def test_graph_tests_build_one_pair_matrix_per_unordered_pair(monkeypatch, w):
-    # the (beta, alpha) matrix is the transpose of the (alpha, beta) one, so
-    # k window times build k(k-1)/2 pair matrices for k(k-1) verdicts
-    t = markov_table(random.Random(w), 4, w)
-    calls = []
+@pytest.mark.parametrize("d,w", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_graph_tests_build_one_pair_matrix_per_time_difference(monkeypatch, d, w):
+    # a shift-consistent table's pair matrix depends only on the time
+    # difference, and the reversed difference's is its transpose, so the
+    # (2w-1)^d - 1 nonzero differences build half as many pair matrices and
+    # run one search each for all w^d(w^d - 1) verdicts
+    rng = random.Random(w)
+    if d == 1:
+        t = markov_table(rng, 4, w)
+    else:
+        cuts = Partition((Fraction(0), Fraction(1, 3), Fraction(1, 2)))
+        t = action_to_sim(random_action(rng, d, 12), Window(d, w), cuts)
+    matrices, searches = [], []
 
     def counted(*args):
-        calls.append(args[1:])
+        matrices.append(args[1:])
         return pair_matrix(*args)
 
+    def counted_search(*args):
+        searches.append(args)
+        return _graph_test_matrix(*args)
+
     monkeypatch.setattr("simact.sim.pair_matrix", counted)
+    monkeypatch.setattr("simact.sim._graph_test_matrix", counted_search)
+    differences = (2 * w - 1) ** d - 1
     for eps in (Fraction(1, 8), Fraction(1, 2)):
-        calls.clear()
+        matrices.clear()
+        searches.clear()
         assert is_graph_sim(t, eps) == is_graph_sim_oracle(t, eps)
-        assert len(calls) == w * (w - 1) // 2 == len(set(calls))
-        if w == 2:
-            calls.clear()
+        assert len(searches) == differences
+        assert len({tuple(b - a for a, b in zip(*pair)) for pair in matrices}) == differences // 2 == len(matrices)
+        if (d, w) == (1, 2):
+            matrices.clear()
             assert is_graph_joining(t, eps) == is_graph_joining_oracle(t, eps)
-            assert calls == [((0,), (1,))]
+            assert matrices == [((0,), (1,))]
 
 
 @settings(max_examples=200, deadline=None)
