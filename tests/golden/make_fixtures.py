@@ -119,8 +119,8 @@ def main_fixtures():
         ser.dump_table(diagonal_table(Partition((F(0), F(1, 2))), [F(1, 2), F(1, 2)], 2)),
     )
     write_json("markov_table.json", ser.dump_table(markov_table(trial_rng(42, 0), p=2, w=2, max_resolution=2000)))
-    # not a graph joining: a nonzero worst diameter on a B that greedy misses
     write_json("markov_w3_table.json", ser.dump_table(markov_table(trial_rng(0, 0), p=3, w=3, max_resolution=2000)))
+    # not a graph joining: a nonzero worst diameter on a B that greedy misses
     write_json("markov4_table.json", ser.dump_table(markov_table(trial_rng(2, 0), p=4, w=2, max_resolution=200)))
     # a graph joining at lambda = 1/4 toward the iid table of its marginal:
     # passes, and every worst-B witness comes from the greedy shortcut
