@@ -31,7 +31,9 @@ MAX_DEPTH = 12
 # builds one matrix per difference, searches it and its transpose, and reads
 # those verdicts for every other pair: (2w-1)^d - 1 searches, not k(k-1).  At
 # d = 1 the charge errs on the safe side by about w/2, and the rank-8 table
-# above, mostly output rows, takes 0.9 to 1.2 s.
+# above, mostly output rows, takes 0.9 to 1.2 s.  A passing search also scans
+# only the unions B that leave out the last piece, plus one greedy call per
+# complement with a tie, so the search term errs further on the safe side.
 PAIR_STEPS = 448
 KEY_STEPS = 4
 MAX_GRAPH_WORK = 1 << 25

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat, takewhile
+from itertools import compress, count, product, repeat, takewhile
 from math import gcd, lcm
 from operator import add, index, itemgetter, mul, neg, sub
 from types import MappingProxyType
@@ -499,8 +499,9 @@ def _graph_test_matrix(joining, epsilon: Fraction) -> GraphTest:
 
     The subset sums of the row masses are built once per matrix; in a
     joining the column sums equal the row sums, so they are also the
-    masses of the sets B.  The subset sums of each row over its columns
-    give, for every B at once, the mass that row sends into B.
+    masses of the sets B.  The subset sums of each row over its first p-1
+    columns give, for every B below 2^(p-1), the mass that row sends into
+    B, and the row mass minus that gives what it sends into B's complement.
 
     A greedy miss (diameter >= epsilon) falls back to the exact search only
     when it could raise the worst: the greedy A is one of the unions the
@@ -513,33 +514,44 @@ def _graph_test_matrix(joining, epsilon: Fraction) -> GraphTest:
     mass(A x B) and total T, the complements A', B' have mass(A' x B') =
     T - a - b + x, so their diameter max(T - a, T - b) - (T - a - b + x) is
     max(a, b) - x again, and B' has the best diameter of B.  The B below
-    2^(p-1), which leave out the last piece, come first and run as above.
-    A B from 2^(p-1) up never gets the exact search: its exact diameter is
-    its complement's, already at most the worst.  If the worst is a miss
-    when the lower half ends, nothing above can replace it and the loop
-    stops there; otherwise each upper B still gets its greedy call, since
-    a passing greedy diameter can raise the worst (the greedy is not
-    complement-symmetric where a row is zero or sends exactly half of
-    itself into B).  So a pair matrix costs at most 2^(p-1) exact searches,
-    and 2^(p-1) greedy calls when the verdict fails, 2^p when it passes.
+    2^(p-1), which leave out the last piece, run as above.  If the worst is
+    then a miss, no B from 2^(p-1) up can replace it: its exact diameter is
+    its complement's, already at most the worst.  Otherwise an upper B =
+    full ^ B' can raise the passing worst only through its greedy call, and
+    only when B' has a tie, a row of positive mass r sending exactly r/2
+    into B'.  Without one, the greedy A of B is the complement of that of
+    B' but for zero rows, which add to neither a nor x, so the two greedy
+    diameters are equal: at most the worst, or a miss, which an upper B
+    never uses.  The tied upper B get their greedy calls in ascending
+    order, so the first of equal diameters still wins.  So a pair matrix
+    costs at most 2^(p-1) exact searches and 2^(p-1) greedy calls, plus one
+    greedy call per tied B' when the verdict passes.
     """
     nums, den, rows = joining
     a_sums = _subset_sums(rows)
     # d / den >= epsilon exactly when d * epsilon.denominator >= bound
     scale, bound = epsilon.denominator, epsilon.numerator * den
     worst_b, worst_a, worst = 0, 0, 0
-    half = len(a_sums) // 2
-    for b_mask, into_b in enumerate(zip(*map(_subset_sums, nums))):
-        if b_mask == half and worst * scale >= bound:
-            break
+    into = [_subset_sums(r[:-1]) for r in nums]
+    for b_mask, into_b in enumerate(zip(*into)):
         prelude = (rows, a_sums, into_b, a_sums[b_mask])
         a_mask, d = greedy_graph_witness(nums, b_mask, rows=prelude)
         if d > worst and d * scale >= bound:
-            if b_mask >= half:
-                continue
             a_mask, d = graph_witness_exact(nums, b_mask, rows=prelude)
         if d > worst:
             worst_b, worst_a, worst = b_mask, a_mask, d
+    if worst * scale < bound:
+        full = len(a_sums) - 1
+        tied = set()
+        for r, sums in zip(rows, into):
+            if r > 0 and r % 2 == 0:
+                tied.update(compress(count(), map((r // 2).__eq__, sums)))
+        for b_prime in sorted(tied, reverse=True):
+            b_mask = full ^ b_prime
+            into_b = tuple(r - sums[b_prime] for r, sums in zip(rows, into))
+            a_mask, d = greedy_graph_witness(nums, b_mask, rows=(rows, a_sums, into_b, a_sums[b_mask]))
+            if d > worst and d * scale < bound:
+                worst_b, worst_a, worst = b_mask, a_mask, d
     return GraphTest(worst * scale < bound, worst_b, worst_a, Fraction(worst, den))
 
 
@@ -549,7 +561,8 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False) -> list:
 
     A shift-consistent table's (alpha, beta) matrix depends only on beta -
     alpha, and the (beta, alpha) one is its transpose with the same row sums,
-    so each time difference builds one `_joining` and tests it both ways."""
+    so each time difference builds one `_joining` and tests it both ways.
+    With `two_times` only the first pair is tested and returned."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -565,6 +578,8 @@ def _graph_tests(t: CylinderTable, epsilon, two_times: bool = False) -> list:
             if diff not in by_diff:
                 nums, den, rows = joining = _joining(pair_matrix(t, alpha, beta))
                 by_diff[diff] = _graph_test_matrix(joining, epsilon)
+                if two_times:
+                    return [(alpha, beta, by_diff[diff])]
                 by_diff[tuple(map(neg, diff))] = _graph_test_matrix((list(zip(*nums)), den, rows), epsilon)
     return [(alpha, beta, by_diff[tuple(map(sub, beta, alpha))]) for alpha in elems for beta in elems if alpha != beta]
 

@@ -46,6 +46,7 @@ from oracles import (
     fixed_mass_bound_oracle,
     free_defect_oracle,
     from_indices_oracle,
+    graph_test_oracle,
     graph_verdict_oracle,
     graph_witnesses_oracle,
     grid_points,
@@ -781,21 +782,24 @@ def test_public_witnesses_match_int_oracle(m, masks):
 @settings(max_examples=60, deadline=None)
 @given(pair_matrices())
 def test_into_b_walk_matches_into_b_for_every_b(m):
-    # the prelude the graph loop hands the greedy witness, recorded for every B
+    # the prelude the graph loop hands the greedy witness, recorded for each
+    # B it calls: every B below 2^(p-1), read off the subset sums of the
+    # first p-1 columns, and at epsilon = 1, which every matrix passes, each
+    # upper B whose complement has a tie, read as row minus complement
     preludes = []
 
     def recorded(matrix, b_mask, rows=None):
         row_sums, a_sums, into_b, b_total = rows
-        preludes.append((row_sums, a_sums, b_total, list(into_b)))
+        preludes.append((b_mask, (row_sums, a_sums, b_total, list(into_b))))
         return greedy_graph_witness(matrix, b_mask, rows=rows)
 
     with patch("simact.sim.greedy_graph_witness", recorded):
-        _graph_test_matrix(_joining(m), Fraction(1))
+        assert _graph_test_matrix(_joining(m), Fraction(1)).ok
     nums, _den = pair_numerators_oracle(m)
     rows = [sum(r) for r in nums]
-    assert preludes == [
-        (rows, subset_sums_oracle(rows), *into_b_oracle(nums, b_mask)) for b_mask in range(1 << len(m))
-    ]
+    called = [b_mask for b_mask, _prelude in preludes]
+    assert called[: 1 << (len(m) - 1)] == list(range(1 << (len(m) - 1)))
+    assert preludes == [(b_mask, (rows, subset_sums_oracle(rows), *into_b_oracle(nums, b_mask))) for b_mask in called]
 
 
 @settings(max_examples=80, deadline=None)
@@ -811,23 +815,27 @@ def test_exact_search_runs_only_where_it_can_raise_the_worst(m, epsilon, on_a_di
     # replay the loop: a B below 2^(p-1) gets the exact search exactly when
     # its greedy diameter is a miss and above the worst so far, and the
     # search finds the best diameter of B; a B from 2^(p-1) up never does,
-    # since its complement has its best diameter, and the loop ends at
-    # 2^(p-1) when the worst is a miss by then
+    # since its complement has its best diameter.  The loop ends at 2^(p-1)
+    # when the worst is a miss by then; otherwise the greedy runs, in
+    # ascending order, on just the upper B whose complement has a tie
     exact = dict(calls)
     assert len(exact) == len(calls)
     assert exact == {b_mask: witnesses[b_mask][1][1] for b_mask in exact}
+    full = len(greedy) - 1
     half = len(greedy) // 2
-    worst, scanned = Fraction(0), len(greedy)
-    for b_mask, d in enumerate(greedy):
-        if b_mask == half and worst >= epsilon:
-            scanned = half
-            break
-        assert (b_mask in exact) == (b_mask < half and d >= epsilon and d > worst)
+    worst = Fraction(0)
+    for b_mask, d in enumerate(greedy[:half]):
+        assert (b_mask in exact) == (d >= epsilon and d > worst)
         if b_mask in exact:
             worst = max(worst, Fraction(exact[b_mask], den))
         elif d < epsilon:
             worst = max(worst, d)
-    assert [c.args[1] for c in greedy_calls.call_args_list] == list(range(scanned))
+    upper = []
+    if worst < epsilon:
+        nums, _den = pair_numerators_oracle(m)
+        upper = sorted(full ^ b for b in range(half) if _has_tie(nums, b))
+        worst = max([worst] + [greedy[b_mask] for b_mask in upper if greedy[b_mask] < epsilon])
+    assert [c.args[1] for c in greedy_calls.call_args_list] == list(range(half)) + upper
     assert worst == res.diameter
 
 
@@ -856,12 +864,37 @@ def test_a_union_and_its_complement_have_the_same_best_diameter(m):
     assert all(best[1] == witnesses[b_mask ^ full][1][1] for b_mask, (_greedy, best) in enumerate(witnesses))
 
 
+def _has_tie(nums, b_mask) -> bool:
+    """Whether some row of positive mass r sends exactly r/2 into B."""
+    _b, into_b = into_b_oracle(nums, b_mask)
+    return any(r > 0 and 2 * x == r for r, x in zip(map(sum, nums), into_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_matrices())
+def test_a_union_without_a_tie_has_its_complements_greedy_diameter(m):
+    # without a tie the greedy A of B' = full ^ B is the complement of the
+    # greedy A of B, but for zero rows, which add to neither a nor x
+    nums, _den = pair_numerators_oracle(m)
+    _den, witnesses = graph_witnesses_oracle(m)
+    full = len(witnesses) - 1
+    untied = [b_mask for b_mask in range(full + 1) if not _has_tie(nums, b_mask)]
+    assert all(witnesses[b_mask][0][1] == witnesses[full ^ b_mask][0][1] for b_mask in untied)
+
+
 def test_passing_worst_from_a_tied_greedy_in_the_upper_half():
     # B = {1}: row 1 sends exactly half of itself into B, so the greedy
     # leaves it out and reads 1/5, where B's complement {0} reads 1/10;
     # only the upper half's greedy call finds the printed worst
     m = [[Fraction(7, 10), Fraction(1, 10)], [Fraction(1, 10), Fraction(1, 10)]]
     assert _graph_test_matrix(_joining(m), Fraction(1, 4)) == GraphTest(True, 2, 0, Fraction(1, 5))
+    # p = 3, where the lower half's worst is 1/8.  Row 2, of mass 2/8, sends
+    # exactly half of itself into B' = {0} and into B' = {0, 1}, so their
+    # complements {2} and {1, 2} get greedy calls; each greedy leaves row 2
+    # out of A and reads 1/4, and the ascending scan keeps the first, B = {2}
+    m = [[Fraction(x, 8) for x in r] for r in ([2, 0, 1], [0, 3, 0], [1, 0, 1])]
+    res = _graph_test_matrix(_joining(m), Fraction(5, 16))
+    assert res == GraphTest(True, 4, 0, Fraction(1, 4)) == graph_test_oracle(m, Fraction(5, 16))
 
 
 @st.composite
@@ -919,9 +952,12 @@ def test_graph_tests_build_one_pair_matrix_per_time_difference(monkeypatch, d, w
         assert len(searches) == differences
         assert len({tuple(b - a for a, b in zip(*pair)) for pair in matrices}) == differences // 2 == len(matrices)
         if (d, w) == (1, 2):
+            # the joining test reads one pair and never searches its transpose
             matrices.clear()
+            searches.clear()
             assert is_graph_joining(t, eps) == is_graph_joining_oracle(t, eps)
             assert matrices == [((0,), (1,))]
+            assert len(searches) == 1
 
 
 @settings(max_examples=200, deadline=None)
