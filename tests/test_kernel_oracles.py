@@ -830,6 +830,7 @@ def test_exact_search_runs_only_where_it_can_raise_the_worst(m, epsilon, on_a_di
             worst = max(worst, Fraction(exact[b_mask], den))
         elif d < epsilon:
             worst = max(worst, d)
+    assert all(b_mask < half for b_mask in exact)
     upper = []
     if worst < epsilon:
         nums, _den = pair_numerators_oracle(m)
